@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels every experiment
-// rides on: the matmul behind PTM inference, scheduler enqueue/dequeue, the
+// rides on: the matmul behind PTM inference, the PTM's window-vs-row input
+// paths, scheduler enqueue/dequeue, the
 // DES event loop (bare and with a live obs counter handle), W1 metric
 // computation, PFM forwarding, and the observability primitives — scoped
 // timer, sharded metric handles — in both their no-op and recording modes.
@@ -11,11 +12,15 @@
 // is dumped at exit — CI uploads it as the perf-trajectory artifact.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <string>
 
 #include "bench/common.hpp"
+#include "core/delay_provider.hpp"
+#include "core/features.hpp"
+#include "core/ptm.hpp"
 #include "core/pfm.hpp"
 #include "des/simulator.hpp"
 #include "des/traffic_manager.hpp"
@@ -147,6 +152,82 @@ void bm_mlp_forward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.rows());
 }
 BENCHMARK(bm_mlp_forward)->Arg(0)->Arg(1);
+
+// --- PTM input pairs: window path vs row path ------------------------------
+// Arg 0: the window path — make_windows materializes the (n, 12, 17)
+// windows, then predict copies and scales all of them. Arg 1: the row path
+// the engine takes — estimate_sojourn scales each row once and the first
+// GEMM reads the overlapping windows in place. Both run the e2e benchmark's
+// model shape (204→96→48→1) over one n = 2000 packet series, with reused
+// workspaces; ns_per_pkt is wall time per packet.
+struct ptm_input_fixture {
+  std::shared_ptr<const core::ptm_model> ptm;
+  traffic::packet_stream arrivals;
+  core::scheduler_context ctx;
+  std::vector<double> rows;
+};
+
+const ptm_input_fixture& ptm_input() {
+  static const ptm_input_fixture fx = [] {
+    ptm_input_fixture f;
+    util::rng rng{10};
+    double t = 0;
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      t += rng.exponential(8e4);
+      traffic::packet p;
+      p.pid = i;
+      p.size_bytes = static_cast<std::uint32_t>(rng.uniform_int(64, 1500));
+      f.arrivals.push_back({p, t});
+    }
+    f.ctx.bandwidth_bps = 1e9;
+    f.rows = core::compute_features(f.arrivals, f.ctx);
+    core::ptm_config cfg;
+    cfg.time_steps = 12;
+    cfg.mlp_hidden = {96, 48};
+    cfg.epochs = 1;
+    core::ptm_dataset data;
+    data.time_steps = cfg.time_steps;
+    data.windows = core::make_windows(f.rows, cfg.time_steps);
+    for (std::size_t i = 0; i < f.arrivals.size(); ++i)
+      data.targets.push_back(
+          f.rows[i * core::feature_count + core::f_unfinished_work]);
+    core::ptm_model model{cfg};
+    (void)model.train(data);
+    f.ptm = std::make_shared<const core::ptm_model>(std::move(model));
+    return f;
+  }();
+  return fx;
+}
+
+void bm_ptm_input_path(benchmark::State& state) {
+  const ptm_input_fixture& fx = ptm_input();
+  core::ptm_delay_provider provider{fx.ptm};
+  nn::workspace ws;
+  core::device_state device;
+  device.arrivals = &fx.arrivals;
+  device.feature_rows = fx.rows;
+  device.ctx = &fx.ctx;
+  device.workspace = &ws;
+  const std::size_t time_steps = fx.ptm->config().time_steps;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      const auto windows = core::make_windows(fx.rows, time_steps);
+      auto y = provider.predict_windows(windows);
+      benchmark::DoNotOptimize(y.data());
+    } else {
+      auto y = provider.estimate_sojourn(device, 0.0);
+      benchmark::DoNotOptimize(y.data());
+    }
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const auto packets = state.iterations() *
+                       static_cast<std::int64_t>(fx.arrivals.size());
+  state.SetItemsProcessed(packets);
+  state.counters["ns_per_pkt"] = elapsed.count() / static_cast<double>(packets);
+}
+BENCHMARK(bm_ptm_input_path)->Arg(0)->Arg(1);
 
 void bm_traffic_manager(benchmark::State& state) {
   const auto kind = static_cast<des::scheduler_kind>(state.range(0));

@@ -70,13 +70,12 @@ std::vector<double> ptm_delay_provider::predict_windows(
 
 std::vector<double> ptm_delay_provider::estimate_sojourn(
     const device_state& state, double /*window_seconds*/) {
-  const auto windows =
-      make_windows(state.feature_rows, ptm_->config().time_steps);
   auto sojourns =
       state.workspace != nullptr
-          ? ptm_->predict(windows, *state.workspace, state.apply_sec,
-                          state.raw_out)
-          : ptm_->predict(windows, state.apply_sec, state.raw_out);
+          ? ptm_->predict_rows(state.feature_rows, *state.workspace,
+                               state.apply_sec, state.raw_out)
+          : ptm_->predict_rows(state.feature_rows, state.apply_sec,
+                               state.raw_out);
   if (latency_seconds_)
     for (const double s : sojourns) latency_seconds_.observe(s);
   return sojourns;

@@ -99,7 +99,7 @@ class delay_provider {
     std::shared_ptr<const ptm_model> ptm, const des::delay_policy& policy);
 
 // ---------------------------------------------------------------------------
-// Learned backend: windows the feature rows and runs ptm_model::predict
+// Learned backend: runs ptm_model::predict_rows over the feature rows
 // (+ SEC). This class is the only first-party predict call site outside the
 // PTM itself — scripts/lint.sh enforces that everything else goes through a
 // provider.

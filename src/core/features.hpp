@@ -105,6 +105,9 @@ struct scheduler_context {
 // Assemble sliding windows of `time_steps` packets ending at each index in
 // [first, n): flattened (count, time_steps, feature_count). Windows whose
 // history would precede the series start are front-padded with the first row.
+// Serves training datasets and model-study replay. The engine path does not
+// materialize windows: ptm_model::predict_rows reads them in place from the
+// rows, with the same padding and bit-identical results.
 [[nodiscard]] std::vector<double> make_windows(std::span<const double> feature_rows,
                                                std::size_t time_steps);
 

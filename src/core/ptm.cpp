@@ -57,16 +57,26 @@ ptm_model::ptm_model(const ptm_config& config) : config_{config} {
     dims.push_back(1);
     mlp_net_ = nn::mlp{dims, nn::activation::tanh, rng};
   }
+  // predict's telemetry handles: resolved once, here, where the sink is
+  // fixed, so no predict call takes the registry's name lock.
+  if (config_.sink != nullptr) {
+    workspace_bytes_ = config_.sink->gauge_handle_for("nn.workspace_bytes");
+    sec_corrections_ = config_.sink->counter_handle_for("sec.corrections");
+    sec_relative_ =
+        config_.sink->histogram_handle_for("sec.relative_correction");
+  }
 }
 
 namespace {
 
-// x -> log1p(x / scale) for the heavy-tailed features (features.hpp).
-void apply_feature_log(std::span<double> flat_windows) {
-  for (std::size_t i = 0; i < flat_windows.size(); ++i) {
-    const double scale = feature_log_scale[i % feature_count];
-    if (scale > 0) flat_windows[i] = std::log1p(flat_windows[i] / scale);
-  }
+// Copies raw feature rows into `out`, mapping the heavy-tailed features
+// through x -> log1p(x / scale) (features.hpp) on the way.
+void log_rows_into(std::span<const double> rows, double* out) {
+  for (std::size_t r = 0; r < rows.size(); r += feature_count)
+    for (std::size_t f = 0; f < feature_count; ++f) {
+      const double scale = feature_log_scale[f];
+      out[r + f] = scale > 0 ? std::log1p(rows[r + f] / scale) : rows[r + f];
+    }
 }
 
 // Residual learning: the regression target is the *deviation* of the sojourn
@@ -84,48 +94,40 @@ double residual_from_net(double net_value, double prior_bound) {
   return prior_bound + std::sinh(net_value) * sojourn_log_scale;
 }
 
-// The prior bound of window i is a raw feature of its final time step.
-double window_prior_bound(std::span<const double> windows, std::size_t i,
-                          std::size_t time_steps) {
-  return windows[(i * time_steps + time_steps - 1) * feature_count +
-                 f_own_class_work];
+// Raw features of window i's final packet, where consecutive windows start
+// `stride` doubles apart in `raw`: time_steps * feature_count for
+// materialized windows, feature_count for feature rows (one row per window).
+const double* final_row(std::span<const double> raw, std::size_t i,
+                        std::size_t stride) {
+  return raw.data() + (i + 1) * stride - feature_count;
 }
 
-// Scheduler kind of window i, decoded from the one-hot of its final step.
-std::size_t window_scheduler(std::span<const double> windows, std::size_t i,
-                             std::size_t time_steps) {
-  const std::size_t row = (i * time_steps + time_steps - 1) * feature_count;
+// The prior bound of a window is a raw feature of its final time step.
+double prior_bound(const double* row) { return row[f_own_class_work]; }
+
+// Scheduler kind of a window, decoded from the one-hot of its final step.
+std::size_t scheduler_of(const double* row) {
   for (std::size_t f = f_sched_fifo; f <= f_sched_wfq; ++f)
-    if (windows[row + f] > 0.5) return f - f_sched_fifo;
+    if (row[f] > 0.5) return f - f_sched_fifo;
   return 0;  // default to FIFO if the one-hot is absent
 }
 
 }  // namespace
+
+void ptm_model::scale_rows_into(std::span<const double> rows,
+                                double* out) const {
+  log_rows_into(rows, out);
+  feature_scaler_.transform(std::span<double>{out, rows.size()});
+}
 
 nn::seq_batch ptm_model::scale_windows(std::span<const double> windows) const {
   const std::size_t window_size = config_.time_steps * feature_count;
   DQN_CHECK(windows.size() % window_size == 0,
             "ptm_model: windows size ", windows.size(),
             " not a multiple of window ", window_size);
-  const std::size_t n = windows.size() / window_size;
-  nn::seq_batch batch{n, config_.time_steps, feature_count};
-  std::copy(windows.begin(), windows.end(), batch.data().begin());
-  apply_feature_log(batch.data());
-  feature_scaler_.transform(batch);
-  return batch;
-}
-
-nn::seq_batch& ptm_model::scale_windows_into(std::span<const double> windows,
-                                             nn::workspace& ws) const {
-  const std::size_t window_size = config_.time_steps * feature_count;
-  DQN_CHECK(windows.size() % window_size == 0,
-            "ptm_model: windows size ", windows.size(),
-            " not a multiple of window ", window_size);
-  const std::size_t n = windows.size() / window_size;
-  nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
-  std::copy(windows.begin(), windows.end(), batch.data().begin());
-  apply_feature_log(batch.data());
-  feature_scaler_.transform(batch);
+  nn::seq_batch batch{windows.size() / window_size, config_.time_steps,
+                      feature_count};
+  scale_rows_into(windows, batch.data().data());
   return batch;
 }
 
@@ -140,20 +142,20 @@ training_report ptm_model::train(
              " windows, ", data.targets.size(), " targets)");
 
   util::stopwatch watch;
-  {
-    std::vector<double> transformed(data.windows.begin(), data.windows.end());
-    apply_feature_log(transformed);
-    feature_scaler_.fit(transformed, feature_count);
-  }
+  const std::size_t window_size = config_.time_steps * feature_count;
+  nn::seq_batch all{n, config_.time_steps, feature_count};
+  log_rows_into(std::span<const double>{data.windows}.first(n * window_size),
+                all.data().data());
+  feature_scaler_.fit(all);
+  feature_scaler_.transform(all);
   {
     std::vector<double> net_targets(data.targets.size());
     for (std::size_t i = 0; i < data.targets.size(); ++i)
       net_targets[i] = residual_to_net(
           data.targets[i],
-          window_prior_bound(data.windows, i, config_.time_steps));
+          prior_bound(final_row(data.windows, i, window_size)));
     target_scaler_.fit(net_targets);
   }
-  const nn::seq_batch all = scale_windows(data.windows);
 
   nn::param_list params;
   if (config_.arch == ptm_arch::attention)
@@ -195,7 +197,7 @@ training_report ptm_model::train(
         batch.set_sample(b, sample_row);
         targets(b, 0) = target_scaler_.transform(residual_to_net(
             data.targets[src],
-            window_prior_bound(data.windows, src, config_.time_steps)));
+            prior_bound(final_row(data.windows, src, window_size))));
       }
       double loss = 0;
       if (config_.arch == ptm_arch::attention) {
@@ -257,52 +259,83 @@ std::vector<double> ptm_model::predict(std::span<const double> windows,
                                        nn::workspace& ws, bool apply_sec,
                                        std::vector<double>* raw_out) const {
   if (!trained_) throw std::logic_error{"ptm_model::predict: model not trained"};
+  const std::size_t window_size = config_.time_steps * feature_count;
+  DQN_CHECK(windows.size() % window_size == 0,
+            "ptm_model: windows size ", windows.size(),
+            " not a multiple of window ", window_size);
   ws.reset();
-  const nn::seq_batch& batch = scale_windows_into(windows, ws);
-  const std::size_t n = batch.batch();
-  std::vector<double> out(n);
+  nn::matrix& scaled = ws.take(windows.size() / window_size, window_size);
+  scale_rows_into(windows, scaled.data().data());
+  return predict_scaled(scaled.data().data(), windows, window_size, ws,
+                        apply_sec, raw_out);
+}
+
+std::vector<double> ptm_model::predict_rows(
+    std::span<const double> feature_rows, bool apply_sec,
+    std::vector<double>* raw_out) const {
+  thread_local nn::workspace ws;
+  return predict_rows(feature_rows, ws, apply_sec, raw_out);
+}
+
+std::vector<double> ptm_model::predict_rows(
+    std::span<const double> feature_rows, nn::workspace& ws, bool apply_sec,
+    std::vector<double>* raw_out) const {
+  if (!trained_)
+    throw std::logic_error{"ptm_model::predict_rows: model not trained"};
+  DQN_ENSURE(feature_rows.size() % feature_count == 0,
+             "ptm_model::predict_rows: ", feature_rows.size(),
+             " values not a multiple of feature_count ", feature_count);
+  ws.reset();
+  // Scale each row once, behind time_steps - 1 copies of the first: window i
+  // is then the contiguous span of scaled rows [i, i + time_steps), with the
+  // same front padding make_windows gives.
+  const std::size_t pad = feature_rows.empty() ? 0 : config_.time_steps - 1;
+  nn::matrix& scaled =
+      ws.take(pad + feature_rows.size() / feature_count, feature_count);
+  double* const first = scaled.data().data() + pad * feature_count;
+  scale_rows_into(feature_rows, first);
+  for (std::size_t p = 0; p < pad; ++p)
+    std::copy_n(first, feature_count, scaled.data().data() + p * feature_count);
+  return predict_scaled(scaled.data().data(), feature_rows, feature_count, ws,
+                        apply_sec, raw_out);
+}
+
+std::vector<double> ptm_model::predict_scaled(
+    const double* scaled, std::span<const double> raw, std::size_t stride,
+    nn::workspace& ws, bool apply_sec, std::vector<double>* raw_out) const {
+  const std::size_t n = raw.size() / stride;
+  const std::size_t window_size = config_.time_steps * feature_count;
+  const nn::matrix* pred = nullptr;
   if (config_.arch == ptm_arch::attention) {
-    const nn::matrix& pred = attention_net_.forward(batch, ws);
-    for (std::size_t i = 0; i < n; ++i) out[i] = pred(i, 0);
+    nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
+    for (std::size_t i = 0; i < n; ++i)
+      std::copy_n(scaled + i * stride, window_size,
+                  batch.data().data() + i * window_size);
+    pred = &attention_net_.forward(batch, ws);
   } else {
-    nn::matrix& flat = ws.take(n, config_.time_steps * feature_count);
-    std::copy(batch.data().begin(), batch.data().end(), flat.data().begin());
-    const nn::matrix& pred = mlp_net_.forward(flat, ws);
-    for (std::size_t i = 0; i < n; ++i) out[i] = pred(i, 0);
+    // The first dense layer reads window i at scaled + i * stride in place.
+    pred = &mlp_net_.forward(scaled, n, stride, ws);
   }
-  if (config_.sink != nullptr) {
-    // Pre-resolved handle, same idiom as the SEC metrics below: one name
-    // lookup per call, lock-free store.
-    obs::gauge_handle ws_bytes = config_.sink->gauge_handle_for("nn.workspace_bytes");
-    ws_bytes.set(static_cast<double>(ws.bytes()));
-  }
+  workspace_bytes_.set(static_cast<double>(ws.bytes()));
+  std::vector<double> out(n);
   if (raw_out != nullptr) {
     raw_out->clear();
     raw_out->resize(n);
   }
-  // SEC telemetry goes through pre-resolved handles (one name lookup per
-  // predict call, lock-free per packet); null handles when no sink is set.
-  obs::counter_handle sec_corrections;
-  obs::histogram_handle sec_relative;
-  if (config_.sink != nullptr && apply_sec) {
-    sec_corrections = config_.sink->counter_handle_for("sec.corrections");
-    sec_relative = config_.sink->histogram_handle_for("sec.relative_correction");
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* last = final_row(raw, i, stride);
     // Clamp to (slightly beyond) the training range: scaled outputs past it
     // are extrapolation noise that the inverse transform would amplify.
-    double y = std::clamp(out[i], 0.0, 1.0);
-    y = residual_from_net(
-        target_scaler_.inverse(y),
-        window_prior_bound(windows, i, config_.time_steps));
+    double y = std::clamp((*pred)(i, 0), 0.0, 1.0);
+    y = residual_from_net(target_scaler_.inverse(y), prior_bound(last));
     if (raw_out != nullptr) (*raw_out)[i] = std::max(0.0, y);
     if (apply_sec) {
-      const auto& table = sec_[window_scheduler(windows, i, config_.time_steps)];
+      const auto& table = sec_[scheduler_of(last)];
       if (table.fitted()) {
         const double rel = table.relative_correction(y);
         if (rel != 0.0) {
-          sec_corrections.add();
-          sec_relative.observe(std::abs(rel));
+          sec_corrections_.add();
+          sec_relative_.observe(std::abs(rel));
           y = std::max(0.0, y * (1.0 - rel));
         }
       }
@@ -333,9 +366,10 @@ void ptm_model::fit_sec(const ptm_dataset& validation, double eps_fraction,
   // discipline-specific (Figure 6).
   std::array<std::vector<double>, 5> pred_by_kind;
   std::array<std::vector<double>, 5> truth_by_kind;
+  const std::size_t window_size = config_.time_steps * feature_count;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     const std::size_t kind =
-        window_scheduler(validation.windows, i, config_.time_steps);
+        scheduler_of(final_row(validation.windows, i, window_size));
     pred_by_kind[kind].push_back(predictions[i]);
     truth_by_kind[kind].push_back(validation.targets[i]);
   }

@@ -19,6 +19,7 @@
 #include "des/traffic_manager.hpp"
 
 #include "core/sec.hpp"
+#include "obs/handles.hpp"
 #include "obs/sink.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
@@ -90,7 +91,8 @@ class ptm_model {
   // `raw_out`, if non-null, receives the pre-SEC sojourns (same length as
   // the return value) — the journey tracer reports both so per-packet hops
   // show what SEC changed. When config().sink is set, predict records
-  // "sec.corrections" / "sec.relative_correction" through lock-free handles.
+  // "sec.corrections" / "sec.relative_correction" through lock-free handles
+  // resolved once, at construction.
   [[nodiscard]] std::vector<double> predict(
       std::span<const double> windows, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
@@ -100,11 +102,26 @@ class ptm_model {
   // The engine hands each partition worker its own workspace; callers that
   // share one across threads get data races. Resets `ws` on entry. When
   // config().sink is set, records the "nn.workspace_bytes" gauge through a
-  // pre-resolved handle. The signature-compatible overload above uses a
-  // thread_local workspace, keeping predict thread-safe for existing callers.
+  // handle resolved at construction. The signature-compatible overload above
+  // uses a thread_local workspace, keeping predict thread-safe for existing
+  // callers.
   [[nodiscard]] std::vector<double> predict(
       std::span<const double> windows, nn::workspace& ws, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
+
+  // Row entry, the engine's path: `feature_rows` is one arrival series'
+  // (n, feature_count) raw rows (compute_features). Predicts the window
+  // ending at each row and equals predict(make_windows(feature_rows,
+  // time_steps), ...) bit for bit, but scales each row once and never
+  // materializes the windows: the MLP's first GEMM reads them in place as
+  // overlapping rows. Same workspace/SEC/raw_out/telemetry contract as above;
+  // the overload without `ws` uses a thread_local workspace.
+  [[nodiscard]] std::vector<double> predict_rows(
+      std::span<const double> feature_rows, bool apply_sec = true,
+      std::vector<double>* raw_out = nullptr) const;
+  [[nodiscard]] std::vector<double> predict_rows(
+      std::span<const double> feature_rows, nn::workspace& ws,
+      bool apply_sec = true, std::vector<double>* raw_out = nullptr) const;
 
   [[nodiscard]] const ptm_config& config() const noexcept { return config_; }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
@@ -125,10 +142,16 @@ class ptm_model {
   void load(std::istream& in);
 
  private:
+  // Log-transform and min-max scale raw rows into `out` (same length).
+  void scale_rows_into(std::span<const double> rows, double* out) const;
   [[nodiscard]] nn::seq_batch scale_windows(std::span<const double> windows) const;
-  // Allocation-free variant: the scaled batch is a workspace slot.
-  [[nodiscard]] nn::seq_batch& scale_windows_into(std::span<const double> windows,
-                                                  nn::workspace& ws) const;
+  // The predict core shared by both entries: window i's scaled input is the
+  // time_steps * feature_count doubles at scaled + i * stride, and its raw
+  // final row ends at raw[(i + 1) * stride]. stride is the window size for
+  // materialized windows and feature_count for rows; n = raw.size() / stride.
+  [[nodiscard]] std::vector<double> predict_scaled(
+      const double* scaled, std::span<const double> raw, std::size_t stride,
+      nn::workspace& ws, bool apply_sec, std::vector<double>* raw_out) const;
 
   ptm_config config_;
   nn::seq_regressor attention_net_;
@@ -137,6 +160,12 @@ class ptm_model {
   nn::target_scaler target_scaler_;
   std::array<sec_table, 5> sec_;  // indexed by des::scheduler_kind
   bool trained_ = false;
+  // Resolved once against config_.sink (null handles without a sink).
+  // Mutable: recording is thread-safe and leaves the model unchanged, so
+  // const predict may record.
+  mutable obs::gauge_handle workspace_bytes_;    // nn.workspace_bytes
+  mutable obs::counter_handle sec_corrections_;  // sec.corrections
+  mutable obs::histogram_handle sec_relative_;   // sec.relative_correction
 };
 
 }  // namespace dqn::core

@@ -53,9 +53,14 @@ matrix dense::forward_const(const matrix& x) const {
 }
 
 const matrix& dense::forward(const matrix& x, workspace& ws) const {
-  matrix& y = ws.take(x.rows(), w_.cols());
-  kernels::gemm_nn(x.data().data(), w_.data().data(), y.data().data(),
-                   x.rows(), w_.cols(), w_.rows(), /*accumulate=*/false);
+  return forward(x.data().data(), x.rows(), x.cols(), ws);
+}
+
+const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
+                             workspace& ws) const {
+  matrix& y = ws.take(rows, w_.cols());
+  kernels::gemm_nn(x, lda, w_.data().data(), y.data().data(), rows, w_.cols(),
+                   w_.rows(), /*accumulate=*/false);
   kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
                     static_cast<kernels::unary>(act_));
   return y;

@@ -29,6 +29,10 @@ class dense {
   // Allocation-free inference forward: result lives in `ws` until its next
   // reset. GEMM + fused bias/activation epilogue, no intermediates.
   [[nodiscard]] const matrix& forward(const matrix& x, workspace& ws) const;
+  // Same over a strided input: row i is x[i*lda, i*lda + in_dim()). Rows may
+  // overlap (lda < in_dim()); see kernels::gemm_nn for the contract.
+  [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
+                                      std::size_t lda, workspace& ws) const;
 
   // grad_y: (batch, out_dim) → returns grad_x; accumulates weight grads.
   [[nodiscard]] matrix backward(const matrix& grad_y);

@@ -20,13 +20,13 @@ namespace {
 // Kept verbatim as the semantics the fast kernels are tested against: i-k-j
 // with ascending-k accumulation per output element.
 
-void naive_nn(const double* a, const double* b, double* c, std::size_t m,
-              std::size_t n, std::size_t k, bool accumulate) {
+void naive_nn(const double* a, std::size_t lda, const double* b, double* c,
+              std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
     double* c_row = c + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = a[i * k + kk];
+      const double aik = a[i * lda + kk];
       const double* b_row = b + kk * n;
       for (std::size_t j = 0; j < n; ++j) c_row[j] += aik * b_row[j];
     }
@@ -65,25 +65,26 @@ void naive_nt(const double* a, const double* b, double* c, std::size_t m,
 // --- Portable cache-blocked scalar kernel ----------------------------------
 //
 // Broadcast-A form shared by NN and TN (they differ only in how A is
-// indexed): k is blocked so the B panel a row of C accumulates against stays
-// L2-resident, and rows are processed in 4-row bundles so each B row loaded
-// serves four accumulating C rows. Per C element, k is still consumed in
+// indexed; `lda` is the row stride of A as stored): k is blocked so the B
+// panel a row of C accumulates against stays L2-resident, and rows are
+// processed in 4-row bundles so each B row loaded serves four accumulating
+// C rows. Per C element, k is still consumed in
 // ascending order — same association as the naive reference.
 
 constexpr std::size_t kc_block = 256;  // B panel: 256 rows × n cols
 
 template <bool TransA>
-inline double a_at(const double* a, std::size_t i, std::size_t kk,
-                   std::size_t m, std::size_t k) noexcept {
+inline double a_at(const double* a, std::size_t lda, std::size_t i,
+                   std::size_t kk) noexcept {
   if constexpr (TransA)
-    return a[kk * m + i];
+    return a[kk * lda + i];
   else
-    return a[i * k + kk];
+    return a[i * lda + kk];
 }
 
 template <bool TransA>
-void blocked_broadcast(const double* a, const double* b, double* c,
-                       std::size_t m, std::size_t n, std::size_t k,
+void blocked_broadcast(const double* a, std::size_t lda, const double* b,
+                       double* c, std::size_t m, std::size_t n, std::size_t k,
                        bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
   for (std::size_t k0 = 0; k0 < k; k0 += kc_block) {
@@ -96,10 +97,10 @@ void blocked_broadcast(const double* a, const double* b, double* c,
       double* c3 = c + (i + 3) * n;
       for (std::size_t kk = k0; kk < k1; ++kk) {
         const double* b_row = b + kk * n;
-        const double a0 = a_at<TransA>(a, i + 0, kk, m, k);
-        const double a1 = a_at<TransA>(a, i + 1, kk, m, k);
-        const double a2 = a_at<TransA>(a, i + 2, kk, m, k);
-        const double a3 = a_at<TransA>(a, i + 3, kk, m, k);
+        const double a0 = a_at<TransA>(a, lda, i + 0, kk);
+        const double a1 = a_at<TransA>(a, lda, i + 1, kk);
+        const double a2 = a_at<TransA>(a, lda, i + 2, kk);
+        const double a3 = a_at<TransA>(a, lda, i + 3, kk);
         for (std::size_t j = 0; j < n; ++j) {
           const double bj = b_row[j];
           c0[j] += a0 * bj;
@@ -112,7 +113,7 @@ void blocked_broadcast(const double* a, const double* b, double* c,
     for (; i < m; ++i) {
       double* c_row = c + i * n;
       for (std::size_t kk = k0; kk < k1; ++kk) {
-        const double aik = a_at<TransA>(a, i, kk, m, k);
+        const double aik = a_at<TransA>(a, lda, i, kk);
         const double* b_row = b + kk * n;
         for (std::size_t j = 0; j < n; ++j) c_row[j] += aik * b_row[j];
       }
@@ -120,14 +121,14 @@ void blocked_broadcast(const double* a, const double* b, double* c,
   }
 }
 
-void blocked_nn(const double* a, const double* b, double* c, std::size_t m,
-                std::size_t n, std::size_t k, bool accumulate) {
-  blocked_broadcast<false>(a, b, c, m, n, k, accumulate);
+void blocked_nn(const double* a, std::size_t lda, const double* b, double* c,
+                std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
+  blocked_broadcast<false>(a, lda, b, c, m, n, k, accumulate);
 }
 
 void blocked_tn(const double* a, const double* b, double* c, std::size_t m,
                 std::size_t n, std::size_t k, bool accumulate) {
-  blocked_broadcast<true>(a, b, c, m, n, k, accumulate);
+  blocked_broadcast<true>(a, m, b, c, m, n, k, accumulate);
 }
 
 // NT (dot-product form): both streams are contiguous over k; 2×2 output
@@ -298,7 +299,13 @@ void report_dispatch(obs::sink& sink) {
 DQN_HOT_PATH void gemm_nn(const double* a, const double* b, double* c,
                             std::size_t m, std::size_t n, std::size_t k,
                             bool accumulate) {
-  table_for(active_backend()).nn(a, b, c, m, n, k, accumulate);
+  table_for(active_backend()).nn(a, k, b, c, m, n, k, accumulate);
+}
+
+DQN_HOT_PATH void gemm_nn(const double* a, std::size_t lda, const double* b,
+                            double* c, std::size_t m, std::size_t n,
+                            std::size_t k, bool accumulate) {
+  table_for(active_backend()).nn(a, lda, b, c, m, n, k, accumulate);
 }
 
 DQN_HOT_PATH void gemm_tn(const double* a, const double* b, double* c,
@@ -327,7 +334,13 @@ const detail::gemm_table& checked_table(backend be) {
 
 void gemm_nn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
-  checked_table(be).nn(a, b, c, m, n, k, accumulate);
+  checked_table(be).nn(a, k, b, c, m, n, k, accumulate);
+}
+
+void gemm_nn(backend be, const double* a, std::size_t lda, const double* b,
+             double* c, std::size_t m, std::size_t n, std::size_t k,
+             bool accumulate) {
+  checked_table(be).nn(a, lda, b, c, m, n, k, accumulate);
 }
 
 void gemm_tn(backend be, const double* a, const double* b, double* c,

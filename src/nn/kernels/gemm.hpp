@@ -6,8 +6,15 @@
 //   gemm_nn : C (m×n) ?= A (m×k)  · B (k×n)
 //   gemm_tn : C (m×n) ?= Aᵀ(k×m)ᵀ · B (k×n)   (A stored k×m)
 //   gemm_nt : C (m×n) ?= A (m×k)  · Bᵀ(n×k)ᵀ  (B stored n×k)
-// `accumulate` selects += (true) vs = (false). Operands must be contiguous
-// row-major and must not alias C.
+// `accumulate` selects += (true) vs = (false). B and C are contiguous
+// row-major; no operand may alias C. A is contiguous for TN and NT. For NN,
+// A may carry a row stride `lda`: row i of A is a[i*lda, i*lda + k). The
+// contiguous overloads use lda = k; lda > k reads a column window of a wider
+// matrix, and lda < k lets consecutive rows overlap — the PTM's first dense
+// layer reads its sliding windows in place from the scaled feature rows
+// with lda = feature_count. Each output element reads exactly the A values
+// a contiguous copy would hold, in the same order, so a strided call is
+// bit-identical to the contiguous call on a materialized copy.
 //
 // Backends, weakest to strongest:
 //   naive   — the original triple loop, retained as the parity/bench
@@ -60,6 +67,8 @@ void report_dispatch(obs::sink& sink);
 // Dispatched entry points (the ones nn::matmul* ride on).
 void gemm_nn(const double* a, const double* b, double* c, std::size_t m,
              std::size_t n, std::size_t k, bool accumulate);
+void gemm_nn(const double* a, std::size_t lda, const double* b, double* c,
+             std::size_t m, std::size_t n, std::size_t k, bool accumulate);
 void gemm_tn(const double* a, const double* b, double* c, std::size_t m,
              std::size_t n, std::size_t k, bool accumulate);
 void gemm_nt(const double* a, const double* b, double* c, std::size_t m,
@@ -69,6 +78,9 @@ void gemm_nt(const double* a, const double* b, double* c, std::size_t m,
 // std::invalid_argument for an unsupported backend.
 void gemm_nn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate);
+void gemm_nn(backend be, const double* a, std::size_t lda, const double* b,
+             double* c, std::size_t m, std::size_t n, std::size_t k,
+             bool accumulate);
 void gemm_tn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate);
 void gemm_nt(backend be, const double* a, const double* b, double* c,

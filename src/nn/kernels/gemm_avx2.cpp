@@ -24,13 +24,16 @@ namespace {
 
 constexpr std::size_t kc_block = 256;
 
+// Every read of A goes through here. `lda` is A's row stride as stored: m
+// for TN (A is k×m); for NN, row i starts at a + i*lda (rows overlap when
+// lda < k).
 template <bool TransA>
-inline double a_at(const double* a, std::size_t i, std::size_t kk,
-                   std::size_t m, std::size_t k) noexcept {
+inline double a_at(const double* a, std::size_t lda, std::size_t i,
+                   std::size_t kk) noexcept {
   if constexpr (TransA)
-    return a[kk * m + i];
+    return a[kk * lda + i];
   else
-    return a[i * k + kk];
+    return a[i * lda + kk];
 }
 
 inline double hsum(__m256d v) noexcept {
@@ -42,8 +45,9 @@ inline double hsum(__m256d v) noexcept {
 }
 
 template <bool TransA>
-void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
-                    std::size_t n, std::size_t k, bool accumulate) {
+void gemm_broadcast(const double* a, std::size_t lda, const double* b,
+                    double* c, std::size_t m, std::size_t n, std::size_t k,
+                    bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
   for (std::size_t k0 = 0; k0 < k; k0 += kc_block) {
     const std::size_t k1 = std::min(k, k0 + kc_block);
@@ -59,16 +63,16 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
           const double* b_row = b + kk * n + j;
           const __m256d b0 = _mm256_loadu_pd(b_row);
           const __m256d b1 = _mm256_loadu_pd(b_row + 4);
-          const __m256d a0 = _mm256_set1_pd(a_at<TransA>(a, i + 0, kk, m, k));
+          const __m256d a0 = _mm256_set1_pd(a_at<TransA>(a, lda, i + 0, kk));
           c00 = _mm256_fmadd_pd(a0, b0, c00);
           c01 = _mm256_fmadd_pd(a0, b1, c01);
-          const __m256d a1 = _mm256_set1_pd(a_at<TransA>(a, i + 1, kk, m, k));
+          const __m256d a1 = _mm256_set1_pd(a_at<TransA>(a, lda, i + 1, kk));
           c10 = _mm256_fmadd_pd(a1, b0, c10);
           c11 = _mm256_fmadd_pd(a1, b1, c11);
-          const __m256d a2 = _mm256_set1_pd(a_at<TransA>(a, i + 2, kk, m, k));
+          const __m256d a2 = _mm256_set1_pd(a_at<TransA>(a, lda, i + 2, kk));
           c20 = _mm256_fmadd_pd(a2, b0, c20);
           c21 = _mm256_fmadd_pd(a2, b1, c21);
-          const __m256d a3 = _mm256_set1_pd(a_at<TransA>(a, i + 3, kk, m, k));
+          const __m256d a3 = _mm256_set1_pd(a_at<TransA>(a, lda, i + 3, kk));
           c30 = _mm256_fmadd_pd(a3, b0, c30);
           c31 = _mm256_fmadd_pd(a3, b1, c31);
         }
@@ -90,10 +94,10 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
         double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
         for (std::size_t kk = k0; kk < k1; ++kk) {
           const double bj = b[kk * n + j];
-          s0 += a_at<TransA>(a, i + 0, kk, m, k) * bj;
-          s1 += a_at<TransA>(a, i + 1, kk, m, k) * bj;
-          s2 += a_at<TransA>(a, i + 2, kk, m, k) * bj;
-          s3 += a_at<TransA>(a, i + 3, kk, m, k) * bj;
+          s0 += a_at<TransA>(a, lda, i + 0, kk) * bj;
+          s1 += a_at<TransA>(a, lda, i + 1, kk) * bj;
+          s2 += a_at<TransA>(a, lda, i + 2, kk) * bj;
+          s3 += a_at<TransA>(a, lda, i + 3, kk) * bj;
         }
         c[(i + 0) * n + j] += s0;
         c[(i + 1) * n + j] += s1;
@@ -108,7 +112,7 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
       for (; j + 8 <= n; j += 8) {
         __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
         for (std::size_t kk = k0; kk < k1; ++kk) {
-          const __m256d av = _mm256_set1_pd(a_at<TransA>(a, i, kk, m, k));
+          const __m256d av = _mm256_set1_pd(a_at<TransA>(a, lda, i, kk));
           const double* b_row = b + kk * n + j;
           s0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row), s0);
           s1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row + 4), s1);
@@ -121,21 +125,21 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
       for (; j < n; ++j) {
         double s = 0;
         for (std::size_t kk = k0; kk < k1; ++kk)
-          s += a_at<TransA>(a, i, kk, m, k) * b[kk * n + j];
+          s += a_at<TransA>(a, lda, i, kk) * b[kk * n + j];
         c_row[j] += s;
       }
     }
   }
 }
 
-void avx2_nn(const double* a, const double* b, double* c, std::size_t m,
-             std::size_t n, std::size_t k, bool accumulate) {
-  gemm_broadcast<false>(a, b, c, m, n, k, accumulate);
+void avx2_nn(const double* a, std::size_t lda, const double* b, double* c,
+             std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
+  gemm_broadcast<false>(a, lda, b, c, m, n, k, accumulate);
 }
 
 void avx2_tn(const double* a, const double* b, double* c, std::size_t m,
              std::size_t n, std::size_t k, bool accumulate) {
-  gemm_broadcast<true>(a, b, c, m, n, k, accumulate);
+  gemm_broadcast<true>(a, m, b, c, m, n, k, accumulate);
 }
 
 void avx2_nt(const double* a, const double* b, double* c, std::size_t m,

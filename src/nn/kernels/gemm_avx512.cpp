@@ -28,18 +28,22 @@ namespace {
 
 constexpr std::size_t kc_block = 256;
 
+// Every read of A goes through here. `lda` is A's row stride as stored: m
+// for TN (A is k×m); for NN, row i starts at a + i*lda (rows overlap when
+// lda < k).
 template <bool TransA>
-inline double a_at(const double* a, std::size_t i, std::size_t kk,
-                   std::size_t m, std::size_t k) noexcept {
+inline double a_at(const double* a, std::size_t lda, std::size_t i,
+                   std::size_t kk) noexcept {
   if constexpr (TransA)
-    return a[kk * m + i];
+    return a[kk * lda + i];
   else
-    return a[i * k + kk];
+    return a[i * lda + kk];
 }
 
 template <bool TransA>
-void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
-                    std::size_t n, std::size_t k, bool accumulate) {
+void gemm_broadcast(const double* a, std::size_t lda, const double* b,
+                    double* c, std::size_t m, std::size_t n, std::size_t k,
+                    bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
   for (std::size_t k0 = 0; k0 < k; k0 += kc_block) {
     const std::size_t k1 = std::min(k, k0 + kc_block);
@@ -55,16 +59,16 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
           const double* b_row = b + kk * n + j;
           const __m512d b0 = _mm512_loadu_pd(b_row);
           const __m512d b1 = _mm512_loadu_pd(b_row + 8);
-          const __m512d a0 = _mm512_set1_pd(a_at<TransA>(a, i + 0, kk, m, k));
+          const __m512d a0 = _mm512_set1_pd(a_at<TransA>(a, lda, i + 0, kk));
           c00 = _mm512_fmadd_pd(a0, b0, c00);
           c01 = _mm512_fmadd_pd(a0, b1, c01);
-          const __m512d a1 = _mm512_set1_pd(a_at<TransA>(a, i + 1, kk, m, k));
+          const __m512d a1 = _mm512_set1_pd(a_at<TransA>(a, lda, i + 1, kk));
           c10 = _mm512_fmadd_pd(a1, b0, c10);
           c11 = _mm512_fmadd_pd(a1, b1, c11);
-          const __m512d a2 = _mm512_set1_pd(a_at<TransA>(a, i + 2, kk, m, k));
+          const __m512d a2 = _mm512_set1_pd(a_at<TransA>(a, lda, i + 2, kk));
           c20 = _mm512_fmadd_pd(a2, b0, c20);
           c21 = _mm512_fmadd_pd(a2, b1, c21);
-          const __m512d a3 = _mm512_set1_pd(a_at<TransA>(a, i + 3, kk, m, k));
+          const __m512d a3 = _mm512_set1_pd(a_at<TransA>(a, lda, i + 3, kk));
           c30 = _mm512_fmadd_pd(a3, b0, c30);
           c31 = _mm512_fmadd_pd(a3, b1, c31);
         }
@@ -90,13 +94,13 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
         for (std::size_t kk = k0; kk < k1; ++kk) {
           const __m512d bv = _mm512_maskz_loadu_pd(mask, b + kk * n + j);
           s0 = _mm512_fmadd_pd(
-              _mm512_set1_pd(a_at<TransA>(a, i + 0, kk, m, k)), bv, s0);
+              _mm512_set1_pd(a_at<TransA>(a, lda, i + 0, kk)), bv, s0);
           s1 = _mm512_fmadd_pd(
-              _mm512_set1_pd(a_at<TransA>(a, i + 1, kk, m, k)), bv, s1);
+              _mm512_set1_pd(a_at<TransA>(a, lda, i + 1, kk)), bv, s1);
           s2 = _mm512_fmadd_pd(
-              _mm512_set1_pd(a_at<TransA>(a, i + 2, kk, m, k)), bv, s2);
+              _mm512_set1_pd(a_at<TransA>(a, lda, i + 2, kk)), bv, s2);
           s3 = _mm512_fmadd_pd(
-              _mm512_set1_pd(a_at<TransA>(a, i + 3, kk, m, k)), bv, s3);
+              _mm512_set1_pd(a_at<TransA>(a, lda, i + 3, kk)), bv, s3);
         }
         double* c0 = c + (i + 0) * n + j;
         double* c1 = c + (i + 1) * n + j;
@@ -120,7 +124,7 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
         const __mmask8 mask = static_cast<__mmask8>((1U << lanes) - 1U);
         __m512d s = _mm512_setzero_pd();
         for (std::size_t kk = k0; kk < k1; ++kk) {
-          const __m512d av = _mm512_set1_pd(a_at<TransA>(a, i, kk, m, k));
+          const __m512d av = _mm512_set1_pd(a_at<TransA>(a, lda, i, kk));
           s = _mm512_fmadd_pd(av, _mm512_maskz_loadu_pd(mask, b + kk * n + j),
                               s);
         }
@@ -132,14 +136,14 @@ void gemm_broadcast(const double* a, const double* b, double* c, std::size_t m,
   }
 }
 
-void avx512_nn(const double* a, const double* b, double* c, std::size_t m,
-               std::size_t n, std::size_t k, bool accumulate) {
-  gemm_broadcast<false>(a, b, c, m, n, k, accumulate);
+void avx512_nn(const double* a, std::size_t lda, const double* b, double* c,
+               std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
+  gemm_broadcast<false>(a, lda, b, c, m, n, k, accumulate);
 }
 
 void avx512_tn(const double* a, const double* b, double* c, std::size_t m,
                std::size_t n, std::size_t k, bool accumulate) {
-  gemm_broadcast<true>(a, b, c, m, n, k, accumulate);
+  gemm_broadcast<true>(a, m, b, c, m, n, k, accumulate);
 }
 
 void avx512_nt(const double* a, const double* b, double* c, std::size_t m,

@@ -12,9 +12,13 @@ namespace dqn::nn::kernels::detail {
 using gemm_fn = void (*)(const double* a, const double* b, double* c,
                          std::size_t m, std::size_t n, std::size_t k,
                          bool accumulate);
+// NN carries A's row stride `lda` (see gemm.hpp for the contract).
+using gemm_nn_fn = void (*)(const double* a, std::size_t lda, const double* b,
+                            double* c, std::size_t m, std::size_t n,
+                            std::size_t k, bool accumulate);
 
 struct gemm_table {
-  gemm_fn nn = nullptr;
+  gemm_nn_fn nn = nullptr;
   gemm_fn tn = nullptr;
   gemm_fn nt = nullptr;
 

@@ -30,9 +30,15 @@ matrix mlp::forward_const(const matrix& x) const {
 }
 
 const matrix& mlp::forward(const matrix& x, workspace& ws) const {
+  return forward(x.data().data(), x.rows(), x.cols(), ws);
+}
+
+const matrix& mlp::forward(const double* x, std::size_t rows, std::size_t lda,
+                           workspace& ws) const {
   if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
-  const matrix* h = &x;
-  for (const auto& layer : layers_) h = &layer.forward(*h, ws);
+  const matrix* h = &layers_.front().forward(x, rows, lda, ws);
+  for (auto it = layers_.begin() + 1; it != layers_.end(); ++it)
+    h = &it->forward(*h, ws);
   return *h;
 }
 

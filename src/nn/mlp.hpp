@@ -24,6 +24,10 @@ class mlp {
   // Allocation-free inference forward: layer outputs ping-pong through `ws`
   // slots. Result valid until the next ws.reset().
   [[nodiscard]] const matrix& forward(const matrix& x, workspace& ws) const;
+  // Same over a strided input (row i is x[i*lda, i*lda + in_dim()), rows may
+  // overlap): only the first layer reads x, straight through the GEMM.
+  [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
+                                      std::size_t lda, workspace& ws) const;
   [[nodiscard]] matrix backward(const matrix& grad_y);
 
   void collect_params(param_list& out);

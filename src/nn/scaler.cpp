@@ -14,11 +14,11 @@ void min_max_scaler::fit(std::span<const double> flat_rows, std::size_t features
     throw std::invalid_argument{"min_max_scaler::fit: bad shape"};
   lo_.assign(features, std::numeric_limits<double>::infinity());
   hi_.assign(features, -std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < flat_rows.size(); ++i) {
-    const std::size_t f = i % features;
-    lo_[f] = std::min(lo_[f], flat_rows[i]);
-    hi_[f] = std::max(hi_[f], flat_rows[i]);
-  }
+  for (std::size_t r = 0; r < flat_rows.size(); r += features)
+    for (std::size_t f = 0; f < features; ++f) {
+      lo_[f] = std::min(lo_[f], flat_rows[r + f]);
+      hi_[f] = std::max(hi_[f], flat_rows[r + f]);
+    }
 }
 
 void min_max_scaler::fit(const seq_batch& batch) {
@@ -39,13 +39,23 @@ double min_max_scaler::inverse_one(std::size_t feature, double x) const {
   return lo_[feature] + x * (hi_[feature] - lo_[feature]);
 }
 
+void min_max_scaler::transform(std::span<double> flat_rows) const {
+  const std::size_t features = lo_.size();
+  if (!flat_rows.empty() && (features == 0 || flat_rows.size() % features != 0))
+    throw std::invalid_argument{"min_max_scaler::transform: bad shape"};
+  // Same arithmetic as transform_one, one row at a time.
+  for (std::size_t r = 0; r < flat_rows.size(); r += features)
+    for (std::size_t f = 0; f < features; ++f) {
+      const double range = hi_[f] - lo_[f];
+      double& x = flat_rows[r + f];
+      x = range <= 0 ? 0.0 : (x - lo_[f]) / range;
+    }
+}
+
 void min_max_scaler::transform(seq_batch& batch) const {
   if (batch.features() != lo_.size())
     throw std::invalid_argument{"min_max_scaler::transform: feature width mismatch"};
-  auto& data = batch.data();
-  const std::size_t features = lo_.size();
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = transform_one(i % features, data[i]);
+  transform(batch.data());
 }
 
 void min_max_scaler::save(std::ostream& out) const {

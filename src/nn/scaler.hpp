@@ -22,6 +22,8 @@ class min_max_scaler {
   // x' = (x - min) / (max - min); constant features map to 0.
   [[nodiscard]] double transform_one(std::size_t feature, double x) const;
   [[nodiscard]] double inverse_one(std::size_t feature, double x) const;
+  // In place over rows of width features(); throws on a ragged span.
+  void transform(std::span<double> flat_rows) const;
   void transform(seq_batch& batch) const;
 
   [[nodiscard]] bool fitted() const noexcept { return !lo_.empty(); }

@@ -1,8 +1,10 @@
 // Kernel-layer tests: GEMM backend parity against the retained naive
-// reference (1e-10 relative, randomized shapes including odd sizes), fused
-// epilogue parity, blocked transpose, workspace arena semantics, and the
-// zero-allocation guarantee for steady-state inference (asserted with a
-// global operator-new counting hook).
+// reference (1e-10 relative, randomized shapes including odd sizes), strided
+// and overlapping A rows (bit-identical to a materialized copy), fused
+// epilogue parity, blocked transpose, workspace arena semantics, the PTM row
+// path (bit-identical to the window path), and the zero-allocation guarantee
+// for steady-state inference (asserted with a global operator-new counting
+// hook).
 #include <gtest/gtest.h>
 
 // This TU replaces the global allocation functions with malloc/free-backed
@@ -18,6 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -36,6 +39,7 @@
 #include "nn/seq_regressor.hpp"
 #include "nn/workspace.hpp"
 #include "obs/sink.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
@@ -171,6 +175,53 @@ TEST(gemm_kernels, nt_matches_naive_reference) {
           nn::kernels::gemm_nt(be, a, b, c, m, n, k, acc);
         },
         s);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A row stride on A changes which memory is read, never the arithmetic: in
+// every backend a strided call equals, bit for bit, the same backend's
+// contiguous call on a materialized copy. Covers a column window of a wider
+// matrix (lda > k) and overlapping rows (lda < k), including the PTM's first
+// layer reading 12-row windows in place from 17-wide feature rows.
+TEST(gemm_kernels, nn_strided_a_matches_contiguous_copy_bitwise) {
+  struct strided_case {
+    std::size_t m, n, k, lda;
+  };
+  std::vector<strided_case> cases;
+  for (const auto& s : kShapes) {
+    cases.push_back({s.m, s.n, s.k, s.k + 5});
+    if (s.k > 1) cases.push_back({s.m, s.n, s.k, (s.k + 1) / 2});
+  }
+  cases.push_back({37, 96, 12 * 17, 17});
+  std::vector<backend> backends = compiled_backends();
+  backends.insert(backends.begin(), backend::naive);
+  for (const auto& s : cases) {
+    util::rng rng{s.m * 7919 + s.n * 131 + s.k * 17 + s.lda};
+    std::vector<double> a((s.m - 1) * s.lda + s.k), b(s.k * s.n);
+    std::vector<double> c_init(s.m * s.n);
+    fill_random(a, rng);
+    fill_random(b, rng);
+    fill_random(c_init, rng);
+    std::vector<double> copy(s.m * s.k);
+    for (std::size_t i = 0; i < s.m; ++i)
+      std::copy_n(a.data() + i * s.lda, s.k, copy.data() + i * s.k);
+    for (const backend be : backends)
+      for (const bool accumulate : {false, true}) {
+        std::vector<double> want = c_init;
+        nn::kernels::gemm_nn(be, copy.data(), b.data(), want.data(), s.m, s.n,
+                             s.k, accumulate);
+        std::vector<double> got = c_init;
+        nn::kernels::gemm_nn(be, a.data(), s.lda, b.data(), got.data(), s.m,
+                             s.n, s.k, accumulate);
+        ASSERT_TRUE(same_bits(want, got))
+            << nn::kernels::to_string(be) << " m=" << s.m << " n=" << s.n
+            << " k=" << s.k << " lda=" << s.lda << " acc=" << accumulate;
+      }
+  }
 }
 
 TEST(gemm_kernels, backend_tables_expose_compiled_backends) {
@@ -458,24 +509,39 @@ TEST(workspace_forward, steady_state_mlp_is_allocation_free) {
 // PTM integration: the workspace predict overload agrees with the legacy
 // signature and exports the nn.workspace_bytes gauge.
 
-core::ptm_model tiny_trained_ptm(obs::sink* sink = nullptr) {
+core::ptm_dataset random_dataset(std::size_t count, std::size_t time_steps,
+                                 util::rng& rng) {
+  core::ptm_dataset data;
+  data.time_steps = time_steps;
+  data.windows.resize(count * time_steps * core::feature_count);
+  for (auto& v : data.windows) v = rng.uniform(0.0, 1.0);
+  data.targets.resize(count);
+  for (auto& v : data.targets) v = rng.uniform(1e-6, 1e-3);
+  return data;
+}
+
+// A tiny PTM (T = 4). `with_sec` also fits the SEC tables on held-out data,
+// so the SEC stage really corrects predictions.
+core::ptm_model tiny_trained_ptm(obs::sink* sink = nullptr,
+                                 core::ptm_arch arch = core::ptm_arch::mlp,
+                                 bool with_sec = false) {
   core::ptm_config cfg;
-  cfg.arch = core::ptm_arch::mlp;
+  cfg.arch = arch;
   cfg.time_steps = 4;
   cfg.mlp_hidden = {8};
+  cfg.lstm_hidden = {4};
+  cfg.heads = 1;
+  cfg.key_dim = 4;
+  cfg.value_dim = 4;
+  cfg.attention_out = 4;
   cfg.epochs = 2;
   cfg.batch_size = 8;
   cfg.sink = sink;
   core::ptm_model model{cfg};
   util::rng rng{31};
-  core::ptm_dataset data;
-  data.time_steps = cfg.time_steps;
-  const std::size_t count = 32;
-  data.windows.resize(count * cfg.time_steps * core::feature_count);
-  for (auto& v : data.windows) v = rng.uniform(0.0, 1.0);
-  data.targets.resize(count);
-  for (auto& v : data.targets) v = rng.uniform(1e-6, 1e-3);
-  (void)model.train(data);
+  (void)model.train(random_dataset(32, cfg.time_steps, rng));
+  if (with_sec)
+    model.fit_sec(random_dataset(256, cfg.time_steps, rng), 0.02, 4);
   return model;
 }
 
@@ -501,6 +567,81 @@ TEST(ptm_workspace, predict_overloads_agree_and_reuse_arena) {
   // The gauge reflects the arena's footprint.
   EXPECT_EQ(sink.metrics().gauge("nn.workspace_bytes"),
             static_cast<double>(ws.bytes()));
+}
+
+// ---------------------------------------------------------------------------
+// PTM row path: predict_rows(rows) is predict(make_windows(rows)) bit for bit,
+// across series lengths around the window size, SEC on and off, raw_out, and
+// both architectures.
+
+std::vector<double> random_rows(std::size_t n, util::rng& rng) {
+  std::vector<double> rows(n * core::feature_count);
+  for (auto& v : rows) v = rng.uniform(0.0, 1.0);
+  return rows;
+}
+
+TEST(ptm_row_path, matches_window_path_bitwise) {
+  for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
+    const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
+    const std::size_t t = model.config().time_steps;
+    util::rng rng{33};
+    bool sec_changed_something = false;
+    for (const std::size_t n :
+         {std::size_t{1}, t - 1, t, t + 1, std::size_t{2000}}) {
+      const auto rows = random_rows(n, rng);
+      const auto windows = core::make_windows(rows, t);
+      for (const bool apply_sec : {true, false}) {
+        std::vector<double> want_raw, got_raw;
+        nn::workspace window_ws, row_ws;
+        const auto want =
+            model.predict(windows, window_ws, apply_sec, &want_raw);
+        const auto got = model.predict_rows(rows, row_ws, apply_sec, &got_raw);
+        ASSERT_EQ(got.size(), n);
+        EXPECT_TRUE(same_bits(want, got))
+            << core::to_string(arch) << " n=" << n << " sec=" << apply_sec;
+        EXPECT_TRUE(same_bits(want_raw, got_raw))
+            << core::to_string(arch) << " n=" << n << " sec=" << apply_sec;
+        EXPECT_TRUE(same_bits(got, model.predict_rows(rows, apply_sec)))
+            << "thread_local overload, " << core::to_string(arch) << " n=" << n;
+        if (apply_sec && !same_bits(got, got_raw)) sec_changed_something = true;
+      }
+    }
+    EXPECT_TRUE(sec_changed_something)
+        << core::to_string(arch)
+        << ": SEC never corrected, so SEC-on was untested";
+  }
+}
+
+TEST(ptm_row_path, empty_series_and_ragged_rows) {
+  const core::ptm_model model = tiny_trained_ptm();
+  nn::workspace ws;
+  std::vector<double> raw{1.0};
+  EXPECT_TRUE(model.predict_rows({}, ws, true, &raw).empty());
+  EXPECT_TRUE(raw.empty());
+  const std::vector<double> ragged(core::feature_count + 1, 0.5);
+  EXPECT_THROW((void)model.predict_rows(ragged, ws), util::contract_violation);
+  EXPECT_THROW((void)core::ptm_model{}.predict_rows(ragged, ws),
+               std::logic_error);
+}
+
+// Steady state, the row path allocates exactly one block: the returned
+// vector. No windows, no staging copies; raw_out reuses its capacity.
+TEST(ptm_row_path, steady_state_allocates_only_the_result) {
+  for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
+    const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
+    util::rng rng{34};
+    const auto rows = random_rows(300, rng);
+    nn::workspace ws;
+    std::vector<double> raw;
+    for (int i = 0; i < 2; ++i) (void)model.predict_rows(rows, ws, true, &raw);
+    const std::size_t grown = ws.grow_count();
+    const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto out = model.predict_rows(rows, ws, true, &raw);
+    const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 1u) << core::to_string(arch);
+    EXPECT_EQ(ws.grow_count(), grown);
+    EXPECT_EQ(out.size(), 300u);
+  }
 }
 
 }  // namespace
