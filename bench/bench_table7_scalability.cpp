@@ -8,11 +8,7 @@
 // DeepQueueNet rows report MEASURED wall-clock time: the sharded engine
 // (topology-aware shards + work stealing + double-buffered boundary
 // exchange) genuinely executes across cores, so speedup columns are real on
-// any machine with free cores. engine_stats::projected_wall_seconds — the
-// per-thread-CPU-clock projection the pre-sharded engine reported — survives
-// only as a printf diagnostic to sanity-check the measurement (projected ≈
-// measured when >= `workers` cores are free; on a 1-core box measured wall
-// is flat in workers while the projection still shows the parallel shape).
+// any machine with free cores and flat on a loaded or single-core one.
 //
 // `--threads N` runs the CI perf-smoke slice instead: best-of-3 measured
 // wall on the FatTree16 workload at N workers, emitted as one JSON line
@@ -80,12 +76,11 @@ int run_threads_smoke(std::size_t threads) {
   std::printf("{\"threads\":%zu,\"wall_seconds\":%.6f,\"deliveries\":%zu,"
               "\"delivery_fingerprint\":\"%016llx\",\"iterations\":%zu,"
               "\"steals\":%llu,\"cross_shard_links\":%zu,"
-              "\"shard_imbalance\":%.4f,\"projected_wall_seconds\":%.6f}\n",
+              "\"shard_imbalance\":%.4f}\n",
               threads, best_wall, result.deliveries.size(),
               static_cast<unsigned long long>(delivery_fingerprint(result)),
               stats.iterations, static_cast<unsigned long long>(stats.steals),
-              stats.cross_shard_links, stats.shard_imbalance,
-              stats.projected_wall_seconds());
+              stats.cross_shard_links, stats.shard_imbalance);
   return 0;
 }
 
@@ -138,9 +133,7 @@ int main(int argc, char** argv) {
 
   // "time" for DeepQueueNet rows is MEASURED wall-clock time of the sharded
   // engine. Speedup columns therefore depend on free cores: near-linear on a
-  // many-core box, flat on a loaded or single-core one (the projected
-  // diagnostic printed alongside shows what a dedicated `workers`-core
-  // machine would observe).
+  // many-core box, flat on a loaded or single-core one.
   util::text_table table{
       {"topology", "method", "#workers", "packets", "time", "speedup"}};
 
@@ -206,11 +199,8 @@ int main(int argc, char** argv) {
       table.add_row({sc.name, "DeepQueueNet", std::to_string(workers), pkts,
                      util::format_duration(seconds), speedup});
       std::printf("[dqn] %-11s workers=%zu: %s measured wall "
-                  "(%s projected, %zu IRSA iterations, %llu steals, "
-                  "imbalance %.3f)\n",
+                  "(%zu IRSA iterations, %llu steals, imbalance %.3f)\n",
                   sc.name, workers, util::format_duration(seconds).c_str(),
-                  util::format_duration(net.stats().projected_wall_seconds())
-                      .c_str(),
                   net.stats().iterations,
                   static_cast<unsigned long long>(net.stats().steals),
                   net.stats().shard_imbalance);

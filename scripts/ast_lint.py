@@ -41,31 +41,19 @@ pass):
                        `// dqn-order-insensitive: <rationale>` annotation on
                        the loop line or the line above.
 
-Engines:
+Engine: a dependency-free single-pass lexer (comment/string masking + token
+scan) that runs anywhere python3 runs, including containers with no clang at
+all. Hot functions are found by the DQN_HOT_PATH macro name; rule application
+is textual over the brace-matched body.
 
-  builtin  Dependency-free single-pass lexer (comment/string masking + token
-           scan). The portable floor — runs anywhere python3 runs, including
-           containers with no clang at all. Hot functions are found by the
-           DQN_HOT_PATH macro name; rule application is textual over the
-           brace-matched body.
+This script is the portable floor. The clang-tidy plugin in tools/tidy/
+(checks dqn-hot-path-alloc, dqn-unordered-iteration, dqn-atomic-order,
+dqn-narrowing-float) is the compiler-grade promotion that sees through
+templates, typedefs, and macros; dqn-hot-path-alloc finds hot functions
+semantically, through the annotate("dqn::hot_path") attribute the macro
+expands to. Both read the same `dqn-order-insensitive` annotations.
 
-  clang    libclang (python3-clang) over the real AST: hot functions are
-           found semantically via the annotate("dqn::hot_path") attribute the
-           macro expands to under clang, so aliasing or re-#defining the
-           macro cannot hide a function from the lint. Body rules then run
-           over the clang-reported body extent. Requires the libclang python
-           bindings; the CI static-analysis job pins and installs them.
-
-  auto     clang when the bindings import and the library loads, else
-           builtin (the default).
-
-Note the engine split for this tree: scripts/ast_lint.py is the portable
-floor; the clang-tidy plugin in tools/tidy/ (checks dqn-hot-path-alloc,
-dqn-unordered-iteration, dqn-atomic-order, dqn-narrowing-float) is the
-compiler-grade promotion that sees through templates, typedefs, and macros.
-Both read the same `dqn-order-insensitive` annotations.
-
-Exit status: 0 clean, 1 findings, 2 usage/engine error. Findings print as
+Exit status: 0 clean, 1 findings, 2 usage error. Findings print as
 `file:line: [rule] message`, one per line, machine-greppable; with
 --format=json a stable, sorted JSON document is emitted instead (CI uploads
 it as the ast-lint artifact so artifact diffs are meaningful).
@@ -82,7 +70,6 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 HOT_MACRO = "DQN_HOT_PATH"
-HOT_ANNOTATION = "dqn::hot_path"
 ORDER_ANNOTATION = "dqn-order-insensitive"
 
 # Rule registry: name -> one-line description (--list-rules; the module
@@ -109,7 +96,7 @@ RULES = {
 }
 
 # ---------------------------------------------------------------------------
-# Shared body rules (both engines funnel hot-function bodies through these).
+# Body rules (every hot-function body is funnelled through these).
 # ---------------------------------------------------------------------------
 
 ALLOC_PATTERNS = [
@@ -462,13 +449,13 @@ def atomic_names_for(path: str, masked: str) -> set:
 
 
 # ---------------------------------------------------------------------------
-# builtin engine: find DQN_HOT_PATH bodies by macro token + brace matching.
+# Find DQN_HOT_PATH bodies by macro token + brace matching.
 # ---------------------------------------------------------------------------
 
 HOT_TOKEN = re.compile(r"\b" + HOT_MACRO + r"\b")
 
 
-def builtin_hot_bodies(masked: str):
+def hot_bodies(masked: str):
     """Yield (body_start, body_end) offsets for every DQN_HOT_PATH function
     *definition* (declarations — `;` before `{` at depth 0 — are skipped, as
     are preprocessor lines such as the macro's own #define)."""
@@ -501,13 +488,13 @@ def builtin_hot_bodies(masked: str):
             i += 1
 
 
-def run_builtin(paths):
+def lint(paths):
     findings = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         masked = mask_source(text)
-        for start, end in builtin_hot_bodies(masked):
+        for start, end in hot_bodies(masked):
             findings.extend(check_hot_body(path, masked, start, end))
         findings.extend(
             check_atomic_orders(path, masked, atomic_names_for(path, masked))
@@ -518,164 +505,6 @@ def run_builtin(paths):
             )
         )
     return findings
-
-
-# ---------------------------------------------------------------------------
-# clang engine: find hot functions via the annotate attribute in the AST.
-# ---------------------------------------------------------------------------
-
-
-_clang_configured = False
-
-
-def _configure_libclang(cindex) -> None:
-    """Point the bindings at a libclang shared object. Order: explicit
-    CLANG_LIBRARY_FILE env override, the bindings' own default search, then
-    distro-versioned locations (/usr/lib/llvm-N/lib/libclang-N.so...)."""
-    global _clang_configured
-    if _clang_configured:
-        return
-    _clang_configured = True
-    env = os.environ.get("CLANG_LIBRARY_FILE")
-    if env:
-        cindex.Config.set_library_file(env)
-        return
-    try:
-        cindex.Index.create()
-        return  # default search works; leave the config untouched
-    except Exception:
-        pass
-    import glob
-
-    candidates = sorted(
-        glob.glob("/usr/lib/llvm-*/lib/libclang-*.so*")
-        + glob.glob("/usr/lib/llvm-*/lib/libclang.so*")
-        + glob.glob("/usr/lib/*/libclang-*.so*"),
-        reverse=True,  # prefer the newest-versioned install
-    )
-    if candidates:
-        cindex.Config.set_library_file(candidates[0])
-
-
-def clang_available() -> bool:
-    try:
-        from clang import cindex
-
-        _configure_libclang(cindex)
-        cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
-def clang_args_for(path: str, build_dir: str):
-    from clang import cindex
-
-    db_path = os.path.join(build_dir, "compile_commands.json")
-    if os.path.exists(db_path):
-        try:
-            db = cindex.CompilationDatabase.fromDirectory(build_dir)
-            cmds = db.getCompileCommands(os.path.abspath(path))
-            if cmds:
-                args = list(cmds[0].arguments)[1:]  # drop the compiler itself
-                # drop the source file and -o/-c plumbing; keep flags/includes
-                cleaned, skip = [], False
-                for a in args:
-                    if skip:
-                        skip = False
-                        continue
-                    if a in ("-o", "-c"):
-                        skip = a == "-o"
-                        continue
-                    if a == os.path.abspath(path) or a.endswith(
-                        os.path.basename(path)
-                    ):
-                        continue
-                    cleaned.append(a)
-                return cleaned
-        except Exception:
-            pass
-    return ["-xc++", "-std=c++20", "-I" + os.path.join(REPO, "src")]
-
-
-def run_clang(paths, build_dir):
-    from clang import cindex
-
-    index = cindex.Index.create()
-    findings = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        masked = mask_source(text)
-        atomic_names = atomic_names_for(path, masked)
-        tu = index.parse(
-            path,
-            args=clang_args_for(path, build_dir),
-            options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD,
-        )
-        fatal = [
-            d
-            for d in tu.diagnostics
-            if d.severity >= cindex.Diagnostic.Fatal
-        ]
-        if fatal:
-            print(
-                f"ast_lint: clang failed to parse {path}: {fatal[0].spelling}",
-                file=sys.stderr,
-            )
-            return None
-        abspath = os.path.abspath(path)
-
-        def walk(cursor):
-            for child in cursor.get_children():
-                loc = child.location
-                if loc.file is not None and os.path.abspath(loc.file.name) != abspath:
-                    continue
-                if child.kind in (
-                    cindex.CursorKind.FUNCTION_DECL,
-                    cindex.CursorKind.CXX_METHOD,
-                    cindex.CursorKind.CONSTRUCTOR,
-                    cindex.CursorKind.FUNCTION_TEMPLATE,
-                ) and child.is_definition():
-                    annotated = any(
-                        a.kind == cindex.CursorKind.ANNOTATE_ATTR
-                        and a.spelling == HOT_ANNOTATION
-                        for a in child.get_children()
-                    )
-                    if annotated:
-                        body = next(
-                            (
-                                c
-                                for c in child.get_children()
-                                if c.kind == cindex.CursorKind.COMPOUND_STMT
-                            ),
-                            None,
-                        )
-                        if body is not None:
-                            findings.extend(
-                                check_hot_body(
-                                    path,
-                                    masked,
-                                    body.extent.start.offset,
-                                    body.extent.end.offset,
-                                )
-                            )
-                walk(child)
-
-        walk(tu.cursor)
-        findings.extend(check_atomic_orders(path, masked, atomic_names))
-        # The ordering rule is shared with the builtin engine textually; the
-        # fully semantic promotion (sees through typedefs and member paths)
-        # is the tools/tidy dqn-unordered-iteration clang-tidy check.
-        findings.extend(
-            check_unordered_iterations(
-                path, text, masked, unordered_names_for(path, masked)
-            )
-        )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 
 
 def default_paths():
@@ -695,17 +524,6 @@ def main(argv=None) -> int:
         "files",
         nargs="*",
         help="files to lint (default: every .cpp/.hpp under src/)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "clang", "builtin"),
-        default="auto",
-        help="auto = clang bindings if importable, else builtin (default)",
-    )
-    parser.add_argument(
-        "--build-dir",
-        default=os.path.join(REPO, "build"),
-        help="directory holding compile_commands.json for the clang engine",
     )
     parser.add_argument(
         "--format",
@@ -735,34 +553,7 @@ def main(argv=None) -> int:
             print(f"ast_lint: no such file: {path}", file=sys.stderr)
             return 2
 
-    engine = args.engine
-    if engine == "auto":
-        if clang_available():
-            engine = "clang"
-        else:
-            # Degrading from the semantic engine to the textual floor is a
-            # real loss of coverage — say so (exactly once), instead of
-            # silently reporting success at a weaker tier.
-            print(
-                "ast_lint: engine 'auto': libclang python bindings "
-                "unavailable; falling back to the builtin lexer engine",
-                file=sys.stderr,
-            )
-            engine = "builtin"
-    elif engine == "clang" and not clang_available():
-        print(
-            "ast_lint: --engine clang requested but the libclang python "
-            "bindings are unavailable (pip/apt: python3-clang + libclang)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if engine == "clang":
-        findings = run_clang(paths, args.build_dir)
-        if findings is None:
-            return 2
-    else:
-        findings = run_builtin(paths)
+    findings = lint(paths)
 
     ordered = sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
     if args.format == "json":
@@ -771,7 +562,6 @@ def main(argv=None) -> int:
         print(
             json.dumps(
                 {
-                    "engine": engine,
                     "checked_files": len(paths),
                     "findings": [f.as_dict() for f in ordered],
                 },
@@ -784,11 +574,11 @@ def main(argv=None) -> int:
             print(f.render())
     if findings:
         print(
-            f"ast_lint: {len(findings)} finding(s) [{engine} engine]",
+            f"ast_lint: {len(findings)} finding(s)",
             file=sys.stderr,
         )
         return 1
-    print(f"ast_lint: OK [{engine} engine, {len(paths)} file(s)]", file=sys.stderr)
+    print(f"ast_lint: OK [{len(paths)} file(s)]", file=sys.stderr)
     return 0
 
 

@@ -133,18 +133,16 @@ fi
 # ---------------------------------------------------------------------------
 # Rule 6: AST lint — hot-path purity (no allocation / string-keyed obs inside
 # DQN_HOT_PATH bodies) and explicit std::memory_order on every atomic access.
-# scripts/ast_lint.py carries a dependency-free builtin engine, so this rule
-# always runs; with --require-tools the semantic libclang engine is demanded
-# (CI installs python3-clang), so macro tricks cannot hide a hot function.
+# scripts/ast_lint.py is dependency-free, so this rule always runs. Semantic
+# hot-function detection (through the dqn::hot_path annotation, which macro
+# tricks cannot hide) belongs to the dqn-* clang-tidy pass below.
 # ---------------------------------------------------------------------------
 if command -v python3 >/dev/null 2>&1; then
-  ast_engine="auto"
-  [ "$require_tools" = 1 ] && ast_engine="clang"
-  python3 scripts/ast_lint.py --engine "$ast_engine"
+  python3 scripts/ast_lint.py
   case $? in
     0) ;;
     1) fail "ast_lint.py reported findings (see above)" ;;
-    *) fail "ast_lint.py could not run (engine '$ast_engine' unavailable?)" ;;
+    *) fail "ast_lint.py could not run" ;;
   esac
 elif [ "$require_tools" = 1 ]; then
   fail "python3 not found but --require-tools was given"

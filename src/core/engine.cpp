@@ -43,7 +43,6 @@ void engine_stats::publish(obs::sink& sink) const {
   sink.gauge("engine.busy_seconds", busy_seconds);
   sink.gauge("engine.critical_path_seconds", critical_path_seconds);
   sink.gauge("engine.shard_imbalance", shard_imbalance);
-  sink.gauge("engine.projected_wall_seconds", projected_wall_seconds());
 }
 
 engine_stats engine_stats::from_registry(const obs::metric_registry& registry) {
@@ -80,10 +79,8 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
 }
 
 util::work_stealing_pool& dqn_network::ensure_pool(std::size_t workers) {
-  if (pool_ == nullptr || pool_->size() != workers ||
-      pool_->pinned() != config_.pin_threads)
-    pool_ = std::make_unique<util::work_stealing_pool>(workers,
-                                                       config_.pin_threads);
+  if (pool_ == nullptr || pool_->size() != workers)
+    pool_ = std::make_unique<util::work_stealing_pool>(workers);
   return *pool_;
 }
 

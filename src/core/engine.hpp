@@ -84,10 +84,6 @@ struct engine_config {
   // reference. Either way results are bit-identical — the strategy only
   // decides where a device is computed.
   topo::shard_strategy sharding = topo::shard_strategy::topology;
-  // Pin worker w to core w % hardware_concurrency (Linux; graceful no-op
-  // elsewhere). Helps on dedicated many-core boxes by keeping each shard's
-  // working set on one core's cache; hurts on oversubscribed machines.
-  bool pin_threads = false;
   // Devices per stealable batch. 0 = auto: shards split into ~4 batches per
   // worker, small enough that a straggling shard rebalances within an IRSA
   // iteration, large enough that deque traffic stays off the profile.
@@ -153,11 +149,6 @@ struct engine_config {
     sharding = strategy;
     return *this;
   }
-  // Pin worker threads to cores (Linux best-effort).
-  engine_config& with_pinning(bool enabled) noexcept {
-    pin_threads = enabled;
-    return *this;
-  }
   // Devices per stealable batch (0 = auto).
   engine_config& with_steal_batch(std::size_t devices) noexcept {
     steal_batch = devices;
@@ -183,16 +174,6 @@ struct engine_stats {
   // equally busy, 1 = the slowest worker carried twice its fair share
   // (critical_path * workers / busy - 1, clamped at 0).
   double shard_imbalance = 0;
-
-  // DIAGNOSTIC ONLY. The pre-sharded engine ran partitions thread-per-core
-  // on one core and *projected* multi-core wall time from per-thread CPU
-  // clocks; `wall_seconds` is now genuinely parallel, so the projection
-  // survives only to sanity-check measurements (projected ≈ measured when
-  // >= `workers` cores are free). Table 7 and the CI perf gate use measured
-  // wall time.
-  [[nodiscard]] double projected_wall_seconds() const noexcept {
-    return wall_seconds - busy_seconds + critical_path_seconds;
-  }
 
   // engine_stats is re-expressed on top of the obs registry: publish writes
   // every field as an "engine.*" counter/gauge, and from_registry
@@ -253,7 +234,7 @@ class dqn_network : public des::estimator {
       const std::vector<std::vector<traffic::packet_stream>>& egress,
       topo::node_id node, std::size_t port) const;
 
-  // Reuse pool_ when its shape matches; (re)build it otherwise. The pool —
+  // Reuse pool_ when its size matches; (re)build it otherwise. The pool —
   // and its parked worker threads — survives across run() calls, so repeated
   // runs and all IRSA iterations share one thread-creation cost.
   util::work_stealing_pool& ensure_pool(std::size_t workers);

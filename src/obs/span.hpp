@@ -6,7 +6,7 @@
 //
 // Parent linkage is automatic within a thread: each thread keeps a stack of
 // open spans, and a new span adopts the innermost open one as its parent.
-// Across threads (engine partition workers, thread-pool tasks) pass the
+// Across threads (engine workers, work-stealing pool tasks) pass the
 // owning span's id() explicitly as the `parent` argument — the thread-local
 // stack of the spawning thread is not visible from the worker.
 //

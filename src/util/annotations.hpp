@@ -20,9 +20,9 @@
 //     growth, container construction or growth), and no string-keyed obs
 //     calls (sink.count("...") and friends — pre-resolved handles only).
 //     Under clang the macro also emits an AST annotation ("dqn::hot_path")
-//     so the libclang lint engine can find marked functions semantically;
-//     other compilers see an empty token (the builtin lint engine matches
-//     the macro name textually).
+//     so the dqn-hot-path-alloc clang-tidy check (tools/tidy) can find
+//     marked functions semantically; other compilers see an empty token
+//     (ast_lint.py matches the macro name textually).
 //
 // The macro set mirrors the canonical names from clang's thread-safety
 // documentation with a DQN_ prefix; keep new code to these spellings so the

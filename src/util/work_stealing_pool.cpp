@@ -2,34 +2,9 @@
 
 #include <stdexcept>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace dqn::util {
 
-namespace {
-
-void pin_to_core(std::size_t worker) {
-#if defined(__linux__)
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(worker % cores), &set);
-  // Best effort: a failure (cgroup restriction, exotic topology) simply
-  // leaves the thread on the OS scheduler, which is the no-pin behaviour.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker;
-#endif
-}
-
-}  // namespace
-
-work_stealing_pool::work_stealing_pool(std::size_t workers, bool pin_threads)
-    : pin_threads_{pin_threads} {
+work_stealing_pool::work_stealing_pool(std::size_t workers) {
   if (workers == 0)
     throw std::invalid_argument{"work_stealing_pool: need at least one worker"};
   deques_.reserve(workers);
@@ -92,7 +67,6 @@ std::uint64_t work_stealing_pool::run_round(
 }
 
 void work_stealing_pool::worker_loop(std::size_t worker) {
-  if (pin_threads_) pin_to_core(worker);
   std::uint64_t seen_round = 0;
   for (;;) {
     {

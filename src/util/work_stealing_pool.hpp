@@ -89,10 +89,8 @@ class work_stealing_pool {
  public:
   using task_fn = std::function<void(std::size_t task, std::size_t worker)>;
 
-  // `workers` persistent threads (>= 1). With `pin_threads`, worker w is
-  // pinned to core w % hardware_concurrency via pthread_setaffinity_np on
-  // Linux; elsewhere (and on affinity failure) pinning is a graceful no-op.
-  explicit work_stealing_pool(std::size_t workers, bool pin_threads = false);
+  // `workers` persistent threads (>= 1).
+  explicit work_stealing_pool(std::size_t workers);
 
   work_stealing_pool(const work_stealing_pool&) = delete;
   work_stealing_pool& operator=(const work_stealing_pool&) = delete;
@@ -100,7 +98,6 @@ class work_stealing_pool {
   ~work_stealing_pool();
 
   [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
-  [[nodiscard]] bool pinned() const noexcept { return pin_threads_; }
 
   // Execute one round: seeds[w] is the ordered task list placed on worker
   // w's deque (seeds.size() must equal size()). fn(task, worker) is invoked
@@ -131,7 +128,6 @@ class work_stealing_pool {
 
   std::vector<std::unique_ptr<steal_deque>> deques_;
   std::vector<std::thread> threads_;
-  bool pin_threads_ = false;
 
   // Round handoff: fn_ and remaining_ are stored before any task becomes
   // visible in a deque, so a worker that pops a task always observes the

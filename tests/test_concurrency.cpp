@@ -1,6 +1,6 @@
 // Concurrency stress tests: exact-count checks over the mutex-protected obs
-// primitives, the thread pool, the contracts counter, and the partitioned
-// IRSA engine path. These are the workloads the TSan CI job
+// primitives, the work-stealing pool, the contracts counter, and the
+// partitioned IRSA engine path. These are the workloads the TSan CI job
 // (-DDQN_SANITIZE=thread) drives; under the plain build they still verify
 // that no updates are lost under contention.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -34,7 +33,6 @@
 #include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace {
@@ -46,50 +44,6 @@ void run_threads(std::size_t count, const std::function<void(std::size_t)>& fn) 
   threads.reserve(count);
   for (std::size_t t = 0; t < count; ++t) threads.emplace_back(fn, t);
   for (auto& thread : threads) thread.join();
-}
-
-TEST(concurrency, thread_pool_loses_no_tasks_under_concurrent_submit) {
-  constexpr std::size_t producers = 8;
-  constexpr std::size_t tasks_per_producer = 200;
-  std::atomic<std::size_t> executed{0};
-  {
-    util::thread_pool pool{4};
-    std::vector<std::future<void>> futures[producers];
-    std::mutex futures_mutex;
-    run_threads(producers, [&](std::size_t t) {
-      for (std::size_t i = 0; i < tasks_per_producer; ++i) {
-        auto future = pool.submit([&executed] { executed.fetch_add(1); });
-        const std::lock_guard lock{futures_mutex};
-        futures[t].push_back(std::move(future));
-      }
-    });
-    for (auto& per_producer : futures)
-      for (auto& future : per_producer) future.get();
-  }
-  EXPECT_EQ(executed.load(), producers * tasks_per_producer);
-}
-
-TEST(concurrency, thread_pool_parallel_for_from_competing_threads) {
-  // Two callers sharing one pool must each see all their own iterations.
-  util::thread_pool pool{4};
-  std::atomic<std::size_t> total{0};
-  run_threads(4, [&](std::size_t) {
-    pool.parallel_for(250, [&total](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 4u * 250u);
-}
-
-TEST(concurrency, thread_pool_destructor_drains_queued_tasks) {
-  std::atomic<std::size_t> executed{0};
-  std::vector<std::future<void>> futures;
-  {
-    util::thread_pool pool{2};
-    for (std::size_t i = 0; i < 100; ++i)
-      futures.push_back(pool.submit([&executed] { executed.fetch_add(1); }));
-    // Destructor runs here with tasks likely still queued.
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(executed.load(), 100u);
 }
 
 TEST(concurrency, metric_registry_counts_exactly_under_contention) {
@@ -264,9 +218,9 @@ std::shared_ptr<const core::ptm_model> tiny_ptm() {
 }
 
 TEST(concurrency, partitioned_engine_matches_single_partition_run) {
-  // The IRSA inference loop fans device partitions out over the thread pool;
-  // under TSan this is the test that drives that path. Determinism check:
-  // 4 partitions must produce byte-identical deliveries to 1 partition.
+  // The IRSA inference loop fans device batches out over the work-stealing
+  // pool; under TSan this is the test that drives that path. Determinism
+  // check: 4 partitions must produce byte-identical deliveries to 1 partition.
   const auto ptm = tiny_ptm();
 
   const auto topo = topo::make_fattree16();
@@ -524,7 +478,6 @@ TEST(concurrency, work_stealing_pool_runs_each_task_exactly_once) {
   constexpr std::size_t tasks = 500;
   util::work_stealing_pool pool{workers};
   EXPECT_EQ(pool.size(), workers);
-  EXPECT_FALSE(pool.pinned());
 
   std::vector<std::vector<std::size_t>> seeds(workers);
   for (std::size_t task = 0; task < tasks; ++task)

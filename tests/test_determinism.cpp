@@ -148,12 +148,12 @@ TEST(determinism, engine_bit_identical_across_partition_counts) {
   expect_bit_identical(serial_result, parallel_result);
 }
 
-// The sharded engine's core promise (ISSUE 10): deliveries are a pure
-// function of (topology, streams, seed, model) — 1/2/8 shards with
-// topology-aware sharding, work stealing (single-device batches maximize
-// steal traffic), and core pinning all reproduce the 1-shard run bit for
-// bit. The shard plan only decides WHERE a device is computed; every device
-// writes its own double-buffer slot from read-only t-1 state.
+// The sharded engine's core promise: deliveries are a pure function of
+// (topology, streams, seed, model) — 1/2/8 shards with topology-aware
+// sharding and work stealing (single-device batches maximize steal traffic)
+// all reproduce the 1-shard run bit for bit. The shard plan only decides
+// WHERE a device is computed; every device writes its own double-buffer slot
+// from read-only t-1 state.
 TEST(determinism, engine_bit_identical_across_shard_counts_with_stealing) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
@@ -163,7 +163,6 @@ TEST(determinism, engine_bit_identical_across_shard_counts_with_stealing) {
   core::engine_config base_cfg;
   base_cfg.sharding = topo::shard_strategy::topology;
   base_cfg.steal_batch = 1;
-  base_cfg.pin_threads = true;
   core::engine_config one_cfg = base_cfg;
   one_cfg.partitions = 1;
   core::dqn_network one{topo, routes, ptm, {}, one_cfg};

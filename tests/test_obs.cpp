@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
@@ -23,7 +26,6 @@
 #include "traffic/traffic_gen.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -56,6 +58,18 @@ std::vector<traffic::packet_stream> make_streams(std::size_t hosts, double rate,
   tg.seed = seed;
   auto generators = traffic::make_generators(flows, tg);
   return traffic::per_host_streams(generators, hosts, horizon, rng);
+}
+
+// Runs fn(i) for every i in [0, n), striped across four threads.
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  constexpr std::size_t workers = 4;
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
+    threads.emplace_back([&fn, n, w] {
+      for (std::size_t i = w; i < n; i += workers) fn(i);
+    });
+  for (auto& thread : threads) thread.join();
 }
 
 TEST(obs_registry, counters_gauges_histograms_roundtrip) {
@@ -97,9 +111,8 @@ TEST(obs_registry, histogram_merge_matches_joint_stream) {
 
 TEST(obs_registry, concurrent_mutation_under_parallel_for_is_exact) {
   obs::metric_registry reg;
-  util::thread_pool pool{4};
   constexpr std::size_t n = 20'000;
-  pool.parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, [&](std::size_t i) {
     reg.add("hits");
     reg.observe("values", static_cast<double>(i % 10));
     reg.set("last", static_cast<double>(i));
@@ -114,9 +127,8 @@ TEST(obs_registry, concurrent_mutation_under_parallel_for_is_exact) {
 
 TEST(obs_sink, concurrent_events_all_recorded) {
   obs::sink sink;
-  util::thread_pool pool{4};
   constexpr std::size_t n = 5'000;
-  pool.parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, [&](std::size_t i) {
     obs::scoped_timer timer{&sink, "test", "span", i};
   });
   EXPECT_EQ(sink.trace().size(), n);

@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -150,33 +149,6 @@ TEST(rng, derive_seed_decorrelates_streams) {
   for (int i = 0; i < 64; ++i)
     if (a() == b()) ++equal;
   EXPECT_LT(equal, 2);
-}
-
-TEST(thread_pool, runs_all_tasks) {
-  dqn::util::thread_pool pool{4};
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(thread_pool, parallel_for_covers_range_exactly_once) {
-  dqn::util::thread_pool pool{3};
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(thread_pool, propagates_exceptions) {
-  dqn::util::thread_pool pool{2};
-  auto f = pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(thread_pool, rejects_zero_threads) {
-  EXPECT_THROW(dqn::util::thread_pool{0}, std::invalid_argument);
 }
 
 TEST(format_duration, renders_paper_style) {
