@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels every experiment
-// rides on: the matmul behind PTM inference, the PTM's window-vs-row input
-// paths, scheduler enqueue/dequeue, the
+// rides on: the matmul behind PTM inference, the dense layers' tanh, the
+// PTM's window-vs-row input paths, scheduler enqueue/dequeue, the
 // DES event loop (bare and with a live obs counter handle), W1 metric
 // computation, PFM forwarding, and the observability primitives — scoped
 // timer, sharded metric handles — in both their no-op and recording modes.
@@ -12,10 +12,13 @@
 // is dumped at exit — CI uploads it as the perf-trajectory artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/delay_provider.hpp"
@@ -25,6 +28,7 @@
 #include "des/simulator.hpp"
 #include "des/traffic_manager.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/kernels/tanh.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "nn/seq.hpp"
@@ -106,6 +110,56 @@ void register_gemm_backend_benches() {
       if (nn::kernels::backend_supported(be))
         benchmark::RegisterBenchmark("bm_gemm_backend", bm_gemm_backend)
             ->Args({static_cast<std::int64_t>(be), static_cast<std::int64_t>(s)});
+}
+
+// --- tanh row kernels --------------------------------------------------------
+// std::tanh per element vs each backend's tanh_row over one 2000-packet PTM
+// batch's hidden activations: 2000 rows x (96 + 48) values, drawn from
+// N(0, 1.5). Arg -1 is std::tanh; other args are backend ids. Each iteration
+// restores the block from the input and times only the tanh pass. The CI
+// perf-smoke job gates the dispatched backend (the "kernel_backend" context
+// key) at 2x over std.
+constexpr std::size_t kTanhRows = 2000;
+constexpr std::size_t kTanhCols = 144;
+
+void bm_tanh_row(benchmark::State& state) {
+  const bool use_std = state.range(0) < 0;
+  const auto be = static_cast<nn::kernels::backend>(state.range(0));
+  util::rng rng{9};
+  std::vector<double> input(kTanhRows * kTanhCols);
+  for (auto& v : input) v = rng.normal(0.0, 1.5);
+  std::vector<double> x(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), x.begin());
+    const auto start = std::chrono::steady_clock::now();
+    if (use_std) {
+      for (auto& v : x) v = std::tanh(v);
+    } else {
+      for (std::size_t r = 0; r < kTanhRows; ++r)
+        nn::kernels::tanh_row(be, x.data() + r * kTanhCols, kTanhCols);
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  state.SetItemsProcessed(state.iterations() * kTanhRows * kTanhCols);
+  state.SetLabel(std::string{use_std ? "std" : nn::kernels::to_string(be)} +
+                 " " + std::to_string(kTanhRows) + "x" +
+                 std::to_string(kTanhCols));
+}
+void register_tanh_row_benches() {
+  using nn::kernels::backend;
+  benchmark::RegisterBenchmark("bm_tanh_row", bm_tanh_row)
+      ->Arg(-1)
+      ->UseManualTime();
+  for (const auto be :
+       {backend::naive, backend::blocked, backend::avx2, backend::avx512})
+    if (nn::kernels::backend_supported(be))
+      benchmark::RegisterBenchmark("bm_tanh_row", bm_tanh_row)
+          ->Arg(static_cast<std::int64_t>(be))
+          ->UseManualTime();
 }
 
 // --- Forward-pass pairs: allocating vs workspace ---------------------------
@@ -374,6 +428,9 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   register_gemm_backend_benches();
+  register_tanh_row_benches();
+  benchmark::AddCustomContext(
+      "kernel_backend", nn::kernels::to_string(nn::kernels::active_backend()));
   {
     obs::scoped_timer run_timer{bench::bench_sink(), "bench", "micro_kernels"};
     benchmark::RunSpecifiedBenchmarks();

@@ -34,6 +34,9 @@ bool streams_equal(const traffic::packet_stream& a, const traffic::packet_stream
 
 void engine_stats::publish(obs::sink& sink) const {
   sink.count("engine.iterations", static_cast<double>(iterations));
+  sink.gauge("engine.converged", converged ? 1.0 : 0.0);
+  sink.gauge("engine.final_changed_devices",
+             static_cast<double>(final_changed_devices));
   sink.count("engine.device_inferences", static_cast<double>(device_inferences));
   sink.count("engine.devices_skipped", static_cast<double>(devices_skipped));
   sink.count("engine.steals", static_cast<double>(steals));
@@ -48,6 +51,9 @@ void engine_stats::publish(obs::sink& sink) const {
 engine_stats engine_stats::from_registry(const obs::metric_registry& registry) {
   engine_stats stats;
   stats.iterations = static_cast<std::size_t>(registry.counter("engine.iterations"));
+  stats.converged = registry.gauge("engine.converged") != 0.0;
+  stats.final_changed_devices =
+      static_cast<std::size_t>(registry.gauge("engine.final_changed_devices"));
   stats.device_inferences =
       static_cast<std::size_t>(registry.counter("engine.device_inferences"));
   stats.devices_skipped =
@@ -385,8 +391,10 @@ des::run_result dqn_network::run(
       sink->gauge("engine.last_changed_devices",
                   static_cast<double>(changed_devices));
     }
+    stats_.final_changed_devices = changed_devices;
     if (changed_devices == 0 && iteration > 0) break;
   }
+  stats_.converged = stats_.final_changed_devices == 0;
   for (std::size_t count : worker_inferences) stats_.device_inferences += count;
   for (std::size_t count : worker_skips) stats_.devices_skipped += count;
   // 0 = perfectly balanced; clamp against CPU-clock jitter on tiny runs.

@@ -158,6 +158,12 @@ struct engine_config {
 
 struct engine_stats {
   std::size_t iterations = 0;          // IRSA iterations actually run
+  // IRSA convergence: the number of devices whose egress changed in the
+  // last iteration run, and whether that was zero (the fixed point). A run
+  // that stops at max_iterations with devices still changing reports
+  // converged == false instead of passing for a fixed point.
+  bool converged = false;
+  std::size_t final_changed_devices = 0;
   std::size_t device_inferences = 0;   // devices (re)computed across iterations
   std::size_t devices_skipped = 0;     // IRSA-skip hits across iterations
   std::size_t workers = 1;             // worker threads the run executed on

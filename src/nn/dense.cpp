@@ -8,6 +8,7 @@
 
 #include "nn/kernels/epilogue.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/kernels/tanh.hpp"
 
 namespace dqn::nn {
 
@@ -15,7 +16,7 @@ double apply_activation(activation act, double x) noexcept {
   switch (act) {
     case activation::identity: return x;
     case activation::relu: return x > 0 ? x : 0;
-    case activation::tanh: return std::tanh(x);
+    case activation::tanh: return kernels::tanh(x);
     case activation::sigmoid: return 1.0 / (1.0 + std::exp(-x));
   }
   return x;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels/tanh.hpp"
+
 namespace dqn::nn::kernels {
 
 namespace {
@@ -27,8 +29,8 @@ void bias_act(double* c, const double* bias, std::size_t rows,
         }
         break;
       case unary::tanh:
-        for (std::size_t j = 0; j < cols; ++j)
-          row[j] = std::tanh(row[j] + bias[j]);
+        for (std::size_t j = 0; j < cols; ++j) row[j] += bias[j];
+        tanh_row(row, cols);
         break;
       case unary::sigmoid:
         for (std::size_t j = 0; j < cols; ++j) row[j] = sigmoid(row[j] + bias[j]);

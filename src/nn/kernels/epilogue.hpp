@@ -3,10 +3,13 @@
 // (and re-reading) full intermediate matrices for "+ bias" and "activation"
 // as separate steps.
 //
-// Numerics contract: each output element is computed as
-// f(c + bias) with the exact same scalar formulas the layers used before
-// (std::tanh, 1/(1+std::exp(-x))), in the same order (bias add first, then
-// activation), so fused results are bit-identical to the unfused path.
+// Numerics contract: each output element of bias_act is computed as
+// f(c + bias), bias add first, with the same scalar formulas as
+// nn::apply_activation: kernels::tanh (nn/kernels/tanh.hpp) and
+// 1/(1+std::exp(-x)). bias_act's tanh runs the dispatched tanh_row over
+// each row, which every backend computes bit-identically to kernels::tanh,
+// so fused results are bit-identical to the unfused path. The LSTM
+// epilogues keep std::tanh and std::exp.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "nn/kernels/gemm_tables.hpp"
+#include "nn/kernels/tanh.hpp"
 #include "obs/sink.hpp"
 #include "util/annotations.hpp"
 
@@ -234,12 +235,13 @@ std::atomic<backend>& active_slot() noexcept {
 namespace detail {
 
 const gemm_table& naive_table() noexcept {
-  static const gemm_table table{naive_nn, naive_tn, naive_nt};
+  static const gemm_table table{naive_nn, naive_tn, naive_nt, scalar_tanh_row};
   return table;
 }
 
 const gemm_table& blocked_table() noexcept {
-  static const gemm_table table{blocked_nn, blocked_tn, blocked_nt};
+  static const gemm_table table{blocked_nn, blocked_tn, blocked_nt,
+                                 scalar_tanh_row};
   return table;
 }
 
@@ -320,11 +322,16 @@ DQN_HOT_PATH void gemm_nt(const double* a, const double* b, double* c,
   table_for(active_backend()).nt(a, b, c, m, n, k, accumulate);
 }
 
+// tanh_row (declared in tanh.hpp) dispatches through the same tables.
+DQN_HOT_PATH void tanh_row(double* x, std::size_t n) {
+  table_for(active_backend()).tanh_row(x, n);
+}
+
 namespace {
 
 const detail::gemm_table& checked_table(backend be) {
   if (!backend_supported(be))
-    throw std::invalid_argument{std::string{"gemm: backend '"} +
+    throw std::invalid_argument{std::string{"kernels: backend '"} +
                                 to_string(be) +
                                 "' is not supported on this build/CPU"};
   return table_for(be);
@@ -351,6 +358,10 @@ void gemm_tn(backend be, const double* a, const double* b, double* c,
 void gemm_nt(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
   checked_table(be).nt(a, b, c, m, n, k, accumulate);
+}
+
+void tanh_row(backend be, double* x, std::size_t n) {
+  checked_table(be).tanh_row(x, n);
 }
 
 void transpose_blocked(const double* in, double* out, std::size_t rows,

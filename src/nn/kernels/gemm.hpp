@@ -26,7 +26,8 @@
 // both compiled in and supported by the running CPU, overridable with the
 // DQN_KERNEL_BACKEND environment variable (naive|blocked|avx2|avx512;
 // silently ignored when unsupported — startup cannot throw). Tests and
-// benches can pin a backend with force_backend().
+// benches can pin a backend with force_backend(). The same selection routes
+// the dense layers' tanh (tanh_row, nn/kernels/tanh.hpp).
 //
 // Numerics: all backends accumulate over k in ascending order per output
 // element, so they agree with the naive reference to FMA-rounding and

@@ -169,7 +169,7 @@ void avx2_nt(const double* a, const double* b, double* c, std::size_t m,
 }  // namespace
 
 const gemm_table& avx2_table() noexcept {
-  static const gemm_table table{avx2_nn, avx2_tn, avx2_nt};
+  static const gemm_table table{avx2_nn, avx2_tn, avx2_nt, avx2_tanh_row};
   return table;
 }
 

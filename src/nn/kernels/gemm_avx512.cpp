@@ -173,7 +173,8 @@ void avx512_nt(const double* a, const double* b, double* c, std::size_t m,
 }  // namespace
 
 const gemm_table& avx512_table() noexcept {
-  static const gemm_table table{avx512_nn, avx512_tn, avx512_nt};
+  static const gemm_table table{avx512_nn, avx512_tn, avx512_nt,
+                                 avx512_tanh_row};
   return table;
 }
 

@@ -627,6 +627,9 @@ TEST(concurrency, sharded_engine_exports_steals_and_imbalance) {
   lumped.stats().publish(sink);
   const auto rebuilt = core::engine_stats::from_registry(sink.metrics());
   EXPECT_EQ(rebuilt.steals, lumped.stats().steals);
+  EXPECT_EQ(rebuilt.converged, lumped.stats().converged);
+  EXPECT_EQ(rebuilt.final_changed_devices,
+            lumped.stats().final_changed_devices);
   EXPECT_EQ(rebuilt.workers, lumped.stats().workers);
   EXPECT_EQ(rebuilt.cross_shard_links, lumped.stats().cross_shard_links);
   EXPECT_DOUBLE_EQ(rebuilt.shard_imbalance, lumped.stats().shard_imbalance);

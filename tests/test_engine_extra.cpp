@@ -77,6 +77,34 @@ TEST(engine_extra, max_iterations_override_caps_irsa) {
   EXPECT_LE(net.stats().iterations, 2u);
 }
 
+// One IRSA iteration cannot reach the fixed point on a multi-hop line: the
+// run must say so instead of returning as if it had converged.
+TEST(engine_extra, capped_irsa_reports_non_convergence) {
+  const auto topo = topo::make_line(4);
+  const topo::routing routes{topo};
+  core::engine_config cfg;
+  cfg.max_iterations = 1;
+  core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
+  const auto streams = make_streams(4, 20'000.0, 0.01, 7);
+  (void)net.run(streams, 0.01);
+  EXPECT_EQ(net.stats().iterations, 1u);
+  EXPECT_FALSE(net.stats().converged);
+  EXPECT_GT(net.stats().final_changed_devices, 0u);
+}
+
+// Theorem 3.1: IRSA reaches its fixed point within 1 + diameter iterations,
+// which is the default cap.
+TEST(engine_extra, fattree16_converges_within_one_plus_diameter) {
+  const auto topo = topo::make_fattree16();
+  const topo::routing routes{topo};
+  core::dqn_network net{topo, routes, shared_ptm(), {}, {}};
+  const auto streams = make_streams(16, 20'000.0, 0.005, 8);
+  (void)net.run(streams, 0.005);
+  EXPECT_TRUE(net.stats().converged);
+  EXPECT_EQ(net.stats().final_changed_devices, 0u);
+  EXPECT_LE(net.stats().iterations, 1 + topo.diameter());
+}
+
 TEST(engine_extra, hop_records_match_deliveries_paths) {
   const auto topo = topo::make_line(4);
   const topo::routing routes{topo};

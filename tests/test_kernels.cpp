@@ -1,10 +1,11 @@
 // Kernel-layer tests: GEMM backend parity against the retained naive
 // reference (1e-10 relative, randomized shapes including odd sizes), strided
 // and overlapping A rows (bit-identical to a materialized copy), fused
-// epilogue parity, blocked transpose, workspace arena semantics, the PTM row
-// path (bit-identical to the window path), and the zero-allocation guarantee
-// for steady-state inference (asserted with a global operator-new counting
-// hook).
+// epilogue parity, blocked transpose, the tanh row kernels (bit-identical to
+// the scalar reference on every backend, within 2 ulp of std::tanh),
+// workspace arena semantics, the PTM row path (bit-identical to the window
+// path), and the zero-allocation guarantee for steady-state inference
+// (asserted with a global operator-new counting hook).
 #include <gtest/gtest.h>
 
 // This TU replaces the global allocation functions with malloc/free-backed
@@ -18,9 +19,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -32,6 +37,7 @@
 #include "nn/kernels/epilogue.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/gemm_tables.hpp"
+#include "nn/kernels/tanh.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
@@ -341,6 +347,163 @@ TEST(epilogue, lstm_gates_and_state_match_scalar_formulas) {
   for (std::size_t i = 0; i < c.size(); ++i) {
     ASSERT_EQ(c_ref.data()[i], c.data()[i]);
     ASSERT_EQ(h_ref.data()[i], h.data()[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// tanh: every backend's row kernel equals the scalar kernels::tanh bit for
+// bit, and kernels::tanh stays within 2 ulp of std::tanh.
+
+std::vector<backend> tanh_backends() {
+  std::vector<backend> out = compiled_backends();
+  out.insert(out.begin(), backend::naive);
+  return out;
+}
+
+// Distance between two finite doubles in units in the last place: the gap
+// between their positions on the integer line that orders all doubles.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double x) {
+    const auto i = std::bit_cast<std::int64_t>(x);
+    return static_cast<std::uint64_t>(
+        i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i);
+  };
+  const std::uint64_t ia = ordered(a), ib = ordered(b);
+  const auto gap = ia - ib;  // modular: the true gap in either direction
+  return std::min(gap, ib - ia);
+}
+
+std::vector<double> tanh_sweep(double lo, double hi, double step) {
+  std::vector<double> out;
+  const auto n = static_cast<std::size_t>(std::llround((hi - lo) / step));
+  out.reserve(n + 1);
+  for (std::size_t i = 0; i <= n; ++i)
+    out.push_back(lo + static_cast<double>(i) * step);
+  return out;
+}
+
+// Runs `be`'s row kernel over `in` cut into consecutive rows of length 1,
+// 2, ..., 37, 1, 2, ..., so every vector tail is hit, and compares each
+// result with kernels::tanh under memcmp.
+void expect_rows_match_scalar(backend be, const std::vector<double>& in) {
+  std::vector<double> got = in;
+  std::size_t len = 1;
+  for (std::size_t start = 0; start < got.size();
+       start += len, len = len % 37 + 1)
+    nn::kernels::tanh_row(be, got.data() + start,
+                          std::min(len, got.size() - start));
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const double want = nn::kernels::tanh(in[i]);
+    ASSERT_EQ(std::memcmp(&want, &got[i], sizeof want), 0)
+        << nn::kernels::to_string(be) << " x=" << in[i] << " want " << want
+        << " got " << got[i];
+  }
+}
+
+TEST(tanh_kernels, every_backend_matches_scalar_bitwise) {
+  util::rng rng{14};
+  std::vector<double> random(20'000);
+  for (std::size_t i = 0; i < random.size(); ++i)
+    random[i] = i % 2 == 0 ? rng.uniform(-25.0, 25.0) : rng.normal(0.0, 1.5);
+  // Special values land in every lane position of the vector bodies and
+  // tails.
+  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(), -1e-310,
+                             0.625, -0.625, 22.0, -1e300};
+  for (std::size_t i = 0; i < random.size(); i += 13)
+    random[i] = specials[(i / 13) % std::size(specials)];
+  const std::vector<double> swept = tanh_sweep(-25.0, 25.0, 1e-3);
+  for (const backend be : tanh_backends()) {
+    expect_rows_match_scalar(be, random);
+    expect_rows_match_scalar(be, swept);
+  }
+  // The dispatched entry point routes through the active backend.
+  std::vector<double> dispatched = random;
+  nn::kernels::tanh_row(dispatched.data(), dispatched.size());
+  std::vector<double> explicit_be = random;
+  nn::kernels::tanh_row(nn::kernels::active_backend(), explicit_be.data(),
+                        explicit_be.size());
+  EXPECT_TRUE(same_bits(dispatched, explicit_be));
+}
+
+TEST(tanh_kernels, within_2_ulp_of_std_tanh) {
+  std::vector<double> inputs = tanh_sweep(-25.0, 25.0, 1e-4);
+  util::rng rng{2022};
+  for (int i = 0; i < 1'000'000; ++i) inputs.push_back(rng.normal(0.0, 1.5));
+  std::uint64_t worst = 0;
+  double worst_x = 0;
+  for (const double x : inputs) {
+    const std::uint64_t d = ulp_distance(nn::kernels::tanh(x), std::tanh(x));
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 2u) << "at x=" << worst_x;
+}
+
+TEST(tanh_kernels, special_values_on_every_backend) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double tiny = std::numeric_limits<double>::denorm_min();
+  const double largest_subnormal =
+      std::nextafter(std::numeric_limits<double>::min(), 0.0);
+  struct special {
+    double x, want;
+  };
+  const special cases[] = {
+      {0.0, 0.0},
+      {-0.0, -0.0},
+      {inf, 1.0},
+      {-inf, -1.0},
+      {22.0, 1.0},
+      {-22.0, -1.0},
+      {22.5, 1.0},
+      {1e300, 1.0},
+      {-std::numeric_limits<double>::max(), -1.0},
+      {tiny, tiny},
+      {-tiny, -tiny},
+      {largest_subnormal, largest_subnormal},
+      {-1e-310, -1e-310},
+  };
+  std::vector<double> row;
+  for (const auto& c : cases) row.push_back(c.x);
+  row.push_back(std::numeric_limits<double>::quiet_NaN());
+  row.push_back(-std::numeric_limits<double>::quiet_NaN());
+  for (const auto& c : cases) {
+    const double got = nn::kernels::tanh(c.x);
+    EXPECT_EQ(got, c.want) << "x=" << c.x;
+    EXPECT_EQ(std::signbit(got), std::signbit(c.want)) << "x=" << c.x;
+  }
+  EXPECT_TRUE(
+      std::isnan(nn::kernels::tanh(std::numeric_limits<double>::quiet_NaN())));
+  for (const backend be : tanh_backends()) {
+    std::vector<double> got = row;
+    nn::kernels::tanh_row(be, got.data(), got.size());
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      EXPECT_EQ(got[i], cases[i].want)
+          << nn::kernels::to_string(be) << " x=" << cases[i].x;
+      EXPECT_EQ(std::signbit(got[i]), std::signbit(cases[i].want))
+          << nn::kernels::to_string(be) << " x=" << cases[i].x;
+    }
+    EXPECT_TRUE(std::isnan(got[std::size(cases)]))
+        << nn::kernels::to_string(be);
+    EXPECT_TRUE(std::isnan(got[std::size(cases) + 1]))
+        << nn::kernels::to_string(be);
+  }
+}
+
+TEST(tanh_kernels, odd_symmetry_is_bitwise) {
+  std::vector<double> inputs = tanh_sweep(0.0, 25.0, 1e-4);
+  util::rng rng{7};
+  for (int i = 0; i < 100'000; ++i) inputs.push_back(rng.normal(0.0, 1.5));
+  for (const double x : inputs) {
+    const double pos = nn::kernels::tanh(x);
+    const double neg = nn::kernels::tanh(-x);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(neg),
+              std::bit_cast<std::uint64_t>(-pos))
+        << "x=" << x;
   }
 }
 

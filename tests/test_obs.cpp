@@ -254,6 +254,8 @@ TEST(engine_obs, fattree_run_invariants_and_registry_equivalence) {
   // published metrics must give back the same numbers.
   const auto rebuilt = core::engine_stats::from_registry(sink.metrics());
   EXPECT_EQ(rebuilt.iterations, stats.iterations);
+  EXPECT_EQ(rebuilt.converged, stats.converged);
+  EXPECT_EQ(rebuilt.final_changed_devices, stats.final_changed_devices);
   EXPECT_EQ(rebuilt.device_inferences, stats.device_inferences);
   EXPECT_EQ(rebuilt.devices_skipped, stats.devices_skipped);
   EXPECT_DOUBLE_EQ(rebuilt.wall_seconds, stats.wall_seconds);
