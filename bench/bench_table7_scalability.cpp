@@ -6,8 +6,8 @@
 // paper's multi-GPU model parallelism (Figure 11; DESIGN.md §2).
 //
 // DeepQueueNet rows report MEASURED wall-clock time: the sharded engine
-// (topology-aware shards + work stealing + double-buffered boundary
-// exchange) genuinely executes across cores, so speedup columns are real on
+// (topology-aware shards + work stealing + lock-free boundary exchange)
+// genuinely executes across cores, so speedup columns are real on
 // any machine with free cores and flat on a loaded or single-core one.
 //
 // `--threads N` runs the CI perf-smoke slice instead: best-of-3 measured
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
   std::printf(
       "notes (DQN_BENCH_SCALE=%g):\n"
       " * DeepQueueNet rows are measured wall time of the sharded engine\n"
-      "   (topology shards + work stealing + double-buffered exchange);\n"
+      "   (topology shards + work stealing + lock-free exchange);\n"
       "   speedup in workers is real and requires free cores to show —\n"
       "   CI's perf-smoke gate holds the 4-worker floor on a 4-vCPU runner;\n"
       " * the reproduced shapes are (a) DeepQueueNet speedup in workers,\n"

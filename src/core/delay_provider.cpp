@@ -56,12 +56,6 @@ void ptm_delay_provider::bind_sink(obs::sink* sink) {
                          : obs::histogram_handle{};
 }
 
-double ptm_delay_provider::warm_cost_hint() const noexcept {
-  // A window prediction is time_steps rows through the transformer + MLP —
-  // orders of magnitude above the analytical backend's table read.
-  return 64.0 * static_cast<double>(ptm_->config().time_steps);
-}
-
 std::vector<double> ptm_delay_provider::predict_windows(
     std::span<const double> windows, bool apply_sec,
     std::vector<double>* raw_out) const {
@@ -89,10 +83,6 @@ void analytical_delay_provider::bind_sink(obs::sink* sink) {
   latency_seconds_ =
       sink != nullptr ? sink->histogram_handle_for("delay.analytical_seconds")
                       : obs::histogram_handle{};
-}
-
-double analytical_delay_provider::warm_cost_hint() const noexcept {
-  return 1.0;  // one table read per packet
 }
 
 std::vector<double> analytical_delay_provider::estimate_sojourn(
@@ -185,14 +175,6 @@ void tiered_delay_provider::prepare(std::size_t device_slots) {
   // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
   // budget state survive across IRSA iterations but not across prepare().
   tiers_.assign(device_slots, device_tier{});
-}
-
-double tiered_delay_provider::warm_cost_hint() const noexcept {
-  const tier_stats s = stats();
-  const std::uint64_t total = s.analytical_packets + s.ptm_packets;
-  if (total == 0) return ptm_.warm_cost_hint();
-  const double f = s.analytical_fraction();
-  return f * analytical_.warm_cost_hint() + (1.0 - f) * ptm_.warm_cost_hint();
 }
 
 tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,

@@ -77,10 +77,6 @@ class delay_provider {
   // Short stable identifier: "ptm", "analytical", "tiered".
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-  // Relative steady-state cost per packet (arbitrary units; the tiered
-  // policy and schedulers-of-providers can rank backends by it).
-  [[nodiscard]] virtual double warm_cost_hint() const noexcept = 0;
-
   // Run boundary: resolve lock-free metric handles against `sink` (nullptr
   // detaches). The engine calls this once per run, before any estimates.
   virtual void bind_sink(obs::sink* sink);
@@ -111,7 +107,6 @@ class ptm_delay_provider final : public delay_provider {
   [[nodiscard]] std::vector<double> estimate_sojourn(
       const device_state& state, double window_seconds) override;
   [[nodiscard]] const char* name() const noexcept override { return "ptm"; }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
 
   // Window-level access for model-study code (SEC residual figures, PTM
@@ -146,7 +141,6 @@ class analytical_delay_provider final : public delay_provider {
   [[nodiscard]] const char* name() const noexcept override {
     return "analytical";
   }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
 
   // Stationary per-class mean waits for `ctx`'s discipline at arrival rate
@@ -191,7 +185,6 @@ class tiered_delay_provider final : public delay_provider {
   [[nodiscard]] std::vector<double> estimate_sojourn(
       const device_state& state, double window_seconds) override;
   [[nodiscard]] const char* name() const noexcept override { return "tiered"; }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
   void prepare(std::size_t device_slots) override;
   void publish(obs::sink& sink) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -20,15 +21,26 @@ namespace dqn::core {
 
 namespace {
 
-bool streams_equal(const traffic::packet_stream& a, const traffic::packet_stream& b,
-                   double eps) {
+// Fixed-point tolerance on per-packet egress times.
+constexpr double convergence_epsilon = 1e-9;
+
+bool streams_equal(const traffic::packet_stream& a,
+                   const traffic::packet_stream& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].pkt.pid != b[i].pkt.pid) return false;
-    if (std::abs(a[i].time - b[i].time) > eps) return false;
+    if (std::abs(a[i].time - b[i].time) > convergence_epsilon) return false;
   }
   return true;
 }
+
+// One device's output from the current IRSA round, staged by the worker
+// that inferred it until the round's barrier.
+struct staged_slot {
+  std::vector<traffic::packet_stream> streams;
+  std::vector<std::uint8_t> port_changed;  // per egress port
+  bool inferred = false;
+};
 
 }  // namespace
 
@@ -113,6 +125,14 @@ traffic::packet_stream dqn_network::ingress_of(
 
 des::run_result dqn_network::run(
     const std::vector<traffic::packet_stream>& host_streams, double horizon) {
+  return run_core(host_streams, horizon, config_.sink, *provider_,
+                  config_.partitions);
+}
+
+des::run_result dqn_network::run_core(
+    const std::vector<traffic::packet_stream>& host_streams, double horizon,
+    obs::sink* const sink, delay_provider& provider,
+    const std::size_t partitions) {
   const auto hosts = topo_->hosts();
   const auto devices = topo_->devices();
   DQN_ENSURE(host_streams.size() == hosts.size(),
@@ -122,11 +142,6 @@ des::run_result dqn_network::run(
   util::stopwatch watch;
   stats_ = {};
   ran_ = true;
-  obs::sink* const sink = config_.sink;
-  // Opt-in live telemetry: idempotent, so repeated runs against the same
-  // sink reuse the already-running sampler/endpoint.
-  if (sink != nullptr && config_.telemetry.enabled)
-    sink->start_telemetry(config_.telemetry);
   obs::scoped_timer run_timer{sink, "engine", "run"};
   // Hot-path metrics go through pre-resolved handles (lock-free to record);
   // journey tracing is active only when the sink's tracer was configured.
@@ -147,8 +162,8 @@ des::run_result dqn_network::run(
   }
   // Arm the sojourn backend for this run: resolve its metric handles and
   // size its per-device tiering state (slot 0 = the host-NIC pseudo-device).
-  provider_->bind_sink(sink);
-  provider_->prepare(topo_->node_count() + 1);
+  provider.bind_sink(sink);
+  provider.prepare(topo_->node_count() + 1);
 
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
   // translating host indices to node ids.
@@ -165,7 +180,11 @@ des::run_result dqn_network::run(
   nn::workspace host_nic_workspace;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     auto& out = egress[static_cast<std::size_t>(hosts[i])][0];
+    double previous_send = -std::numeric_limits<double>::infinity();
     for (const auto& ev : host_streams[i]) {
+      DQN_ENSURE(ev.time >= previous_send, "dqn_network::run: host ", i,
+                 " stream goes back in time at pid ", ev.pkt.pid);
+      previous_send = ev.time;
       if (ev.time > horizon) break;
       traffic::packet pkt = ev.pkt;
       pkt.src_host = hosts[i];
@@ -180,7 +199,7 @@ des::run_result dqn_network::run(
         tracer->record_send(pkt.pid, pkt.flow_id, ev.time);
       out.push_back({pkt, ev.time});
     }
-    if (config_.model_host_nics && !out.empty()) {
+    if (!out.empty()) {
       // NIC queueing prediction: the host's single FIFO egress queue at the
       // access link's rate.
       const double nic_bps =
@@ -189,16 +208,18 @@ des::run_result dqn_network::run(
       auto egress_streams = host_nic_.process(
           {out}, [](std::uint32_t, std::size_t) { return std::size_t{0}; },
           config_.apply_sec, nullptr, nullptr, bandwidths, nullptr, sink,
-          &host_nic_workspace, provider_.get(), /*device_id=*/-1,
+          &host_nic_workspace, &provider, /*device_id=*/-1,
           /*iteration=*/0);
       out = std::move(egress_streams[0]);
     }
   }
-  send_times.finalize();
+  const std::size_t sent = send_times.size();
+  send_times.finalize();  // keeps one entry per pid
+  DQN_ENSURE(send_times.size() == sent, "dqn_network::run: pid ",
+             des::duplicate_pid(host_streams, horizon), " injected twice");
   sinit_timer.stop();
 
-  // Per-device cached ingress (for skip detection), hop records, and drops.
-  std::vector<std::vector<traffic::packet_stream>> last_ingress(topo_->node_count());
+  // Hop records and drops of each device's latest inference.
   std::vector<std::vector<predicted_hop>> device_hops(topo_->node_count());
   std::vector<std::vector<traffic::packet>> device_drops(topo_->node_count());
 
@@ -210,7 +231,7 @@ des::run_result dqn_network::run(
   // stay worker-local; round_robin remains the legacy interleaving. Results
   // are identical either way — the shard only decides where a device runs.
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min(config_.partitions, devices.size()));
+      std::max<std::size_t>(1, std::min(partitions, devices.size()));
   util::work_stealing_pool& pool = ensure_pool(workers);
   const topo::shard_plan plan =
       topo::shard_devices(*topo_, devices, workers, config_.sharding);
@@ -238,7 +259,6 @@ des::run_result dqn_network::run(
     }
   }
 
-  std::vector<std::uint8_t> changed(devices.size(), 0);
   std::vector<std::size_t> worker_inferences(workers, 0);
   std::vector<std::size_t> worker_skips(workers, 0);
   // One inference workspace per worker, alive across devices and IRSA
@@ -259,26 +279,23 @@ des::run_result dqn_network::run(
   if (sink != nullptr)
     sink->gauge("engine.steal_batch_devices", static_cast<double>(batch_size));
 
-  // Double-buffered boundary exchange: devices read iteration t-1 state
-  // (Algorithm 1 "pull the packet flows from iteration t-1") from the read
-  // buffer and write t state into their own slot of the write buffer —
-  // exclusively theirs, so the per-packet path takes no locks. Buffers swap
-  // at the iteration barrier. Host slots are seeded identically in both
-  // buffers once (host egress is fixed across iterations); device slots are
-  // either freshly inferred or copied from the read buffer on an IRSA skip,
-  // so the write buffer never leaks t-2 state.
-  auto egress_other = egress;
-  auto* read_buffer = &egress;
-  auto* write_buffer = &egress_other;
+  // One egress state. During round t every worker reads its devices' feeds
+  // from `egress` — iteration t-1 state (Algorithm 1 "pull the packet flows
+  // from iteration t-1") — and nobody writes it. An inferred device stages
+  // its new streams in its own `next` slot and flags each port whose stream
+  // changed. Between rounds this thread moves the staged slots into `egress`
+  // and marks dirty every device a flagged port feeds; the pool's round
+  // barrier orders the two, so the per-packet path takes no locks. Host
+  // egress is fixed, so host ports never flag. Iteration 0 infers every
+  // device.
+  std::vector<staged_slot> next(topo_->node_count());
+  std::vector<std::uint8_t> dirty(topo_->node_count(), 1);
 
   for (std::size_t iteration = 0; iteration < max_iterations; ++iteration) {
     obs::scoped_timer iteration_timer{sink, "engine", "iteration", iteration};
-    std::fill(changed.begin(), changed.end(), std::uint8_t{0});
     std::fill(worker_busy.begin(), worker_busy.end(), 0.0);
     std::fill(iteration_inferences.begin(), iteration_inferences.end(),
               std::size_t{0});
-    const auto& read = *read_buffer;
-    auto& write = *write_buffer;
 
     // Worker spans cannot see the main thread's span stack, so the
     // iteration span's id is passed in as the explicit parent.
@@ -299,26 +316,19 @@ des::run_result dqn_network::run(
                                      static_cast<std::uint64_t>(node),
                                      0.0,
                                      iteration_span};
+        // IRSA skip: no stream feeding this device changed last round, so
+        // its egress stands.
+        if (config_.irsa_skip_unchanged && dirty[n] == 0) {
+          ++worker_skips[worker];
+          continue;
+        }
         const std::size_t ports = topo_->port_count(node);
         std::vector<traffic::packet_stream> ingress(ports);
         std::vector<double> port_bandwidths(ports);
         for (std::size_t p = 0; p < ports; ++p) {
-          ingress[p] = ingress_of(read, node, p);
+          ingress[p] = ingress_of(egress, node, p);
           port_bandwidths[p] =
               topo_->link_at(topo_->at(node).links[p]).bandwidth_bps;
-        }
-        // IRSA skip: unchanged ingress => unchanged egress. The write
-        // buffer still needs this device's t-1 state (it holds t-2).
-        if (config_.irsa_skip_unchanged && last_ingress[n].size() == ports) {
-          bool same = true;
-          for (std::size_t p = 0; p < ports && same; ++p)
-            same = streams_equal(ingress[p], last_ingress[n][p],
-                                 config_.convergence_epsilon);
-          if (same) {
-            write[n] = read[n];
-            ++worker_skips[worker];
-            continue;
-          }
         }
         // Destination-based forwarding needs the packet's dst, so bind a
         // per-device forward over (fid -> dst) collected from the ingress
@@ -344,21 +354,21 @@ des::run_result dqn_network::run(
           model = &it->second;
         device_drops[n].clear();
         const journey_capture capture{tracer, static_cast<std::int64_t>(node)};
-        write[n] = model->process(ingress, forward_by_flow, config_.apply_sec,
-                                  hops, &device_drops[n], port_bandwidths,
-                                  tracer != nullptr ? &capture : nullptr, sink,
-                                  &worker_workspaces[worker], provider_.get(),
-                                  static_cast<std::int64_t>(node), iteration);
+        staged_slot& slot = next[n];
+        slot.streams = model->process(
+            ingress, forward_by_flow, config_.apply_sec, hops, &device_drops[n],
+            port_bandwidths, tracer != nullptr ? &capture : nullptr, sink,
+            &worker_workspaces[worker], &provider,
+            static_cast<std::int64_t>(node), iteration);
         device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
         device_seconds_handle.observe(device_span.stop());
         ++worker_inferences[worker];
         ++iteration_inferences[worker];
-        bool did_change = false;
-        for (std::size_t p = 0; p < ports && !did_change; ++p)
-          did_change = !streams_equal(write[n][p], read[n][p],
-                                      config_.convergence_epsilon);
-        changed[d] = did_change ? 1 : 0;
-        last_ingress[n] = std::move(ingress);
+        slot.port_changed.resize(ports);
+        for (std::size_t p = 0; p < ports; ++p)
+          slot.port_changed[p] =
+              streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
+        slot.inferred = true;
       }
       worker_busy[worker] += util::thread_cpu_seconds() - cpu_start;
     };
@@ -379,11 +389,24 @@ des::run_result dqn_network::run(
     }
     stats_.critical_path_seconds += iteration_max;
 
-    std::swap(read_buffer, write_buffer);
+    // Between rounds: move the staged slots in, and mark dirty for the next
+    // round every device a flagged port feeds.
+    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+    std::size_t changed_devices = 0;
+    for (const topo::node_id node : devices) {
+      staged_slot& slot = next[static_cast<std::size_t>(node)];
+      if (!slot.inferred) continue;
+      slot.inferred = false;
+      egress[static_cast<std::size_t>(node)] = std::move(slot.streams);
+      bool device_changed = false;
+      for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
+        if (slot.port_changed[p] == 0) continue;
+        device_changed = true;
+        dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
+      }
+      if (device_changed) ++changed_devices;
+    }
     ++stats_.iterations;
-    const auto changed_devices = static_cast<std::size_t>(
-        std::count_if(changed.begin(), changed.end(),
-                      [](std::uint8_t c) { return c != 0; }));
     if (sink != nullptr) {
       // Convergence delta: how many devices still changed this iteration —
       // the IRSA fixed point is reached when this hits zero.
@@ -405,15 +428,12 @@ des::run_result dqn_network::run(
                               stats_.busy_seconds -
                           1.0);
 
-  // After the final swap the read buffer holds the fixed point.
-  const auto& final_state = *read_buffer;
-
   // Collect deliveries: the ingress streams of host nodes.
   des::run_result result;
   for (const auto& drops : device_drops)
     result.drops += drops.size();
   for (const topo::node_id host : hosts) {
-    const traffic::packet_stream inbound = ingress_of(final_state, host, 0);
+    const traffic::packet_stream inbound = ingress_of(egress, host, 0);
     for (const auto& ev : inbound) {
       if (ev.pkt.dst_host != host) continue;
       des::delivery_record d;
@@ -449,13 +469,13 @@ des::run_result dqn_network::run(
     }
   }
 
-  final_egress_ = std::move(*read_buffer);
+  final_egress_ = std::move(egress);
   run_timer.stop();
   stats_.wall_seconds = watch.elapsed_seconds();
   result.wall_seconds = stats_.wall_seconds;
   if (sink != nullptr) {
     stats_.publish(*sink);
-    provider_->publish(*sink);
+    provider.publish(*sink);
     sink->count("engine.deliveries", static_cast<double>(result.deliveries.size()));
     sink->count("engine.drops", static_cast<double>(result.drops));
   }
@@ -465,39 +485,22 @@ des::run_result dqn_network::run(
 des::run_result dqn_network::run(const des::run_request& request) {
   DQN_ENSURE(request.host_streams != nullptr,
              "dqn_network::run: request.host_streams is null");
-  obs::sink* const saved = config_.sink;
-  if (request.sink != nullptr) config_.sink = request.sink;
+  obs::sink* const sink = request.sink != nullptr ? request.sink : config_.sink;
   const des::delay_backend backend =
       request.delay.has_value() ? request.delay->backend
                                 : config_.delay.backend;
-  des::run_recorder recorder{config_.sink, estimator_name(),
-                             des::to_string(backend)};
-  // A per-run delay policy swaps in a fresh provider for this run only,
-  // restored alongside the sink (the same save/swap/restore contract).
-  std::unique_ptr<delay_provider> saved_provider;
-  if (request.delay.has_value()) {
-    saved_provider = std::move(provider_);
-    provider_ = make_delay_provider(ptm_, *request.delay);
-  }
-  // Per-run worker override (run_request::threads), same contract: the
-  // configured partition count is restored when the run returns. The
-  // persistent pool is rebuilt lazily by ensure_pool when the size changes.
-  const std::size_t saved_partitions = config_.partitions;
-  if (request.threads > 0) config_.partitions = request.threads;
-  const auto restore = [&] {
-    config_.sink = saved;
-    config_.partitions = saved_partitions;
-    if (saved_provider != nullptr) provider_ = std::move(saved_provider);
-  };
-  try {
-    des::run_result result = run(*request.host_streams, request.horizon);
-    recorder.complete(result);
-    restore();
-    return result;
-  } catch (...) {
-    restore();
-    throw;
-  }
+  des::run_recorder recorder{sink, estimator_name(), des::to_string(backend)};
+  // A per-run delay policy rides on a fresh provider for this run only; a
+  // per-run worker count rebuilds the persistent pool lazily (ensure_pool).
+  const std::unique_ptr<delay_provider> per_run_provider =
+      request.delay.has_value() ? make_delay_provider(ptm_, *request.delay)
+                                : nullptr;
+  des::run_result result = run_core(
+      *request.host_streams, request.horizon, sink,
+      per_run_provider != nullptr ? *per_run_provider : *provider_,
+      request.threads > 0 ? request.threads : config_.partitions);
+  recorder.complete(result);
+  return result;
 }
 
 const traffic::packet_stream& dqn_network::egress_stream(topo::node_id node,

@@ -5,8 +5,9 @@
 // every device repeatedly re-infers its egress streams from its upstream
 // neighbours' previous-iteration egress streams until the network reaches a
 // fixed point; Theorem 3.1 bounds the iterations by the topology diameter.
-// Devices whose ingress did not change between iterations are skipped, so
-// feed-forward cuts of the topology converge in their hop depth.
+// A device is skipped when no stream feeding it changed in the previous
+// iteration, so feed-forward cuts of the topology converge in their hop
+// depth.
 //
 // Parallelism: the device set is sharded across `partitions` persistent
 // worker threads — the CPU analogue of the paper's model-parallel multi-GPU
@@ -14,20 +15,19 @@
 // default (topo/sharding.hpp: BFS-grown clusters minimizing cross-shard
 // links, MimicNet-style), device batches are the stealable unit
 // (util/work_stealing_pool.hpp rebalances stragglers within an IRSA
-// iteration), and iteration state is double-buffered so the per-packet path
-// takes no locks. Delivery records are bit-identical across shard counts and
-// strategies (tests/test_determinism.cpp).
+// iteration), and the egress state workers read only changes between
+// iterations, so the per-packet path takes no locks. Delivery records are
+// bit-identical across shard counts and strategies
+// (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/device_model.hpp"
 #include "des/records.hpp"
 #include "des/run_api.hpp"
-#include "obs/telemetry/telemetry_config.hpp"
 #include "topo/graph.hpp"
 #include "topo/routing.hpp"
 #include "topo/sharding.hpp"
@@ -52,17 +52,12 @@ struct engine_config {
   std::size_t partitions = 1;      // "number of GPUs"
   std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
   bool apply_sec = true;           // §6.1 ablation hook
-  double convergence_epsilon = 1e-9;
   bool record_hops = false;        // per-device predicted hops (visibility)
-  // Model host NICs as single-queue FIFO devices (the DES does): the PTM
-  // predicts the NIC queueing each injected stream experiences before its
-  // first link. Computed once — injections are fixed across IRSA iterations.
-  bool model_host_nics = true;
-  // Skip re-inferring devices whose ingress did not change since the last
-  // iteration (a work-saving refinement over the paper's Algorithm 1, which
-  // recomputes every device each iteration). Disable to measure the paper's
-  // execution profile — with the skip, late iterations run only a few
-  // devices and parallel speedup is Amdahl-limited.
+  // Skip re-inferring a device when no stream feeding it changed in the
+  // previous iteration (a work-saving refinement over the paper's
+  // Algorithm 1, which recomputes every device each iteration). Disable to
+  // measure the paper's execution profile — with the skip, late iterations
+  // run only a few devices and parallel speedup is Amdahl-limited.
   bool irsa_skip_unchanged = true;
   // Optional observability (obs/sink.hpp): per-iteration IRSA timings and
   // convergence deltas, per-partition busy time, skip counts, and the full
@@ -73,11 +68,6 @@ struct engine_config {
   // tiered policy that routes each device by utilization. A run_request may
   // override this per run (des::run_request::delay).
   des::delay_policy delay;
-  // Opt-in live telemetry (obs/telemetry/): with enabled == true and a
-  // non-null sink, run() idempotently starts the sink's background sampler
-  // (and, when telemetry.metrics_port >= 0, the /metrics endpoint) before
-  // the first IRSA iteration. Default-off: zero threads, zero overhead.
-  obs::telemetry::telemetry_config telemetry;
   // How devices are assigned to workers (topo/sharding.hpp). `topology`
   // (default) BFS-grows connected shards that minimize cross-shard links;
   // `round_robin` is the legacy interleaving, kept as the determinism
@@ -104,22 +94,12 @@ struct engine_config {
     apply_sec = enabled;
     return *this;
   }
-  // Fixed-point tolerance on per-packet egress times.
-  engine_config& with_convergence_epsilon(double eps) noexcept {
-    convergence_epsilon = eps;
-    return *this;
-  }
   // Record per-device predicted hops into the run_result (visibility).
   engine_config& with_hop_records(bool enabled) noexcept {
     record_hops = enabled;
     return *this;
   }
-  // Model host NICs as single-queue FIFO devices.
-  engine_config& with_host_nic_model(bool enabled) noexcept {
-    model_host_nics = enabled;
-    return *this;
-  }
-  // Skip devices whose ingress is unchanged since the previous iteration.
+  // Skip devices whose feeding streams did not change in the last iteration.
   engine_config& with_irsa_skip(bool enabled) noexcept {
     irsa_skip_unchanged = enabled;
     return *this;
@@ -127,11 +107,6 @@ struct engine_config {
   // Attach an observability sink (nullptr detaches).
   engine_config& with_sink(obs::sink* s) noexcept {
     sink = s;
-    return *this;
-  }
-  // Enable the live telemetry plane on the configured sink.
-  engine_config& with_telemetry(obs::telemetry::telemetry_config t) {
-    telemetry = std::move(t);
     return *this;
   }
   // Install a full delay policy (backend + tiering knobs).
@@ -236,6 +211,12 @@ class dqn_network : public des::estimator {
                                                             std::size_t port) const;
 
  private:
+  // The run both public overloads share: they differ only in where this
+  // run's sink, sojourn backend and worker count come from.
+  [[nodiscard]] des::run_result run_core(
+      const std::vector<traffic::packet_stream>& host_streams, double horizon,
+      obs::sink* sink, delay_provider& provider, std::size_t partitions);
+
   [[nodiscard]] traffic::packet_stream ingress_of(
       const std::vector<std::vector<traffic::packet_stream>>& egress,
       topo::node_id node, std::size_t port) const;

@@ -1,6 +1,7 @@
 #include "des/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "des/run_recorder.hpp"
@@ -26,11 +27,14 @@ tm_config host_tm(const tm_config& base) {
 
 network::network(const topo::topology& topo, const topo::routing& routes,
                  network_config config)
-    : topo_{&topo}, routes_{&routes}, config_{std::move(config)} {
-  devices_.resize(topo.node_count());
-  for (std::size_t i = 0; i < topo.node_count(); ++i) {
+    : topo_{&topo}, routes_{&routes}, config_{std::move(config)} {}
+
+void network::reset() {
+  sim_ = simulator{};
+  devices_.assign(topo_->node_count(), device_state{});
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
     const auto id = static_cast<topo::node_id>(i);
-    const auto& node = topo.at(id);
+    const auto& node = topo_->at(id);
     auto& state = devices_[i];
     state.ports.reserve(node.links.size());
     const tm_config* node_tm = &config_.tm;
@@ -38,8 +42,8 @@ network::network(const topo::topology& topo, const topo::routing& routes,
         it != config_.tm_overrides.end())
       node_tm = &it->second;
     for (std::size_t port = 0; port < node.links.size(); ++port) {
-      const auto& link = topo.link_at(node.links[port]);
-      const auto peer = topo.peer_of(id, port);
+      const auto& link = topo_->link_at(node.links[port]);
+      const auto peer = topo_->peer_of(id, port);
       egress_port ep{
           traffic_manager{node.kind == topo::node_kind::host ? host_tm(config_.tm)
                                                              : *node_tm},
@@ -131,13 +135,18 @@ run_result network::run(const std::vector<traffic::packet_stream>& host_streams,
   DQN_ENSURE(host_streams.size() == hosts.size(),
              "network::run: one stream per host required (got ",
              host_streams.size(), " streams for ", hosts.size(), " hosts)");
+  reset();
   util::stopwatch watch;
   result_ = {};
   send_times_.clear();
 
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const topo::node_id host = hosts[i];
+    double previous_send = -std::numeric_limits<double>::infinity();
     for (const auto& ev : host_streams[i]) {
+      DQN_ENSURE(ev.time >= previous_send, "network::run: host ", i,
+                 " stream goes back in time at pid ", ev.pkt.pid);
+      previous_send = ev.time;
       if (ev.time > horizon) break;
       send_times_.push_back(ev.pkt.pid, ev.time);
       traffic::packet pkt = ev.pkt;
@@ -163,7 +172,10 @@ run_result network::run(const std::vector<traffic::packet_stream>& host_streams,
 
   // All sends are recorded; sort the table once before the event loop reads
   // it (receive() resolves send times per delivery).
-  send_times_.finalize();
+  const std::size_t sent = send_times_.size();
+  send_times_.finalize();  // keeps one entry per pid
+  DQN_ENSURE(send_times_.size() == sent, "network::run: pid ",
+             duplicate_pid(host_streams, horizon), " injected twice");
 
   // Drain: generous allowance for queued packets to leave the network.
   {

@@ -71,6 +71,9 @@ class network : public estimator {
     std::unordered_map<std::uint64_t, std::pair<double, std::size_t>> pending;
   };
 
+  // Start a run from an empty network: a fresh clock and event queue, and
+  // idle ports with empty queues.
+  void reset();
   void receive(topo::node_id node, std::size_t in_port, const traffic::packet& pkt);
   void try_transmit(topo::node_id node, std::size_t port);
 

@@ -1,6 +1,19 @@
 #include "des/records.hpp"
 
+#include <algorithm>
+
 namespace dqn::des {
+
+std::uint64_t duplicate_pid(
+    const std::vector<traffic::packet_stream>& host_streams, double horizon) {
+  std::vector<std::uint64_t> pids;
+  for (const auto& stream : host_streams)
+    for (std::size_t i = 0; i < stream.size() && stream[i].time <= horizon; ++i)
+      pids.push_back(stream[i].pkt.pid);
+  std::sort(pids.begin(), pids.end());
+  const auto it = std::adjacent_find(pids.begin(), pids.end());
+  return it != pids.end() ? *it : 0;
+}
 
 std::map<std::uint32_t, std::vector<double>> per_flow_latencies(
     const run_result& result) {

@@ -50,6 +50,13 @@ struct run_result {
   double wall_seconds = 0;
 };
 
+// The first pid, in pid order, that the packets sent by `horizon` carry
+// twice (0 when none does). Packet-level estimators reject such input; they
+// call this only to name the culprit once their send-time table has shown a
+// duplicate.
+[[nodiscard]] std::uint64_t duplicate_pid(
+    const std::vector<traffic::packet_stream>& host_streams, double horizon);
+
 // Latency series per flow (delivery order) — the "path-wise" unit of the
 // paper's accuracy metrics.
 [[nodiscard]] std::map<std::uint32_t, std::vector<double>> per_flow_latencies(

@@ -1,9 +1,9 @@
 // Configuration of the live telemetry plane (obs/telemetry/telemetry.hpp):
 // a background sampler that turns the metric registry into a bounded time
 // series, OS resource gauges, and an optional embedded HTTP exposition
-// endpoint. Deliberately dependency-free (no sink include) so config structs
-// across the tree — core::engine_config, des::estimator_context — can embed
-// it without layering cycles.
+// endpoint, started with obs::sink::start_telemetry. Deliberately
+// dependency-free (no sink include) so any config struct can embed it
+// without layering cycles.
 //
 // The plane is opt-in everywhere: `enabled` defaults to false and a default
 // config costs nothing. `metrics_port` stays independent of `enabled` so a

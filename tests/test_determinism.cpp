@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
 #include "des/network.hpp"
 #include "des/records.hpp"
+#include "des/run_api.hpp"
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
@@ -120,14 +122,18 @@ std::shared_ptr<const core::ptm_model> tiny_ptm() {
   return {&bundle.model, [](const core::ptm_model*) {}};
 }
 
-std::vector<traffic::packet_stream> fattree_streams() {
+std::vector<traffic::packet_stream> uniform_streams(std::size_t hosts) {
   util::rng rng{11};
-  auto flows = traffic::make_uniform_flows(16, 1, rng);
+  auto flows = traffic::make_uniform_flows(hosts, 1, rng);
   traffic::tg_util_config tg;
   tg.per_flow_rate = 30'000.0;
   tg.seed = 11;
   auto generators = traffic::make_generators(flows, tg);
-  return traffic::per_host_streams(generators, 16, 0.005, rng);
+  return traffic::per_host_streams(generators, hosts, 0.005, rng);
+}
+
+std::vector<traffic::packet_stream> fattree_streams() {
+  return uniform_streams(16);
 }
 
 TEST(determinism, engine_bit_identical_across_partition_counts) {
@@ -152,8 +158,8 @@ TEST(determinism, engine_bit_identical_across_partition_counts) {
 // (topology, streams, seed, model) — 1/2/8 shards with topology-aware
 // sharding and work stealing (single-device batches maximize steal traffic)
 // all reproduce the 1-shard run bit for bit. The shard plan only decides
-// WHERE a device is computed; every device writes its own double-buffer slot
-// from read-only t-1 state.
+// WHERE a device is computed; every device stages its output in its own slot
+// while reading t-1 egress state that no worker writes during the round.
 TEST(determinism, engine_bit_identical_across_shard_counts_with_stealing) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
@@ -231,6 +237,45 @@ TEST(determinism, des_network_bit_identical_across_consecutive_runs) {
   const auto first_result = first.run(streams, 0.005);
   const auto second_result = second.run(streams, 0.005);
   expect_bit_identical(first_result, second_result);
+  // The same instance runs again from an empty network and a fresh clock.
+  const auto again = first.run(streams, 0.005);
+  expect_bit_identical(first_result, again);
+  EXPECT_EQ(first_result.events, again.events);
+}
+
+// The IRSA skip is exact: a device none of whose feeding streams changed in
+// the last iteration would re-infer the egress it already has, so skipping
+// it moves no delivery bit, no iteration count and no backend state.
+TEST(determinism, engine_bit_identical_with_and_without_irsa_skip) {
+  const auto ptm = tiny_ptm();
+  for (auto build : {+[] { return topo::make_fattree16(); },
+                     +[] { return topo::make_line(4); }}) {
+    const auto topo = build();
+    const topo::routing routes{topo};
+    const auto streams = uniform_streams(topo.hosts().size());
+    for (const auto backend :
+         {des::delay_backend::ptm, des::delay_backend::tiered}) {
+      SCOPED_TRACE(std::to_string(topo.devices().size()) + " devices, " +
+                   des::to_string(backend));
+      core::engine_config cfg;
+      cfg.partitions = 4;
+      cfg.delay.backend = backend;
+      cfg.irsa_skip_unchanged = true;
+      core::dqn_network skipping{topo, routes, ptm, {}, cfg};
+      cfg.irsa_skip_unchanged = false;
+      core::dqn_network full{topo, routes, ptm, {}, cfg};
+
+      const auto skip_result = skipping.run(streams, 0.005);
+      const auto full_result = full.run(streams, 0.005);
+      expect_bit_identical(skip_result, full_result);
+      const core::engine_stats& skip = skipping.stats();
+      const core::engine_stats& all = full.stats();
+      EXPECT_EQ(skip.iterations, all.iterations);
+      EXPECT_GT(skip.devices_skipped, 0u);
+      EXPECT_EQ(skip.device_inferences + skip.devices_skipped,
+                all.device_inferences);
+    }
+  }
 }
 
 }  // namespace

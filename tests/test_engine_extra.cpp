@@ -1,18 +1,23 @@
-// Further engine coverage: host-NIC modeling, iteration controls, hop
-// recording, and SEC's effect at the network level. Shares one tiny trained
+// Further engine coverage: iteration controls, hop recording, SEC's effect
+// at the network level, and host-stream validation. Shares one tiny trained
 // model across the binary.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
 #include "des/network.hpp"
+#include "des/run_api.hpp"
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -45,25 +50,6 @@ std::vector<traffic::packet_stream> make_streams(std::size_t hosts, double rate,
   tg.seed = seed;
   auto generators = traffic::make_generators(flows, tg);
   return traffic::per_host_streams(generators, hosts, horizon, rng);
-}
-
-TEST(engine_extra, host_nic_modeling_adds_nonnegative_delay) {
-  const auto topo = topo::make_line(3);
-  const topo::routing routes{topo};
-  const auto streams = make_streams(3, 50'000.0, 0.02, 1);
-  core::engine_config with_nic;
-  with_nic.model_host_nics = true;
-  core::engine_config without_nic;
-  without_nic.model_host_nics = false;
-  core::dqn_network net_with{topo, routes, shared_ptm(), {}, with_nic};
-  core::dqn_network net_without{topo, routes, shared_ptm(), {}, without_nic};
-  const auto r_with = net_with.run(streams, 0.02);
-  const auto r_without = net_without.run(streams, 0.02);
-  ASSERT_EQ(r_with.deliveries.size(), r_without.deliveries.size());
-  double sum_with = 0, sum_without = 0;
-  for (const auto& d : r_with.deliveries) sum_with += d.latency();
-  for (const auto& d : r_without.deliveries) sum_without += d.latency();
-  EXPECT_GE(sum_with, sum_without);
 }
 
 TEST(engine_extra, max_iterations_override_caps_irsa) {
@@ -184,6 +170,53 @@ TEST(engine_extra, zero_traffic_is_handled) {
   core::dqn_network net{topo, routes, shared_ptm(), {}, {}};
   const auto result = net.run(std::vector<traffic::packet_stream>(2), 1.0);
   EXPECT_TRUE(result.deliveries.empty());
+}
+
+// Both packet-level estimators validate host streams on injection and name
+// the culprit. Without the checks the engine silently loses the packets of a
+// stream that goes back in time, and a re-sent pid takes the first send's
+// time, so both estimators report negative latencies for it.
+void expect_both_reject(const std::vector<traffic::packet_stream>& streams,
+                        const std::string& culprit) {
+  const auto topo = topo::make_line(3);
+  const topo::routing routes{topo};
+  des::network oracle{topo, routes, {}};
+  core::dqn_network engine{topo, routes, shared_ptm(), {}, {}};
+  des::run_request request;
+  request.host_streams = &streams;
+  request.horizon = 0.02;
+  for (des::estimator* estimator :
+       std::initializer_list<des::estimator*>{&oracle, &engine}) {
+    SCOPED_TRACE(estimator->estimator_name());
+    try {
+      (void)estimator->run(request);
+      ADD_FAILURE() << "run accepted bad host streams";
+    } catch (const util::contract_violation& e) {
+      EXPECT_NE(std::string{e.what()}.find(culprit), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(engine_extra, estimators_reject_host_stream_going_back_in_time) {
+  auto streams = make_streams(3, 50'000.0, 0.02, 1);
+  ASSERT_GE(streams[1].size(), 2u);
+  ASSERT_LT(streams[1][0].time, streams[1][1].time);
+  std::swap(streams[1][0], streams[1][1]);
+  expect_both_reject(streams, "host 1 stream goes back in time at pid " +
+                                  std::to_string(streams[1][1].pkt.pid));
+}
+
+TEST(engine_extra, estimators_reject_pid_sent_twice) {
+  auto streams = make_streams(3, 50'000.0, 0.02, 1);
+  ASSERT_FALSE(streams[0].empty());
+  ASSERT_FALSE(streams[2].empty());
+  // Host 2 re-sends host 0's first pid after its own last packet.
+  auto duplicate = streams[0].front();
+  duplicate.time = streams[2].back().time;
+  streams[2].push_back(duplicate);
+  expect_both_reject(streams, "pid " + std::to_string(duplicate.pkt.pid) +
+                                  " injected twice");
 }
 
 }  // namespace

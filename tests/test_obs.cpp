@@ -204,32 +204,26 @@ TEST(engine_config, builder_chain_equals_field_assignment) {
                          .with_partitions(3)
                          .with_max_iterations(5)
                          .with_sec(false)
-                         .with_convergence_epsilon(1e-6)
                          .with_hop_records(true)
-                         .with_host_nic_model(false)
                          .with_irsa_skip(false)
                          .with_sink(&sink);
   core::engine_config direct;
   direct.partitions = 3;
   direct.max_iterations = 5;
   direct.apply_sec = false;
-  direct.convergence_epsilon = 1e-6;
   direct.record_hops = true;
-  direct.model_host_nics = false;
   direct.irsa_skip_unchanged = false;
   direct.sink = &sink;
   EXPECT_EQ(built.partitions, direct.partitions);
   EXPECT_EQ(built.max_iterations, direct.max_iterations);
   EXPECT_EQ(built.apply_sec, direct.apply_sec);
-  EXPECT_DOUBLE_EQ(built.convergence_epsilon, direct.convergence_epsilon);
   EXPECT_EQ(built.record_hops, direct.record_hops);
-  EXPECT_EQ(built.model_host_nics, direct.model_host_nics);
   EXPECT_EQ(built.irsa_skip_unchanged, direct.irsa_skip_unchanged);
   EXPECT_EQ(built.sink, direct.sink);
   // Aggregate/designated initialization still compiles (the struct stayed an
   // aggregate despite the member setters).
   const core::engine_config designated{
-      .partitions = 2, .apply_sec = false, .delay = {}, .telemetry = {}};
+      .partitions = 2, .apply_sec = false, .delay = {}};
   EXPECT_EQ(designated.partitions, 2u);
   EXPECT_FALSE(designated.apply_sec);
 }
