@@ -177,8 +177,9 @@ int main(int argc, char** argv) {
       core::engine_config cfg;
       cfg.partitions = workers;
       // Measure the paper's execution profile: Algorithm 1 re-infers every
-      // device each iteration (our skip refinement makes late iterations
-      // nearly serial and Amdahl-limits the parallel speedup).
+      // device each iteration (the default dependency-ordered schedule runs
+      // one queue-graph level per round, so rounds hold few devices and
+      // the parallel speedup is Amdahl-limited).
       cfg.irsa_skip_unchanged = false;
       core::dqn_network net{s.topo(), *s.routes, ptm, ctx, cfg};
       const auto result = net.run(s.streams, sc.horizon);

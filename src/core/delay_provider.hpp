@@ -50,7 +50,7 @@ namespace dqn::core {
 struct device_state {
   std::int64_t device = -1;   // topology node id; -1 = host NIC model
   std::size_t port = 0;       // egress port within the device
-  std::size_t iteration = 0;  // IRSA iteration this estimate belongs to
+  std::size_t iteration = 0;  // IRSA round this estimate belongs to
   const traffic::packet_stream* arrivals = nullptr;  // time-ordered series
   std::span<const double> feature_rows;  // (n, feature_count) raw features
   const scheduler_context* ctx = nullptr;  // port-resolved line rate

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <vector>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "obs/journey.hpp"
 #include "obs/sink.hpp"
@@ -14,9 +15,9 @@ namespace dqn::core {
 
 namespace {
 
-// Per-packet steady-state kernels of device_model::process. process() itself
-// stages buffers (feature rows, sojourn vectors, egress streams) and so
-// cannot be allocation-free; the per-packet arithmetic it runs over those
+// Per-packet steady-state kernels of device_model::process_queue, which
+// itself stages buffers (feature rows, sojourn vectors, egress streams) and
+// so cannot be allocation-free; the per-packet arithmetic it runs over those
 // pre-sized buffers lives here, where DQN_HOT_PATH holds (ast_lint.py rule:
 // no allocation, no string-keyed obs inside marked bodies).
 
@@ -69,167 +70,180 @@ std::vector<traffic::packet_stream> device_model::process(
   // PFM: exact forwarding into per-egress-queue arrival series.
   std::vector<traffic::packet_stream> queues =
       apply_forwarding(ingress, forward, ports);
+  queue_call call;
+  call.apply_sec = apply_sec;
+  call.hops = hops;
+  call.dropped = dropped;
+  call.journeys = journeys;
+  if (sink != nullptr) {
+    call.forwarded = sink->counter_handle_for("pfm.forwarded");
+    call.drops = sink->counter_handle_for("pfm.drops");
+  }
+  call.workspace = workspace;
+  call.delay = delay;
+  call.device_id = device_id;
+  call.iteration = iteration;
+  std::vector<traffic::packet_stream> egress(ports);
+  for (std::size_t out = 0; out < ports; ++out) {
+    const double line_bps = port_bandwidths.size() == ports
+                                ? port_bandwidths[out]
+                                : ctx_.bandwidth_bps;
+    egress[out] = process_queue(std::move(queues[out]), out, line_bps, call);
+  }
+  return egress;
+}
 
+traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
+                                                   std::size_t port,
+                                                   double line_bps,
+                                                   const queue_call& call) const {
+  if (queue.empty()) return queue;
+  // Local copies: recording through a handle is non-const.
+  obs::counter_handle forwarded = call.forwarded;
+  obs::counter_handle drops = call.drops;
+  forwarded.add(static_cast<double>(queue.size()));
+  const journey_capture* const journeys = call.journeys;
   obs::journey_tracer* const tracer =
       (journeys != nullptr && journeys->tracer != nullptr &&
        journeys->tracer->enabled())
           ? journeys->tracer
           : nullptr;
-  obs::counter_handle pfm_forwarded;
-  obs::counter_handle device_drops;
-  if (sink != nullptr) {
-    pfm_forwarded = sink->counter_handle_for("pfm.forwarded");
-    device_drops = sink->counter_handle_for("pfm.drops");
-    std::size_t total = 0;
-    for (const auto& queue : queues) total += queue.size();
-    pfm_forwarded.add(static_cast<double>(total));
-  }
 
-  std::vector<traffic::packet_stream> egress(ports);
-  for (std::size_t out = 0; out < ports; ++out) {
-    auto& queue = queues[out];
-    if (queue.empty()) continue;
-    const double line_bps = port_bandwidths.size() == ports
-                                ? port_bandwidths[out]
-                                : ctx_.bandwidth_bps;
-
-    // Buffer management (drop-tail): the queue's byte backlog at each
-    // arrival is an exact function of the ingress series (Lindley
-    // recursion), so drops are decided deterministically — no learning
-    // involved, like the PFM. Dropped packets leave the stream (their
-    // latency is +inf).
-    if (ctx_.buffer_bytes > 0) {
-      // Exact FIFO drop-tail replay over the arrival series: track each kept
-      // packet's (service start, service end) on the egress line and the
-      // bytes waiting (excluding the packet in service, matching the DES
-      // traffic manager's accounting). Deterministic, like the PFM.
-      struct in_system_packet {
-        double start, end;
-        std::uint32_t bytes;
-      };
-      traffic::packet_stream kept;
-      kept.reserve(queue.size());
-      std::deque<in_system_packet> in_system;
-      double bytes_in_system = 0;
-      double last_end = 0;
-      for (const auto& ev : queue) {
-        while (!in_system.empty() && in_system.front().end <= ev.time) {
-          bytes_in_system -= in_system.front().bytes;
-          in_system.pop_front();
-        }
-        // FIFO: only the head can be in service; everything behind waits.
-        const double in_service_bytes =
-            (!in_system.empty() && in_system.front().start <= ev.time)
-                ? in_system.front().bytes
-                : 0.0;
-        const double waiting_bytes = bytes_in_system - in_service_bytes;
-        if (waiting_bytes + ev.pkt.size_bytes >
-            static_cast<double>(ctx_.buffer_bytes)) {
-          if (dropped != nullptr) dropped->push_back(ev.pkt);
-          device_drops.add();
-          continue;
-        }
-        const double service =
-            static_cast<double>(ev.pkt.size_bytes) * 8.0 / line_bps;
-        const double start = std::max(ev.time, last_end);
-        last_end = start + service;
-        in_system.push_back({start, last_end, ev.pkt.size_bytes});
-        bytes_in_system += ev.pkt.size_bytes;
-        kept.push_back(ev);
+  // Buffer management (drop-tail): the queue's byte backlog at each
+  // arrival is an exact function of the ingress series (Lindley
+  // recursion), so drops are decided deterministically — no learning
+  // involved, like the PFM. Dropped packets leave the stream (their
+  // latency is +inf).
+  if (ctx_.buffer_bytes > 0) {
+    // Exact FIFO drop-tail replay over the arrival series: track each kept
+    // packet's (service start, service end) on the egress line and the
+    // bytes waiting (excluding the packet in service, matching the DES
+    // traffic manager's accounting). Deterministic, like the PFM.
+    struct in_system_packet {
+      double start, end;
+      std::uint32_t bytes;
+    };
+    traffic::packet_stream kept;
+    kept.reserve(queue.size());
+    std::deque<in_system_packet> in_system;
+    double bytes_in_system = 0;
+    double last_end = 0;
+    for (const auto& ev : queue) {
+      while (!in_system.empty() && in_system.front().end <= ev.time) {
+        bytes_in_system -= in_system.front().bytes;
+        in_system.pop_front();
       }
-      queue = std::move(kept);
-      if (queue.empty()) continue;
-    }
-    // Sojourn prediction over the arrival series, dispatched through the
-    // delay-provider API (delay_provider.hpp): the engine-selected backend
-    // (PTM / analytical / tiered) sees the full device state and returns one
-    // sojourn per queued packet.
-    scheduler_context port_ctx = ctx_;
-    port_ctx.bandwidth_bps = line_bps;
-    const auto rows = compute_features(queue, port_ctx);
-    std::vector<double> raw_sojourns;
-    std::vector<double>* const raw = tracer != nullptr ? &raw_sojourns : nullptr;
-    // Offered load of the egress line over the window: byte-work brought by
-    // the series divided by the span it arrived in (the tiered policy's
-    // routing signal; may exceed 1 under overload).
-    double busy_seconds = 0;
-    for (const auto& ev : queue)
-      busy_seconds += static_cast<double>(ev.pkt.size_bytes) * 8.0 / line_bps;
-    const double window_seconds = queue.back().time - queue.front().time;
-    const double utilization =
-        queue.size() < 2 ? 0.0
-                         : busy_seconds / std::max(window_seconds, 1e-12);
-
-    device_state dstate;
-    dstate.device = device_id;
-    dstate.port = out;
-    dstate.iteration = iteration;
-    dstate.arrivals = &queue;
-    dstate.feature_rows = rows;
-    dstate.ctx = &port_ctx;
-    dstate.utilization = utilization;
-    dstate.apply_sec = apply_sec;
-    dstate.workspace = workspace;
-    dstate.raw_out = raw;
-    delay_provider* const provider = delay != nullptr ? delay : &fallback_;
-    auto sojourns = provider->estimate_sojourn(dstate, window_seconds);
-    DQN_ENSURE(sojourns.size() == queue.size(), "device_model: provider '",
-               provider->name(), "' returned ", sojourns.size(),
-               " sojourns for ", queue.size(), " packets");
-
-    // Scheduler-theoretic bound (prior knowledge, like the PFM): under
-    // non-preemptive strict priority, the highest class waits exactly its
-    // own-class backlog plus at most one residual lower-priority service:
-    //   W_0 <= sojourn <= W_0 + max_packet * 8 / C.
-    if (ctx_.kind == des::scheduler_kind::sp)
-      clamp_sp_waits(queue, rows, sojourns, line_bps);
-
-    // Post-PTM feasibility projection: the egress line serialises packets,
-    // so successive transmission starts are at least one service time apart
-    // while the line is busy. The constraint applies in *transmission*
-    // order — which under SP/WFQ differs from arrival order (high-priority
-    // packets jump the queue) — so project along the predicted-departure
-    // ordering. Pushing predictions later (never earlier) removes
-    // per-packet noise no physical line could produce — the same
-    // prior-knowledge principle as the PFM.
-    std::vector<std::size_t> tx_order(queue.size());
-    for (std::size_t i = 0; i < tx_order.size(); ++i) tx_order[i] = i;
-    if (ctx_.kind != des::scheduler_kind::fifo) {
-      // Under FIFO the transmission order *is* the arrival order (already
-      // the case), and keeping it makes the projection an exact FIFO
-      // replay; for the other disciplines the predicted departures define
-      // the order.
-      std::sort(tx_order.begin(), tx_order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const double da = queue[a].time + sojourns[a];
-                  const double db = queue[b].time + sojourns[b];
-                  if (da != db) return da < db;
-                  return queue[a].pkt.pid < queue[b].pkt.pid;
-                });
-    }
-    std::vector<double> departures(queue.size());
-    project_departures(queue, sojourns, tx_order, departures, line_bps);
-    traffic::packet_stream& out_stream = egress[out];
-    out_stream.reserve(queue.size());
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      out_stream.push_back({queue[i].pkt, departures[i]});
-      if (hops != nullptr)
-        hops->push_back({queue[i].pkt.pid, out, queue[i].time, departures[i]});
-      if (tracer != nullptr && tracer->sampled(queue[i].pkt.pid)) {
-        obs::journey_hop hop;
-        hop.device = journeys->device;
-        hop.queue = out;
-        hop.arrival = queue[i].time;
-        hop.raw_delay = raw_sojourns[i];
-        hop.corrected_delay = departures[i] - queue[i].time;
-        hop.departure = departures[i];
-        tracer->record_hop(queue[i].pkt.pid, hop);
+      // FIFO: only the head can be in service; everything behind waits.
+      const double in_service_bytes =
+          (!in_system.empty() && in_system.front().start <= ev.time)
+              ? in_system.front().bytes
+              : 0.0;
+      const double waiting_bytes = bytes_in_system - in_service_bytes;
+      if (waiting_bytes + ev.pkt.size_bytes >
+          static_cast<double>(ctx_.buffer_bytes)) {
+        if (call.dropped != nullptr) call.dropped->push_back(ev.pkt);
+        drops.add();
+        continue;
       }
+      const double service =
+          static_cast<double>(ev.pkt.size_bytes) * 8.0 / line_bps;
+      const double start = std::max(ev.time, last_end);
+      last_end = start + service;
+      in_system.push_back({start, last_end, ev.pkt.size_bytes});
+      bytes_in_system += ev.pkt.size_bytes;
+      kept.push_back(ev);
     }
-    // Re-sequencing: egress streams are time series again (§3.2.4).
-    std::sort(out_stream.begin(), out_stream.end());
+    queue = std::move(kept);
+    if (queue.empty()) return queue;
   }
-  return egress;
+  // Sojourn prediction over the arrival series, dispatched through the
+  // delay-provider API (delay_provider.hpp): the engine-selected backend
+  // (PTM / analytical / tiered) sees the full device state and returns one
+  // sojourn per queued packet.
+  scheduler_context port_ctx = ctx_;
+  port_ctx.bandwidth_bps = line_bps;
+  const auto rows = compute_features(queue, port_ctx);
+  std::vector<double> raw_sojourns;
+  std::vector<double>* const raw = tracer != nullptr ? &raw_sojourns : nullptr;
+  // Offered load of the egress line over the window: byte-work brought by
+  // the series divided by the span it arrived in (the tiered policy's
+  // routing signal; may exceed 1 under overload).
+  double busy_seconds = 0;
+  for (const auto& ev : queue)
+    busy_seconds += static_cast<double>(ev.pkt.size_bytes) * 8.0 / line_bps;
+  const double window_seconds = queue.back().time - queue.front().time;
+  const double utilization =
+      queue.size() < 2 ? 0.0 : busy_seconds / std::max(window_seconds, 1e-12);
+
+  device_state dstate;
+  dstate.device = call.device_id;
+  dstate.port = port;
+  dstate.iteration = call.iteration;
+  dstate.arrivals = &queue;
+  dstate.feature_rows = rows;
+  dstate.ctx = &port_ctx;
+  dstate.utilization = utilization;
+  dstate.apply_sec = call.apply_sec;
+  dstate.workspace = call.workspace;
+  dstate.raw_out = raw;
+  delay_provider* const provider = call.delay != nullptr ? call.delay : &fallback_;
+  auto sojourns = provider->estimate_sojourn(dstate, window_seconds);
+  DQN_ENSURE(sojourns.size() == queue.size(), "device_model: provider '",
+             provider->name(), "' returned ", sojourns.size(),
+             " sojourns for ", queue.size(), " packets");
+
+  // Scheduler-theoretic bound (prior knowledge, like the PFM): under
+  // non-preemptive strict priority, the highest class waits exactly its
+  // own-class backlog plus at most one residual lower-priority service:
+  //   W_0 <= sojourn <= W_0 + max_packet * 8 / C.
+  if (ctx_.kind == des::scheduler_kind::sp)
+    clamp_sp_waits(queue, rows, sojourns, line_bps);
+
+  // Post-PTM feasibility projection: the egress line serialises packets,
+  // so successive transmission starts are at least one service time apart
+  // while the line is busy. The constraint applies in *transmission*
+  // order — which under SP/WFQ differs from arrival order (high-priority
+  // packets jump the queue) — so project along the predicted-departure
+  // ordering. Pushing predictions later (never earlier) removes
+  // per-packet noise no physical line could produce — the same
+  // prior-knowledge principle as the PFM.
+  std::vector<std::size_t> tx_order(queue.size());
+  for (std::size_t i = 0; i < tx_order.size(); ++i) tx_order[i] = i;
+  if (ctx_.kind != des::scheduler_kind::fifo) {
+    // Under FIFO the transmission order *is* the arrival order (already
+    // the case), and keeping it makes the projection an exact FIFO
+    // replay; for the other disciplines the predicted departures define
+    // the order.
+    std::sort(tx_order.begin(), tx_order.end(),
+              [&](std::size_t a, std::size_t b) {
+                const double da = queue[a].time + sojourns[a];
+                const double db = queue[b].time + sojourns[b];
+                if (da != db) return da < db;
+                return queue[a].pkt.pid < queue[b].pkt.pid;
+              });
+  }
+  std::vector<double> departures(queue.size());
+  project_departures(queue, sojourns, tx_order, departures, line_bps);
+  traffic::packet_stream out_stream;
+  out_stream.reserve(queue.size());
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    out_stream.push_back({queue[i].pkt, departures[i]});
+    if (call.hops != nullptr)
+      call.hops->push_back({queue[i].pkt.pid, port, queue[i].time, departures[i]});
+    if (tracer != nullptr && tracer->sampled(queue[i].pkt.pid)) {
+      obs::journey_hop hop;
+      hop.device = journeys->device;
+      hop.queue = port;
+      hop.arrival = queue[i].time;
+      hop.raw_delay = raw_sojourns[i];
+      hop.corrected_delay = departures[i] - queue[i].time;
+      hop.departure = departures[i];
+      tracer->record_hop(queue[i].pkt.pid, hop);
+    }
+  }
+  // Re-sequencing: egress streams are time series again (§3.2.4).
+  std::sort(out_stream.begin(), out_stream.end());
+  return out_stream;
 }
 
 traffic::packet_stream apply_link(const traffic::packet_stream& in,

@@ -13,6 +13,7 @@
 #include "core/features.hpp"
 #include "core/pfm.hpp"
 #include "core/ptm.hpp"
+#include "obs/handles.hpp"
 #include "traffic/packet.hpp"
 
 namespace dqn::obs {
@@ -40,6 +41,23 @@ struct journey_capture {
   std::int64_t device = -1;  // topology node id recorded with each hop
 };
 
+// The arguments of one device_model::process_queue call besides the queue
+// itself. The caller resolves them once: the counter handles per run, the
+// rest per device or per queue. Every pointer may be null (that output or
+// hook is off), and default handles record nothing.
+struct queue_call {
+  bool apply_sec = true;
+  std::vector<predicted_hop>* hops = nullptr;       // appended per kept packet
+  std::vector<traffic::packet>* dropped = nullptr;  // appended per drop
+  const journey_capture* journeys = nullptr;
+  obs::counter_handle forwarded;  // pfm.forwarded: packets offered to the queue
+  obs::counter_handle drops;      // pfm.drops
+  nn::workspace* workspace = nullptr;
+  delay_provider* delay = nullptr;
+  std::int64_t device_id = -1;  // -1 = host NIC
+  std::size_t iteration = 0;
+};
+
 class device_model {
  public:
   // The PTM is shared: one trained K-port model serves every device whose
@@ -65,6 +83,9 @@ class device_model {
   // passes its configured provider; null falls back to this model's own PTM
   // backend (the pre-redesign behaviour). `device_id`/`iteration` identify
   // the call for the provider's per-device tiering state (-1 = host NIC).
+  //
+  // process() forwards the ingress once (PFM) and runs process_queue on
+  // every egress port in port order.
   [[nodiscard]] std::vector<traffic::packet_stream> process(
       const std::vector<traffic::packet_stream>& ingress, const forward_fn& forward,
       bool apply_sec = true, std::vector<predicted_hop>* hops = nullptr,
@@ -76,6 +97,17 @@ class device_model {
       delay_provider* delay = nullptr,
       std::int64_t device_id = -1,
       std::size_t iteration = 0) const;
+
+  // One egress queue: `queue` is the time-ordered arrival series the PFM
+  // forwarded to egress `port` (apply_forwarding's stream for that port),
+  // drained at `line_bps`. Runs the drop-tail replay, the sojourn backend,
+  // the strict-priority clamp and the feasibility projection, and returns
+  // the port's egress stream ordered by departure. The engine calls this
+  // directly, so it can infer a device's queues in separate IRSA stages.
+  [[nodiscard]] traffic::packet_stream process_queue(traffic::packet_stream queue,
+                                                     std::size_t port,
+                                                     double line_bps,
+                                                     const queue_call& call) const;
 
   [[nodiscard]] const scheduler_context& context() const noexcept { return ctx_; }
 

@@ -13,6 +13,7 @@
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "topo/queue_graph.hpp"
 #include "util/check.hpp"
 #include "util/keyed_vector.hpp"
 #include "util/stopwatch.hpp"
@@ -92,8 +93,24 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
       host_nic_{std::move(ptm),
                 scheduler_context{des::scheduler_kind::fifo, {},
                                   device_.context().bandwidth_bps}},
-      config_{config} {
+      config_{config},
+      queue_stage_(topo.node_count()) {
   DQN_ENSURE(config_.partitions > 0, "dqn_network: partitions >= 1");
+  if (!config_.irsa_skip_unchanged) {
+    // Algorithm 1: every queue in one cyclic stage, iterated to the fixed
+    // point.
+    for (const topo::node_id node : topo.devices())
+      queue_stage_[static_cast<std::size_t>(node)].assign(topo.port_count(node), 0);
+    return;
+  }
+  // One stage per level of the egress-queue dependency graph.
+  const topo::queue_graph graph{topo, routes};
+  for (const topo::node_id node : topo.devices())
+    for (std::size_t p = 0; p < topo.port_count(node); ++p)
+      queue_stage_[static_cast<std::size_t>(node)].push_back(
+          static_cast<std::uint32_t>(graph.level_of(node, p)));
+  stage_count_ = graph.level_count();
+  last_stage_cyclic_ = graph.cyclic();
 }
 
 util::work_stealing_pool& dqn_network::ensure_pool(std::size_t workers) {
@@ -219,10 +236,19 @@ des::run_result dqn_network::run_core(
              des::duplicate_pid(host_streams, horizon), " injected twice");
   sinit_timer.stop();
 
-  // Hop records and drops of each device's latest inference.
-  std::vector<std::vector<predicted_hop>> device_hops(topo_->node_count());
-  std::vector<std::vector<traffic::packet>> device_drops(topo_->node_count());
+  // Hop records and drops of each egress queue's latest inference,
+  // [node][port].
+  std::vector<std::vector<std::vector<predicted_hop>>> queue_hops(
+      topo_->node_count());
+  std::vector<std::vector<std::vector<traffic::packet>>> queue_drops(
+      topo_->node_count());
+  for (const topo::node_id node : devices) {
+    const auto n = static_cast<std::size_t>(node);
+    queue_drops[n].resize(topo_->port_count(node));
+    if (config_.record_hops) queue_hops[n].resize(topo_->port_count(node));
+  }
 
+  // Theorem 3.1's bound, applied to the cyclic stage.
   const std::size_t max_iterations =
       config_.max_iterations > 0 ? config_.max_iterations : 1 + topo_->diameter();
 
@@ -238,184 +264,236 @@ des::run_result dqn_network::run_core(
   stats_.workers = workers;
   stats_.cross_shard_links = plan.cross_shard_links;
 
-  // Chop each shard into contiguous device batches — the stealable unit. A
-  // worker drains its own shard in BFS order (cache-warm neighbourhoods) and
-  // steals batches from stragglers; ~4 batches per worker by default keeps
-  // rebalancing possible without measurable deque traffic.
-  const std::size_t batch_size =
-      config_.steal_batch > 0
-          ? config_.steal_batch
-          : std::max<std::size_t>(1, devices.size() / (workers * 4));
-  std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
-  std::vector<std::vector<std::size_t>> seeds(workers);
-  for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-    const auto& shard = plan.shards[s];
-    for (std::size_t start = 0; start < shard.size(); start += batch_size) {
-      const auto end = std::min(shard.size(), start + batch_size);
-      seeds[s].push_back(batches.size());
-      batches.emplace_back(
-          shard.begin() + static_cast<std::ptrdiff_t>(start),
-          shard.begin() + static_cast<std::ptrdiff_t>(end));
+  // Per stage, chop each shard's devices that own a queue of the stage into
+  // contiguous batches — the stealable unit. A worker drains its own shard
+  // in BFS order (cache-warm neighbourhoods) and steals batches from
+  // stragglers; ~4 batches per worker by default keeps rebalancing possible
+  // without measurable deque traffic.
+  struct stage_plan {
+    std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
+    std::vector<std::vector<std::size_t>> seeds;    // worker -> batches
+    std::vector<topo::node_id> nodes;               // the stage's devices
+  };
+  std::vector<stage_plan> stages(stage_count_);
+  std::size_t max_batch = 0;
+  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+    stage_plan& sp = stages[stage];
+    std::vector<std::vector<std::size_t>> members(plan.shards.size());
+    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+      for (const std::size_t d : plan.shards[s]) {
+        for (std::size_t p = 0; p < topo_->port_count(devices[d]); ++p) {
+          if (stage_of(devices[d], p) != stage) continue;
+          members[s].push_back(d);
+          sp.nodes.push_back(devices[d]);
+          break;
+        }
+      }
+    }
+    const std::size_t batch_size =
+        config_.steal_batch > 0
+            ? config_.steal_batch
+            : std::max<std::size_t>(1, sp.nodes.size() / (workers * 4));
+    max_batch = std::max(max_batch, batch_size);
+    sp.seeds.resize(workers);
+    for (std::size_t s = 0; s < members.size(); ++s) {
+      const auto& shard = members[s];
+      for (std::size_t start = 0; start < shard.size(); start += batch_size) {
+        const auto end = std::min(shard.size(), start + batch_size);
+        sp.seeds[s].push_back(sp.batches.size());
+        sp.batches.emplace_back(
+            shard.begin() + static_cast<std::ptrdiff_t>(start),
+            shard.begin() + static_cast<std::ptrdiff_t>(end));
+      }
     }
   }
 
   std::vector<std::size_t> worker_inferences(workers, 0);
   std::vector<std::size_t> worker_skips(workers, 0);
   // One inference workspace per worker, alive across devices and IRSA
-  // iterations: after the first pass the arenas have grown to their
-  // high-water shapes and the PTM forward path stops allocating entirely.
-  // Stealing moves a batch to another worker's workspace, which only
-  // affects arena warmth, never numerics.
+  // rounds: after the first pass the arenas have grown to their high-water
+  // shapes and the PTM forward path stops allocating entirely. Stealing
+  // moves a batch to another worker's workspace, which only affects arena
+  // warmth, never numerics.
   std::vector<nn::workspace> worker_workspaces(workers);
   std::vector<double> worker_busy(workers, 0.0);
   std::vector<std::size_t> iteration_inferences(workers, 0);
   // Shard event labels, built once per run (the event path is per
-  // iteration x worker — allocating labels there is measurable on large
+  // round x worker — allocating labels there is measurable on large
   // topologies).
   std::vector<std::string> shard_labels;
   shard_labels.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
     shard_labels.push_back("shard_" + std::to_string(w));
-  if (sink != nullptr)
-    sink->gauge("engine.steal_batch_devices", static_cast<double>(batch_size));
+  // The PFM counters, resolved once: each lookup takes the registry's lock.
+  obs::counter_handle forwarded_handle;
+  obs::counter_handle drops_handle;
+  if (sink != nullptr) {
+    sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch));
+    forwarded_handle = sink->counter_handle_for("pfm.forwarded");
+    drops_handle = sink->counter_handle_for("pfm.drops");
+  }
 
-  // One egress state. During round t every worker reads its devices' feeds
-  // from `egress` — iteration t-1 state (Algorithm 1 "pull the packet flows
-  // from iteration t-1") — and nobody writes it. An inferred device stages
-  // its new streams in its own `next` slot and flags each port whose stream
-  // changed. Between rounds this thread moves the staged slots into `egress`
-  // and marks dirty every device a flagged port feeds; the pool's round
-  // barrier orders the two, so the per-packet path takes no locks. Host
-  // egress is fixed, so host ports never flag. Iteration 0 infers every
-  // device.
+  // One egress state. During a round every worker reads its devices' feeds
+  // from `egress` — the previous round's state (Algorithm 1 "pull the
+  // packet flows from iteration t-1") — and nobody writes it. An inferred
+  // device stages the new streams of its stage's queues in its own `next`
+  // slot and flags each of those ports whose stream changed. Between rounds
+  // this thread moves the staged streams into `egress` and marks dirty
+  // every device a flagged port feeds; the pool's round barrier orders the
+  // two, so the per-packet path takes no locks. Host egress is fixed, so
+  // host ports never flag.
+  //
+  // Stages run in order. A stage's first round infers every device that
+  // owns one of its queues, and an acyclic stage is then final: its queues
+  // are fed only by hosts and earlier stages. The cyclic stage, always the
+  // last, repeats, re-inferring only dirty devices under the skip, until a
+  // round changes nothing or max_iterations rounds have run.
   std::vector<staged_slot> next(topo_->node_count());
-  std::vector<std::uint8_t> dirty(topo_->node_count(), 1);
+  std::vector<std::uint8_t> dirty(topo_->node_count(), 0);
 
-  for (std::size_t iteration = 0; iteration < max_iterations; ++iteration) {
-    obs::scoped_timer iteration_timer{sink, "engine", "iteration", iteration};
-    std::fill(worker_busy.begin(), worker_busy.end(), 0.0);
-    std::fill(iteration_inferences.begin(), iteration_inferences.end(),
-              std::size_t{0});
+  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+    const stage_plan& sp = stages[stage];
+    const bool cyclic = last_stage_cyclic_ && stage + 1 == stages.size();
+    for (const topo::node_id node : sp.nodes) dirty[static_cast<std::size_t>(node)] = 1;
+    for (std::size_t pass = 0; pass < max_iterations; ++pass) {
+      // Rounds are numbered across stages.
+      const std::size_t iteration = stats_.iterations;
+      obs::scoped_timer iteration_timer{sink, "engine", "iteration", iteration};
+      std::fill(worker_busy.begin(), worker_busy.end(), 0.0);
+      std::fill(iteration_inferences.begin(), iteration_inferences.end(),
+                std::size_t{0});
 
-    // Worker spans cannot see the main thread's span stack, so the
-    // iteration span's id is passed in as the explicit parent.
-    const std::uint64_t iteration_span = iteration_timer.id();
-    const util::work_stealing_pool::task_fn infer_batch = [&](std::size_t batch,
-                                                              std::size_t worker) {
-      // Sampled per batch (not per device) from inside the workers so the
-      // background telemetry sampler sees mid-iteration depth, not the
-      // post-barrier zero.
-      pool_depth_handle.set(static_cast<double>(pool.remaining()));
-      const double cpu_start = util::thread_cpu_seconds();
-      for (const std::size_t d : batches[batch]) {
-        const topo::node_id node = devices[d];
+      // Worker spans cannot see the main thread's span stack, so the
+      // iteration span's id is passed in as the explicit parent.
+      const std::uint64_t iteration_span = iteration_timer.id();
+      const util::work_stealing_pool::task_fn infer_batch = [&](std::size_t batch,
+                                                                std::size_t worker) {
+        // Sampled per batch (not per device) from inside the workers so the
+        // background telemetry sampler sees mid-round depth, not the
+        // post-barrier zero.
+        pool_depth_handle.set(static_cast<double>(pool.remaining()));
+        const double cpu_start = util::thread_cpu_seconds();
+        for (const std::size_t d : sp.batches[batch]) {
+          const topo::node_id node = devices[d];
+          const auto n = static_cast<std::size_t>(node);
+          obs::scoped_span device_span{sink,
+                                       "engine",
+                                       "device",
+                                       static_cast<std::uint64_t>(node),
+                                       0.0,
+                                       iteration_span};
+          // IRSA skip: no stream feeding this device changed last round, so
+          // its egress stands.
+          if (config_.irsa_skip_unchanged && dirty[n] == 0) {
+            ++worker_skips[worker];
+            continue;
+          }
+          const std::size_t ports = topo_->port_count(node);
+          std::vector<traffic::packet_stream> ingress(ports);
+          std::vector<double> port_bandwidths(ports);
+          for (std::size_t p = 0; p < ports; ++p) {
+            ingress[p] = ingress_of(egress, node, p);
+            port_bandwidths[p] =
+                topo_->link_at(topo_->at(node).links[p]).bandwidth_bps;
+          }
+          // Destination-based forwarding needs the packet's dst, so bind a
+          // per-device forward over (fid -> dst) collected from the ingress
+          // (a keyed vector: deterministic, and cheaper to build + probe
+          // than a hash map at per-device ingress sizes).
+          util::keyed_vector<std::uint32_t, topo::node_id> flow_dst;
+          for (const auto& stream : ingress)
+            for (const auto& ev : stream)
+              flow_dst.push_back(ev.pkt.flow_id, ev.pkt.dst_host);
+          flow_dst.finalize();
+          auto forward_by_flow = [this, node, &flow_dst](std::uint32_t fid,
+                                                         std::size_t) {
+            return routes_->egress_port(node, flow_dst.at(fid), fid);
+          };
+          // The PFM runs once per visit; only this stage's queues are inferred.
+          std::vector<traffic::packet_stream> queues =
+              apply_forwarding(ingress, forward_by_flow, ports);
+          const device_model* model = &device_;
+          if (const auto it = device_overrides_.find(node);
+              it != device_overrides_.end())
+            model = &it->second;
+          const journey_capture capture{tracer, static_cast<std::int64_t>(node)};
+          queue_call call;
+          call.apply_sec = config_.apply_sec;
+          call.journeys = tracer != nullptr ? &capture : nullptr;
+          call.forwarded = forwarded_handle;
+          call.drops = drops_handle;
+          call.workspace = &worker_workspaces[worker];
+          call.delay = &provider;
+          call.device_id = static_cast<std::int64_t>(node);
+          call.iteration = iteration;
+          staged_slot& slot = next[n];
+          slot.streams.resize(ports);
+          slot.port_changed.assign(ports, 0);
+          for (std::size_t p = 0; p < ports; ++p) {
+            if (stage_of(node, p) != stage) continue;
+            if (config_.record_hops) {
+              queue_hops[n][p].clear();
+              call.hops = &queue_hops[n][p];
+            }
+            queue_drops[n][p].clear();
+            call.dropped = &queue_drops[n][p];
+            slot.streams[p] = model->process_queue(std::move(queues[p]), p,
+                                                   port_bandwidths[p], call);
+            slot.port_changed[p] =
+                streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
+          }
+          device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
+          device_seconds_handle.observe(device_span.stop());
+          ++worker_inferences[worker];
+          ++iteration_inferences[worker];
+          slot.inferred = true;
+        }
+        worker_busy[worker] += util::thread_cpu_seconds() - cpu_start;
+      };
+      stats_.steals += pool.run_round(sp.seeds, infer_batch);
+
+      double iteration_max = 0;
+      for (std::size_t w = 0; w < workers; ++w) {
+        const double busy = worker_busy[w];
+        stats_.busy_seconds += busy;
+        iteration_max = std::max(iteration_max, busy);
+        if (sink != nullptr) {
+          // Per-worker device-inference timing: one event per (round,
+          // worker), duration = CPU busy time, value = devices inferred.
+          sink->event("engine", shard_labels[w], iteration, sink->now() - busy,
+                      busy, static_cast<double>(iteration_inferences[w]));
+          partition_busy_handle.observe(busy);
+        }
+      }
+      stats_.critical_path_seconds += iteration_max;
+
+      // Between rounds: move the staged streams in, and mark dirty for the
+      // next round every device a flagged port feeds.
+      std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+      std::size_t changed_devices = 0;
+      for (const topo::node_id node : sp.nodes) {
         const auto n = static_cast<std::size_t>(node);
-        obs::scoped_span device_span{sink,
-                                     "engine",
-                                     "device",
-                                     static_cast<std::uint64_t>(node),
-                                     0.0,
-                                     iteration_span};
-        // IRSA skip: no stream feeding this device changed last round, so
-        // its egress stands.
-        if (config_.irsa_skip_unchanged && dirty[n] == 0) {
-          ++worker_skips[worker];
-          continue;
-        }
-        const std::size_t ports = topo_->port_count(node);
-        std::vector<traffic::packet_stream> ingress(ports);
-        std::vector<double> port_bandwidths(ports);
-        for (std::size_t p = 0; p < ports; ++p) {
-          ingress[p] = ingress_of(egress, node, p);
-          port_bandwidths[p] =
-              topo_->link_at(topo_->at(node).links[p]).bandwidth_bps;
-        }
-        // Destination-based forwarding needs the packet's dst, so bind a
-        // per-device forward over (fid -> dst) collected from the ingress
-        // (a keyed vector: deterministic, and cheaper to build + probe than
-        // a hash map at per-device ingress sizes).
-        util::keyed_vector<std::uint32_t, topo::node_id> flow_dst;
-        for (const auto& stream : ingress)
-          for (const auto& ev : stream)
-            flow_dst.push_back(ev.pkt.flow_id, ev.pkt.dst_host);
-        flow_dst.finalize();
-        auto forward_by_flow = [this, node, &flow_dst](std::uint32_t fid,
-                                                       std::size_t) {
-          return routes_->egress_port(node, flow_dst.at(fid), fid);
-        };
-        std::vector<predicted_hop>* hops = nullptr;
-        if (config_.record_hops) {
-          device_hops[n].clear();
-          hops = &device_hops[n];
-        }
-        const device_model* model = &device_;
-        if (const auto it = device_overrides_.find(node);
-            it != device_overrides_.end())
-          model = &it->second;
-        device_drops[n].clear();
-        const journey_capture capture{tracer, static_cast<std::int64_t>(node)};
         staged_slot& slot = next[n];
-        slot.streams = model->process(
-            ingress, forward_by_flow, config_.apply_sec, hops, &device_drops[n],
-            port_bandwidths, tracer != nullptr ? &capture : nullptr, sink,
-            &worker_workspaces[worker], &provider,
-            static_cast<std::int64_t>(node), iteration);
-        device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
-        device_seconds_handle.observe(device_span.stop());
-        ++worker_inferences[worker];
-        ++iteration_inferences[worker];
-        slot.port_changed.resize(ports);
-        for (std::size_t p = 0; p < ports; ++p)
-          slot.port_changed[p] =
-              streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
-        slot.inferred = true;
+        if (!slot.inferred) continue;
+        slot.inferred = false;
+        bool device_changed = false;
+        for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
+          if (stage_of(node, p) != stage) continue;
+          egress[n][p] = std::move(slot.streams[p]);
+          if (slot.port_changed[p] == 0) continue;
+          device_changed = true;
+          dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
+        }
+        if (device_changed) ++changed_devices;
       }
-      worker_busy[worker] += util::thread_cpu_seconds() - cpu_start;
-    };
-    stats_.steals += pool.run_round(seeds, infer_batch);
-
-    double iteration_max = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const double busy = worker_busy[w];
-      stats_.busy_seconds += busy;
-      iteration_max = std::max(iteration_max, busy);
-      if (sink != nullptr) {
-        // Per-worker device-inference timing: one event per (iteration,
-        // worker), duration = CPU busy time, value = devices inferred.
-        sink->event("engine", shard_labels[w], iteration, sink->now() - busy,
-                    busy, static_cast<double>(iteration_inferences[w]));
-        partition_busy_handle.observe(busy);
-      }
+      ++stats_.iterations;
+      // Convergence delta: how many devices the cyclic stage still changed
+      // this round; it is at its fixed point when this hits zero. An acyclic
+      // stage is final after its one round and reports zero.
+      stats_.final_changed_devices = cyclic ? changed_devices : 0;
+      iteration_timer.set_value(static_cast<double>(stats_.final_changed_devices));
+      if (!cyclic || (stats_.final_changed_devices == 0 && pass > 0)) break;
     }
-    stats_.critical_path_seconds += iteration_max;
-
-    // Between rounds: move the staged slots in, and mark dirty for the next
-    // round every device a flagged port feeds.
-    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
-    std::size_t changed_devices = 0;
-    for (const topo::node_id node : devices) {
-      staged_slot& slot = next[static_cast<std::size_t>(node)];
-      if (!slot.inferred) continue;
-      slot.inferred = false;
-      egress[static_cast<std::size_t>(node)] = std::move(slot.streams);
-      bool device_changed = false;
-      for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
-        if (slot.port_changed[p] == 0) continue;
-        device_changed = true;
-        dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
-      }
-      if (device_changed) ++changed_devices;
-    }
-    ++stats_.iterations;
-    if (sink != nullptr) {
-      // Convergence delta: how many devices still changed this iteration —
-      // the IRSA fixed point is reached when this hits zero.
-      iteration_timer.set_value(static_cast<double>(changed_devices));
-      sink->gauge("engine.last_changed_devices",
-                  static_cast<double>(changed_devices));
-    }
-    stats_.final_changed_devices = changed_devices;
-    if (changed_devices == 0 && iteration > 0) break;
   }
   stats_.converged = stats_.final_changed_devices == 0;
   for (std::size_t count : worker_inferences) stats_.device_inferences += count;
@@ -430,8 +508,8 @@ des::run_result dqn_network::run_core(
 
   // Collect deliveries: the ingress streams of host nodes.
   des::run_result result;
-  for (const auto& drops : device_drops)
-    result.drops += drops.size();
+  for (const auto& device : queue_drops)
+    for (const auto& drops : device) result.drops += drops.size();
   for (const topo::node_id host : hosts) {
     const traffic::packet_stream inbound = ingress_of(egress, host, 0);
     for (const auto& ev : inbound) {
@@ -457,14 +535,16 @@ des::run_result dqn_network::run_core(
 
   if (config_.record_hops) {
     for (const topo::node_id node : devices) {
-      for (const auto& hop : device_hops[static_cast<std::size_t>(node)]) {
-        des::hop_record h;
-        h.pid = hop.pid;
-        h.device = node;
-        h.out_port = hop.out_port;
-        h.arrival = hop.arrival;
-        h.departure = hop.departure;
-        result.hops.push_back(h);
+      for (const auto& hops : queue_hops[static_cast<std::size_t>(node)]) {
+        for (const auto& hop : hops) {
+          des::hop_record h;
+          h.pid = hop.pid;
+          h.device = node;
+          h.out_port = hop.out_port;
+          h.arrival = hop.arrival;
+          h.departure = hop.departure;
+          result.hops.push_back(h);
+        }
       }
     }
   }

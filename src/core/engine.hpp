@@ -5,9 +5,14 @@
 // every device repeatedly re-infers its egress streams from its upstream
 // neighbours' previous-iteration egress streams until the network reaches a
 // fixed point; Theorem 3.1 bounds the iterations by the topology diameter.
-// A device is skipped when no stream feeding it changed in the previous
-// iteration, so feed-forward cuts of the topology converge in their hop
-// depth.
+// By default the engine orders that work on the egress-queue dependency
+// graph (topo/queue_graph.hpp): it runs the graph's levels in order, so a
+// queue neither on a cycle nor fed by one is inferred once, over its final
+// arrivals, and only the last, cyclic level iterates — skipping devices no
+// changed stream feeds, at most 1 + diameter rounds. Every fat-tree and line
+// is acyclic; on a torus the cyclic level holds every queue. With
+// irsa_skip_unchanged off the engine runs Algorithm 1 itself: every device,
+// every round, until no egress stream changes.
 //
 // Parallelism: the device set is sharded across `partitions` persistent
 // worker threads — the CPU analogue of the paper's model-parallel multi-GPU
@@ -53,11 +58,12 @@ struct engine_config {
   std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
   bool apply_sec = true;           // §6.1 ablation hook
   bool record_hops = false;        // per-device predicted hops (visibility)
-  // Skip re-inferring a device when no stream feeding it changed in the
-  // previous iteration (a work-saving refinement over the paper's
-  // Algorithm 1, which recomputes every device each iteration). Disable to
-  // measure the paper's execution profile — with the skip, late iterations
-  // run only a few devices and parallel speedup is Amdahl-limited.
+  // Run IRSA in dependency order (see the header comment): a queue outside
+  // the cyclic level is inferred once, and the cyclic level re-infers only
+  // devices a changed stream feeds — the skip this field is named after. Both save
+  // work over the paper's Algorithm 1, which recomputes every device each
+  // iteration; disable to run Algorithm 1 itself, the paper's execution
+  // profile.
   bool irsa_skip_unchanged = true;
   // Optional observability (obs/sink.hpp): per-iteration IRSA timings and
   // convergence deltas, per-partition busy time, skip counts, and the full
@@ -99,7 +105,7 @@ struct engine_config {
     record_hops = enabled;
     return *this;
   }
-  // Skip devices whose feeding streams did not change in the last iteration.
+  // Dependency-ordered IRSA (true) or the paper's Algorithm 1 (false).
   engine_config& with_irsa_skip(bool enabled) noexcept {
     irsa_skip_unchanged = enabled;
     return *this;
@@ -132,15 +138,16 @@ struct engine_config {
 };
 
 struct engine_stats {
-  std::size_t iterations = 0;          // IRSA iterations actually run
-  // IRSA convergence: the number of devices whose egress changed in the
-  // last iteration run, and whether that was zero (the fixed point). A run
-  // that stops at max_iterations with devices still changing reports
-  // converged == false instead of passing for a fixed point.
+  std::size_t iterations = 0;          // IRSA pool rounds actually run
+  // IRSA convergence: the number of devices whose egress still changed in
+  // the last round of the cyclic stage, and whether that was zero (the
+  // fixed point). A run that stops at max_iterations with devices still
+  // changing reports converged == false instead of passing for a fixed
+  // point. An acyclic stage is final after its one round.
   bool converged = false;
   std::size_t final_changed_devices = 0;
-  std::size_t device_inferences = 0;   // devices (re)computed across iterations
-  std::size_t devices_skipped = 0;     // IRSA-skip hits across iterations
+  std::size_t device_inferences = 0;   // (device, round) inferences
+  std::size_t devices_skipped = 0;     // IRSA-skip hits across rounds
   std::size_t workers = 1;             // worker threads the run executed on
   std::uint64_t steals = 0;            // work-stealing rebalances across iterations
   // Device-device links whose endpoints landed on different workers (the
@@ -221,6 +228,11 @@ class dqn_network : public des::estimator {
       const std::vector<std::vector<traffic::packet_stream>>& egress,
       topo::node_id node, std::size_t port) const;
 
+  // The IRSA stage of the egress queue behind `port` of device `node`.
+  [[nodiscard]] std::size_t stage_of(topo::node_id node, std::size_t port) const {
+    return queue_stage_[static_cast<std::size_t>(node)][port];
+  }
+
   // Reuse pool_ when its size matches; (re)build it otherwise. The pool —
   // and its parked worker threads — survives across run() calls, so repeated
   // runs and all IRSA iterations share one thread-creation cost.
@@ -234,6 +246,13 @@ class dqn_network : public des::estimator {
   device_model host_nic_;  // FIFO NIC model for host uplinks
   std::unordered_map<topo::node_id, device_model> device_overrides_;
   engine_config config_;
+  // The IRSA schedule, fixed per (topology, routing, irsa_skip_unchanged):
+  // the stage of every device egress queue, [node][port], and whether the
+  // last stage is cyclic (only the last can be). Algorithm 1 is one cyclic
+  // stage.
+  std::vector<std::vector<std::uint32_t>> queue_stage_;
+  std::size_t stage_count_ = 1;
+  bool last_stage_cyclic_ = true;
   engine_stats stats_;
   bool ran_ = false;
   std::unique_ptr<util::work_stealing_pool> pool_;

@@ -7,8 +7,12 @@
 // comparison doubles as a race detector for the keyed tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +22,9 @@
 #include "des/network.hpp"
 #include "des/records.hpp"
 #include "des/run_api.hpp"
+#include "obs/sink.hpp"
 #include "topo/builders.hpp"
+#include "topo/queue_graph.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
 #include "util/keyed_vector.hpp"
@@ -243,9 +249,149 @@ TEST(determinism, des_network_bit_identical_across_consecutive_runs) {
   EXPECT_EQ(first_result.events, again.events);
 }
 
-// The IRSA skip is exact: a device none of whose feeding streams changed in
-// the last iteration would re-infer the egress it already has, so skipping
-// it moves no delivery bit, no iteration count and no backend state.
+// Host-stream packets a run injects before `horizon`.
+std::size_t injected_before(const std::vector<traffic::packet_stream>& streams,
+                            double horizon) {
+  std::size_t injected = 0;
+  for (const auto& stream : streams)
+    for (const auto& ev : stream)
+      if (ev.time <= horizon) ++injected;
+  return injected;
+}
+
+// Each egress queue was inferred exactly once: every packet offered to a
+// device queue (pfm.forwarded less the host-NIC pass over the injected
+// packets) is one kept hop or one drop of that queue's only inference, and
+// no device visit was skipped. Needs record_hops and a sink on the run.
+void expect_each_queue_inferred_once(const des::run_result& result,
+                                     const obs::sink& sink, std::size_t injected,
+                                     const core::engine_stats& stats) {
+  ASSERT_FALSE(result.hops.empty());
+  EXPECT_EQ(sink.metrics().counter("pfm.forwarded") - static_cast<double>(injected),
+            static_cast<double>(result.hops.size() + result.drops));
+  EXPECT_EQ(stats.devices_skipped, 0u);
+}
+
+// Every device port's final egress stream, bit for bit (packet-level
+// visibility reads these after the run).
+void expect_same_egress(const core::dqn_network& a, const core::dqn_network& b,
+                        const topo::topology& topo) {
+  for (const auto node : topo.devices()) {
+    for (std::size_t port = 0; port < topo.port_count(node); ++port) {
+      const auto& sa = a.egress_stream(node, port);
+      const auto& sb = b.egress_stream(node, port);
+      ASSERT_EQ(sa.size(), sb.size()) << "node " << node << " port " << port;
+      for (std::size_t i = 0; i < sa.size(); ++i) {
+        EXPECT_EQ(sa[i].pkt.pid, sb[i].pkt.pid);
+        EXPECT_TRUE(same_bits(sa[i].time, sb[i].time))
+            << "node " << node << " port " << port << " packet " << i;
+      }
+    }
+  }
+}
+
+// Dependency-ordered IRSA reaches Algorithm 1's fixed point. On an acyclic
+// queue graph each queue's output depends only on its final arrivals, so
+// one pass in level order is exact; on a torus the cyclic stage holds every
+// queue and runs Algorithm 1's rounds with the skip. Abilene and GEANT peel
+// a few queues before the cyclic stage, which then starts from their final
+// streams: its fixed point agrees with Algorithm 1's within the convergence
+// tolerance.
+TEST(determinism, ordered_schedule_matches_algorithm1) {
+  enum class shape { acyclic, torus, mixed };
+  struct topo_case {
+    const char* name;
+    topo::topology (*build)();
+    shape kind;
+  };
+  const topo_case cases[] = {
+      {"line4", +[] { return topo::make_line(4); }, shape::acyclic},
+      {"line6", +[] { return topo::make_line(6); }, shape::acyclic},
+      {"torus3x3", +[] { return topo::make_torus2d(3, 3); }, shape::torus},
+      {"fattree8", +[] { return topo::make_fattree8(); }, shape::acyclic},
+      {"fattree16", +[] { return topo::make_fattree16(); }, shape::acyclic},
+      {"abilene", +[] { return topo::make_abilene(); }, shape::mixed},
+      {"geant", +[] { return topo::make_geant(); }, shape::mixed},
+  };
+  constexpr double horizon = 0.005;
+  constexpr double tolerance = 1e-9;  // the engine's convergence tolerance
+  const auto ptm = tiny_ptm();
+  for (const auto& c : cases) {
+    const auto topo = c.build();
+    const topo::routing routes{topo};
+    const auto streams = uniform_streams(topo.hosts().size());
+    const std::size_t injected = injected_before(streams, horizon);
+    for (const auto backend : {des::delay_backend::ptm, des::delay_backend::analytical,
+                               des::delay_backend::tiered}) {
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(std::string{c.name} + ", " + des::to_string(backend) + ", " +
+                     std::to_string(workers) + " workers");
+        obs::sink sink;
+        core::engine_config cfg;
+        cfg.partitions = workers;
+        cfg.delay.backend = backend;
+        cfg.record_hops = true;
+        cfg.sink = &sink;
+        core::dqn_network ordered{topo, routes, ptm, {}, cfg};
+        cfg.irsa_skip_unchanged = false;
+        cfg.record_hops = false;
+        cfg.sink = nullptr;
+        core::dqn_network algorithm1{topo, routes, ptm, {}, cfg};
+        const auto result = ordered.run(streams, horizon);
+        const auto reference = algorithm1.run(streams, horizon);
+        const core::engine_stats& stats = ordered.stats();
+        EXPECT_TRUE(stats.converged);
+        EXPECT_TRUE(algorithm1.stats().converged);
+        switch (c.kind) {
+          case shape::acyclic:
+            expect_bit_identical(result, reference);
+            expect_same_egress(ordered, algorithm1, topo);
+            expect_each_queue_inferred_once(result, sink, injected, stats);
+            break;
+          case shape::torus:
+            // Every torus queue sits in the cyclic stage, so the run is the
+            // skip loop over the whole graph: Algorithm 1's rounds, and one
+            // inference or skip per device and round. Here that is 5
+            // rounds and 19 inferences under every backend.
+            expect_bit_identical(result, reference);
+            expect_same_egress(ordered, algorithm1, topo);
+            EXPECT_EQ(stats.iterations, algorithm1.stats().iterations);
+            EXPECT_EQ(stats.device_inferences + stats.devices_skipped,
+                      algorithm1.stats().device_inferences);
+            EXPECT_EQ(stats.iterations, 5u);
+            EXPECT_EQ(stats.device_inferences, 19u);
+            break;
+          case shape::mixed: {
+            ASSERT_EQ(result.deliveries.size(), reference.deliveries.size());
+            ASSERT_EQ(result.drops, reference.drops);
+            std::map<std::uint64_t, double> reference_times;
+            for (const auto& d : reference.deliveries)
+              reference_times[d.pid] = d.delivery_time;
+            std::size_t moved = 0;
+            double largest = 0;
+            for (const auto& d : result.deliveries) {
+              const auto it = reference_times.find(d.pid);
+              ASSERT_NE(it, reference_times.end()) << "pid " << d.pid;
+              const double gap = std::abs(d.delivery_time - it->second);
+              EXPECT_LE(gap, tolerance) << "pid " << d.pid;
+              if (!same_bits(d.delivery_time, it->second)) ++moved;
+              largest = std::max(largest, gap);
+            }
+            std::printf("[ moved    ] %s %s %zu workers: %zu of %zu deliveries "
+                        "moved, at most %.3g s\n",
+                        c.name, des::to_string(backend), workers, moved,
+                        result.deliveries.size(), largest);
+            break;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Dependency-ordered IRSA against Algorithm 1 with the IRSA skip off: the
+// schedule moves no delivery bit, and on these acyclic queue graphs it
+// infers each queue once where Algorithm 1 infers every device each round.
 TEST(determinism, engine_bit_identical_with_and_without_irsa_skip) {
   const auto ptm = tiny_ptm();
   for (auto build : {+[] { return topo::make_fattree16(); },
@@ -257,23 +403,25 @@ TEST(determinism, engine_bit_identical_with_and_without_irsa_skip) {
          {des::delay_backend::ptm, des::delay_backend::tiered}) {
       SCOPED_TRACE(std::to_string(topo.devices().size()) + " devices, " +
                    des::to_string(backend));
+      obs::sink sink;
       core::engine_config cfg;
       cfg.partitions = 4;
       cfg.delay.backend = backend;
       cfg.irsa_skip_unchanged = true;
+      cfg.record_hops = true;
+      cfg.sink = &sink;
       core::dqn_network skipping{topo, routes, ptm, {}, cfg};
       cfg.irsa_skip_unchanged = false;
+      cfg.record_hops = false;
+      cfg.sink = nullptr;
       core::dqn_network full{topo, routes, ptm, {}, cfg};
 
       const auto skip_result = skipping.run(streams, 0.005);
       const auto full_result = full.run(streams, 0.005);
       expect_bit_identical(skip_result, full_result);
-      const core::engine_stats& skip = skipping.stats();
-      const core::engine_stats& all = full.stats();
-      EXPECT_EQ(skip.iterations, all.iterations);
-      EXPECT_GT(skip.devices_skipped, 0u);
-      EXPECT_EQ(skip.device_inferences + skip.devices_skipped,
-                all.device_inferences);
+      expect_each_queue_inferred_once(skip_result, sink,
+                                      injected_before(streams, 0.005),
+                                      skipping.stats());
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "des/network.hpp"
 #include "des/run_api.hpp"
 #include "topo/builders.hpp"
+#include "topo/queue_graph.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
 #include "util/check.hpp"
@@ -53,29 +54,67 @@ std::vector<traffic::packet_stream> make_streams(std::size_t hosts, double rate,
 }
 
 TEST(engine_extra, max_iterations_override_caps_irsa) {
-  const auto topo = topo::make_fattree16();
-  const topo::routing routes{topo};
-  core::engine_config cfg;
-  cfg.max_iterations = 2;
-  core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
-  const auto streams = make_streams(16, 20'000.0, 0.005, 2);
-  (void)net.run(streams, 0.005);
-  EXPECT_LE(net.stats().iterations, 2u);
+  // Algorithm 1 (IRSA skip off): the cap bounds the whole run.
+  {
+    const auto topo = topo::make_fattree16();
+    const topo::routing routes{topo};
+    core::engine_config cfg;
+    cfg.max_iterations = 2;
+    cfg.irsa_skip_unchanged = false;
+    core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
+    const auto streams = make_streams(16, 20'000.0, 0.005, 2);
+    (void)net.run(streams, 0.005);
+    EXPECT_LE(net.stats().iterations, 2u);
+  }
+  // The dependency-ordered schedule: the cap bounds the cyclic stage, which
+  // on a torus holds every queue.
+  {
+    const auto topo = topo::make_torus2d(3, 3);
+    const topo::routing routes{topo};
+    const topo::queue_graph graph{topo, routes};
+    ASSERT_EQ(graph.level_count(), 1u);
+    ASSERT_TRUE(graph.cyclic());
+    core::engine_config cfg;
+    cfg.max_iterations = 2;
+    core::dqn_network capped{topo, routes, shared_ptm(), {}, cfg};
+    core::dqn_network uncapped{topo, routes, shared_ptm(), {}, {}};
+    const auto streams = make_streams(9, 20'000.0, 0.005, 2);
+    (void)capped.run(streams, 0.005);
+    (void)uncapped.run(streams, 0.005);
+    EXPECT_LE(capped.stats().iterations, 2u);
+    EXPECT_LT(capped.stats().iterations, uncapped.stats().iterations);
+  }
 }
 
-// One IRSA iteration cannot reach the fixed point on a multi-hop line: the
-// run must say so instead of returning as if it had converged.
+// One IRSA iteration cannot reach the fixed point on a multi-hop line, nor
+// one round of a torus's cyclic stage: the run must say so instead of
+// returning as if it had converged.
 TEST(engine_extra, capped_irsa_reports_non_convergence) {
-  const auto topo = topo::make_line(4);
-  const topo::routing routes{topo};
-  core::engine_config cfg;
-  cfg.max_iterations = 1;
-  core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
-  const auto streams = make_streams(4, 20'000.0, 0.01, 7);
-  (void)net.run(streams, 0.01);
-  EXPECT_EQ(net.stats().iterations, 1u);
-  EXPECT_FALSE(net.stats().converged);
-  EXPECT_GT(net.stats().final_changed_devices, 0u);
+  {
+    const auto topo = topo::make_line(4);
+    const topo::routing routes{topo};
+    core::engine_config cfg;
+    cfg.max_iterations = 1;
+    cfg.irsa_skip_unchanged = false;
+    core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
+    const auto streams = make_streams(4, 20'000.0, 0.01, 7);
+    (void)net.run(streams, 0.01);
+    EXPECT_EQ(net.stats().iterations, 1u);
+    EXPECT_FALSE(net.stats().converged);
+    EXPECT_GT(net.stats().final_changed_devices, 0u);
+  }
+  {
+    const auto topo = topo::make_torus2d(3, 3);
+    const topo::routing routes{topo};
+    core::engine_config cfg;
+    cfg.max_iterations = 1;
+    core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
+    const auto streams = make_streams(9, 20'000.0, 0.01, 7);
+    (void)net.run(streams, 0.01);
+    EXPECT_EQ(net.stats().iterations, 1u);
+    EXPECT_FALSE(net.stats().converged);
+    EXPECT_GT(net.stats().final_changed_devices, 0u);
+  }
 }
 
 // Theorem 3.1: IRSA reaches its fixed point within 1 + diameter iterations,
@@ -161,6 +200,14 @@ TEST(engine_extra, works_on_every_evaluation_topology) {
     const auto result = net.run(streams, 0.004);
     EXPECT_EQ(result.deliveries.size(), injected);
     EXPECT_LE(net.stats().iterations, 1 + topo.diameter());
+    EXPECT_TRUE(net.stats().converged);
+    // Algorithm 1 itself (IRSA skip off) meets Theorem 3.1's bound too.
+    core::engine_config algorithm1_cfg;
+    algorithm1_cfg.irsa_skip_unchanged = false;
+    core::dqn_network algorithm1{topo, routes, shared_ptm(), {}, algorithm1_cfg};
+    (void)algorithm1.run(streams, 0.004);
+    EXPECT_TRUE(algorithm1.stats().converged);
+    EXPECT_LE(algorithm1.stats().iterations, 1 + topo.diameter());
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "topo/builders.hpp"
 #include "topo/graph.hpp"
+#include "topo/queue_graph.hpp"
 #include "topo/routing.hpp"
 #include "topo/sharding.hpp"
 #include "util/check.hpp"
@@ -199,6 +200,55 @@ TEST(routing, rejects_non_host_destination) {
   }
 }
 
+// --- egress-queue dependency graph (core/engine.cpp orders IRSA by it) -----
+
+std::vector<std::size_t> queues_per_level(const topology& t, const queue_graph& g) {
+  std::vector<std::size_t> sizes(g.level_count(), 0);
+  for (const auto node : t.devices())
+    for (std::size_t p = 0; p < t.port_count(node); ++p) ++sizes[g.level_of(node, p)];
+  return sizes;
+}
+
+TEST(queue_graph, fattree_and_line_levels_follow_the_longest_chain) {
+  // FatTree16's chain is ToR up, aggregation up, core down, aggregation
+  // down, ToR down; the 16 ToR-to-host queues also take intra-ToR traffic.
+  const auto ft = make_fattree16();
+  const queue_graph ft_graph{ft, routing{ft}};
+  EXPECT_EQ(queues_per_level(ft, ft_graph),
+            (std::vector<std::size_t>{8, 8, 8, 8, 16}));
+  // Line4: s0 -> s1 -> s2 -> s3 -> host is the longest chain, 4 queues.
+  const auto line = make_line(4);
+  const queue_graph line_graph{line, routing{line}};
+  EXPECT_EQ(queues_per_level(line, line_graph),
+            (std::vector<std::size_t>{2, 2, 4, 2}));
+  EXPECT_FALSE(ft_graph.cyclic());
+  EXPECT_FALSE(line_graph.cyclic());
+}
+
+TEST(queue_graph, cycles_and_the_queues_they_feed_form_the_last_level) {
+  // Equal-cost routes on a torus chain switch queues into cycles, and the
+  // cycles feed every switch-to-host queue: no queue is fed by hosts alone.
+  const auto t = make_torus2d(3, 3);
+  const queue_graph g{t, routing{t}};
+  EXPECT_EQ(queues_per_level(t, g), (std::vector<std::size_t>{45}));
+  EXPECT_TRUE(g.cyclic());
+  // Abilene and GEANT peel a few queues off before their cycles.
+  const auto abilene = make_abilene();
+  const queue_graph abilene_graph{abilene, routing{abilene}};
+  EXPECT_EQ(queues_per_level(abilene, abilene_graph),
+            (std::vector<std::size_t>{2, 37}));
+  EXPECT_TRUE(abilene_graph.cyclic());
+  const auto geant = make_geant();
+  const queue_graph geant_graph{geant, routing{geant}};
+  EXPECT_EQ(queues_per_level(geant, geant_graph),
+            (std::vector<std::size_t>{6, 1, 87}));
+  EXPECT_TRUE(geant_graph.cyclic());
+  if (dqn::util::contracts_enabled) {
+    EXPECT_THROW((void)g.level_of(t.hosts()[0], 0), dqn::util::contract_violation);
+    EXPECT_THROW((void)g.level_of(t.devices()[0], 99), dqn::util::contract_violation);
+  }
+}
+
 // Parameterized sweep: every evaluation topology yields a working routing.
 // --- shard planning (core/engine.cpp consumes these plans) -----------------
 
@@ -316,6 +366,33 @@ TEST_P(all_topologies, diameter_is_positive_and_bounded) {
   const auto d = t.diameter();
   EXPECT_GT(d, 0u);
   EXPECT_LT(d, t.node_count());
+}
+
+// The schedule's invariant: every route step from queue (u, p) to queue
+// (v, q) either moves to a later level or stays inside the cyclic one.
+TEST_P(all_topologies, queue_levels_order_every_route_step) {
+  const auto t = GetParam().build();
+  const routing routes{t};
+  const queue_graph g{t, routes};
+  std::size_t steps = 0;
+  for (const auto dst : t.hosts()) {
+    for (const auto u : t.devices()) {
+      for (const std::size_t p : routes.equal_cost_ports(u, dst)) {
+        const auto v = t.peer_of(u, p).node;
+        if (t.at(v).kind != node_kind::device) continue;
+        for (const std::size_t q : routes.equal_cost_ports(v, dst)) {
+          ++steps;
+          const auto from = g.level_of(u, p);
+          const auto to = g.level_of(v, q);
+          EXPECT_TRUE(to > from ||
+                      (to == from && g.cyclic() && from + 1 == g.level_count()))
+              << "queue (" << u << ", " << p << ") level " << from
+              << " feeds queue (" << v << ", " << q << ") level " << to;
+        }
+      }
+    }
+  }
+  EXPECT_GT(steps, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
