@@ -150,7 +150,9 @@ bool parse_backend(std::string_view name, des::delay_backend* out) {
 // --tiered-smoke: train a tiny model, run one scenario through the pure-PTM
 // and the tiered backend (best of two runs each, same engine, same sink),
 // and print a machine-readable one-line JSON summary. CI's perf-smoke job
-// gates on analytical_fraction > 0 and tiered_wall <= ptm_wall * 1.10.
+// gates on analytical_fraction > 0, shadow_samples > 0 (packets the tiered
+// backend's error-budget shadow check compared) and
+// tiered_wall <= ptm_wall * 1.10.
 int run_tiered_smoke() {
   core::dutil_config dutil_cfg;
   dutil_cfg.ports = 4;
@@ -211,13 +213,16 @@ int run_tiered_smoke() {
       best_wall(des::delay_backend::tiered, &tiered_deliveries);
   const double fraction =
       sink.metrics().gauge("tiered.analytical_fraction");
+  const auto shadow_samples = static_cast<std::size_t>(
+      sink.metrics().histogram("tiered.shadow_abs_error_seconds").count);
 
   std::printf("{\"ptm_wall_seconds\": %.6f, \"tiered_wall_seconds\": %.6f, "
               "\"analytical_fraction\": %.4f, \"speedup\": %.3f, "
-              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu}\n",
+              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu, "
+              "\"shadow_samples\": %zu}\n",
               ptm_wall, tiered_wall, fraction,
               tiered_wall > 0 ? ptm_wall / tiered_wall : 0.0, ptm_deliveries,
-              tiered_deliveries);
+              tiered_deliveries, shadow_samples);
   return 0;
 }
 

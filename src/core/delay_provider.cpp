@@ -21,6 +21,10 @@ std::size_t row_count(const device_state& state) {
   return state.feature_rows.size() / feature_count;
 }
 
+// The tiered backend's shadow check compares the two backends on a window's
+// last shadow_sample_rows packets.
+constexpr std::size_t shadow_sample_rows = 128;
+
 }  // namespace
 
 void delay_provider::bind_sink(obs::sink* /*sink*/) {}
@@ -169,6 +173,10 @@ tiered_delay_provider::tiered_delay_provider(
 void tiered_delay_provider::bind_sink(obs::sink* sink) {
   ptm_.bind_sink(sink);
   analytical_.bind_sink(sink);
+  shadow_abs_error_ =
+      sink != nullptr
+          ? sink->histogram_handle_for("tiered.shadow_abs_error_seconds")
+          : obs::histogram_handle{};
 }
 
 void tiered_delay_provider::prepare(std::size_t device_slots) {
@@ -217,29 +225,49 @@ std::vector<double> tiered_delay_provider::estimate_sojourn(
 
   if (chosen == tier::analytical && slot < tiers_.size() &&
       !tiers_[slot].budget_checked && policy_.error_budget > 0 && n > 0) {
-    // One-shot spot check on the device's first analytical window: run both
-    // backends and promote permanently if the analytical mean deviates from
-    // the PTM's by more than the budget (relative to the PTM mean plus one
-    // mean service time, so near-zero waits don't divide by zero).
+    // Bounded shadow check on the device's first analytical window: run both
+    // backends on the window's last shadow_sample_rows packets and promote
+    // permanently if the analytical mean deviates from the PTM's by more than
+    // the budget (relative to the PTM mean plus one mean service time, so
+    // near-zero waits don't divide by zero). The PTM's window i reads rows
+    // [i - T + 1, i] only, so starting it T - 1 rows before the sample and
+    // dropping those context outputs reproduces the whole-window predictions
+    // bit for bit. A window no longer than sample plus context is checked
+    // whole.
     tiers_[slot].budget_checked = true;
-    device_state probe = state;
-    probe.raw_out = nullptr;
-    const auto analytical = analytical_.estimate_sojourn(probe, window_seconds);
-    const auto learned = ptm_.estimate_sojourn(state, window_seconds);
+    const auto analytical = analytical_.estimate_sojourn(state, window_seconds);
+    const ptm_model& model = *ptm_.model();
+    const std::size_t context = model.config().time_steps - 1;
+    const std::size_t first =
+        n > shadow_sample_rows + context ? n - shadow_sample_rows : 0;
+    const std::size_t begin = first == 0 ? 0 : first - context;
+    const auto rows = state.feature_rows.subspan(begin * feature_count);
+    const auto learned =
+        state.workspace != nullptr
+            ? model.predict_rows(rows, *state.workspace, state.apply_sec)
+            : model.predict_rows(rows, state.apply_sec);
     analytical_calls_.fetch_add(1, std::memory_order_relaxed);
     ptm_calls_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t samples = n - first;
     double mean_analytical = 0;
     double mean_learned = 0;
-    for (const double s : analytical) mean_analytical += s;
-    for (const double s : learned) mean_learned += s;
-    mean_analytical /= static_cast<double>(n);
-    mean_learned /= static_cast<double>(n);
+    for (std::size_t i = first; i < n; ++i) {
+      const double closed_form = analytical[i];
+      const double ptm = learned[i - begin];
+      mean_analytical += closed_form;
+      mean_learned += ptm;
+      shadow_abs_error_.observe(std::abs(closed_form - ptm));
+    }
+    mean_analytical /= static_cast<double>(samples);
+    mean_learned /= static_cast<double>(samples);
     double mean_service = 0;
     if (state.arrivals != nullptr && !state.arrivals->empty() &&
         state.ctx != nullptr && state.ctx->bandwidth_bps > 0) {
-      for (const auto& ev : *state.arrivals)
+      const auto sampled = std::span{*state.arrivals}.last(
+          std::min(samples, state.arrivals->size()));
+      for (const auto& ev : sampled)
         mean_service += static_cast<double>(ev.pkt.size_bytes);
-      mean_service *= 8.0 / (static_cast<double>(state.arrivals->size()) *
+      mean_service *= 8.0 / (static_cast<double>(sampled.size()) *
                              state.ctx->bandwidth_bps);
     }
     const double tolerance =
@@ -249,10 +277,10 @@ std::vector<double> tiered_delay_provider::estimate_sojourn(
       tiers_[slot].current = tier::ptm;
       budget_promotions_.fetch_add(1, std::memory_order_relaxed);
       ptm_packets_.fetch_add(n, std::memory_order_relaxed);
-      return learned;  // state.raw_out already holds the PTM raw values
+      // The whole window, which also overwrites raw_out.
+      return ptm_.estimate_sojourn(state, window_seconds);
     }
     analytical_packets_.fetch_add(n, std::memory_order_relaxed);
-    if (state.raw_out != nullptr) *state.raw_out = analytical;
     return analytical;
   }
 

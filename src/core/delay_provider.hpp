@@ -15,7 +15,11 @@
 //                               stationary reference (queueing/sojourn.hpp);
 //  * tiered_delay_provider    — routes each device per iteration by a
 //                               utilization threshold with hysteresis plus a
-//                               one-shot error-budget spot check
+//                               bounded error-budget shadow check: both
+//                               backends on the last 128 packets of a
+//                               device's first analytical window, each
+//                               packet's gap recorded in
+//                               tiered.shadow_abs_error_seconds
 //                               (des::delay_policy), so cold devices skip
 //                               DNN inference entirely.
 //
@@ -96,9 +100,9 @@ class delay_provider {
 
 // ---------------------------------------------------------------------------
 // Learned backend: runs ptm_model::predict_rows over the feature rows
-// (+ SEC). This class is the only first-party predict call site outside the
-// PTM itself — scripts/lint.sh enforces that everything else goes through a
-// provider.
+// (+ SEC). This class and the tiered backend's shadow check are the only
+// first-party predict call sites outside the PTM itself — scripts/lint.sh
+// enforces that everything else goes through a provider.
 // ---------------------------------------------------------------------------
 class ptm_delay_provider final : public delay_provider {
  public:
@@ -199,8 +203,8 @@ class tiered_delay_provider final : public delay_provider {
 
   struct device_tier {
     tier current = tier::unset;
-    bool budget_checked = false;
-    bool pinned_ptm = false;  // error-budget promotion is permanent
+    bool budget_checked = false;  // the shadow check ran on this device
+    bool pinned_ptm = false;      // error-budget promotion is permanent
   };
 
   // Resolve the tier for (slot, utilization), applying the hysteresis band
@@ -212,6 +216,7 @@ class tiered_delay_provider final : public delay_provider {
   analytical_delay_provider analytical_;
   des::delay_policy policy_;
   std::vector<device_tier> tiers_;  // slot = device id + 1 (-1 = host NIC)
+  obs::histogram_handle shadow_abs_error_;  // tiered.shadow_abs_error_seconds
 
   std::atomic<std::uint64_t> analytical_packets_{0};
   std::atomic<std::uint64_t> ptm_packets_{0};

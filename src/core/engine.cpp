@@ -181,6 +181,13 @@ des::run_result dqn_network::run_core(
   // size its per-device tiering state (slot 0 = the host-NIC pseudo-device).
   provider.bind_sink(sink);
   provider.prepare(topo_->node_count() + 1);
+  // The PFM counters, resolved once: each lookup takes the registry's lock.
+  obs::counter_handle forwarded_handle;
+  obs::counter_handle drops_handle;
+  if (sink != nullptr) {
+    forwarded_handle = sink->counter_handle_for("pfm.forwarded");
+    drops_handle = sink->counter_handle_for("pfm.drops");
+  }
 
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
   // translating host indices to node ids.
@@ -195,6 +202,12 @@ des::run_result dqn_network::run_core(
   util::keyed_vector<std::uint64_t, double> send_times;
   // The host-NIC loop runs on this thread; one workspace serves every host.
   nn::workspace host_nic_workspace;
+  queue_call nic_call;
+  nic_call.apply_sec = config_.apply_sec;
+  nic_call.forwarded = forwarded_handle;
+  nic_call.drops = drops_handle;
+  nic_call.workspace = &host_nic_workspace;
+  nic_call.delay = &provider;  // device -1 (host NIC), iteration 0
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     auto& out = egress[static_cast<std::size_t>(hosts[i])][0];
     double previous_send = -std::numeric_limits<double>::infinity();
@@ -218,16 +231,12 @@ des::run_result dqn_network::run_core(
     }
     if (!out.empty()) {
       // NIC queueing prediction: the host's single FIFO egress queue at the
-      // access link's rate.
+      // access link's rate, fed in (time, pid) order as the PFM feeds every
+      // egress queue.
+      std::sort(out.begin(), out.end());
       const double nic_bps =
           topo_->link_at(topo_->at(hosts[i]).links[0]).bandwidth_bps;
-      const double bandwidths[1] = {nic_bps};
-      auto egress_streams = host_nic_.process(
-          {out}, [](std::uint32_t, std::size_t) { return std::size_t{0}; },
-          config_.apply_sec, nullptr, nullptr, bandwidths, nullptr, sink,
-          &host_nic_workspace, &provider, /*device_id=*/-1,
-          /*iteration=*/0);
-      out = std::move(egress_streams[0]);
+      out = host_nic_.process_queue(std::move(out), 0, nic_bps, nic_call);
     }
   }
   const std::size_t sent = send_times.size();
@@ -324,14 +333,8 @@ des::run_result dqn_network::run_core(
   shard_labels.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
     shard_labels.push_back("shard_" + std::to_string(w));
-  // The PFM counters, resolved once: each lookup takes the registry's lock.
-  obs::counter_handle forwarded_handle;
-  obs::counter_handle drops_handle;
-  if (sink != nullptr) {
+  if (sink != nullptr)
     sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch));
-    forwarded_handle = sink->counter_handle_for("pfm.forwarded");
-    drops_handle = sink->counter_handle_for("pfm.drops");
-  }
 
   // One egress state. During a round every worker reads its devices' feeds
   // from `egress` — the previous round's state (Algorithm 1 "pull the

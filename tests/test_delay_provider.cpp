@@ -1,6 +1,6 @@
 // Delay-provider API tests (core/delay_provider.hpp): backend parity against
 // closed-form queueing theory, the tiered policy's threshold/hysteresis state
-// machine and error-budget spot check, the policy extremes reproducing the
+// machine and error-budget shadow check, the policy extremes reproducing the
 // pure backends bit-for-bit through the engine, the per-run delay override of
 // des::run_request, and the string-keyed estimator factory.
 #include <gtest/gtest.h>
@@ -292,6 +292,76 @@ TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_DOUBLE_EQ(first[i], expected[i]);
   EXPECT_EQ(provider.stats().analytical_packets, 10u);
+}
+
+// The shadow check runs the PTM on a long window's last 128 rows only, from
+// time_steps - 1 context rows earlier. Its predictions must equal the
+// whole-window PTM's bit for bit: the histogram sum is built from those.
+TEST(delay_provider, tiered_shadow_sample_matches_full_window_ptm) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 1e9;
+  policy.hysteresis = 0;
+  policy.error_budget = 1e9;
+  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+  obs::sink sink;
+  provider.bind_sink(&sink);
+
+  probe pr{make_stream(600, 5e-6)};
+  std::vector<double> raw;
+  pr.state.raw_out = &raw;
+  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
+  EXPECT_EQ(provider.stats().budget_promotions, 0u);
+
+  pr.state.raw_out = nullptr;
+  core::analytical_delay_provider analytical;
+  const auto closed_form = analytical.estimate_sojourn(pr.state, 0.0);
+  core::ptm_delay_provider learned{tiny_ptm()};
+  const auto whole = learned.estimate_sojourn(pr.state, 0.0);
+  ASSERT_EQ(returned.size(), closed_form.size());
+  ASSERT_EQ(raw.size(), closed_form.size());
+  for (std::size_t i = 0; i < returned.size(); ++i) {
+    EXPECT_EQ(returned[i], closed_form[i]) << "packet " << i;
+    EXPECT_EQ(raw[i], closed_form[i]) << "packet " << i;
+  }
+
+  constexpr std::size_t samples = 128;
+  const std::size_t n = pr.stream.size();
+  double error_sum = 0;
+  for (std::size_t i = n - samples; i < n; ++i)
+    error_sum += std::abs(closed_form[i] - whole[i]);
+  const auto shadow =
+      sink.metrics().histogram("tiered.shadow_abs_error_seconds");
+  EXPECT_EQ(shadow.count, samples);
+  EXPECT_EQ(shadow.sum, error_sum);
+}
+
+TEST(delay_provider, tiered_shadow_failure_returns_full_window_ptm) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 1e9;
+  policy.hysteresis = 0;
+  policy.error_budget = 1e-9;
+  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+
+  probe pr{make_stream(600, 5e-6)};
+  std::vector<double> raw;
+  pr.state.raw_out = &raw;
+  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
+  EXPECT_EQ(provider.stats().budget_promotions, 1u);
+
+  core::ptm_delay_provider learned{tiny_ptm()};
+  std::vector<double> expected_raw;
+  pr.state.raw_out = &expected_raw;
+  const auto expected = learned.estimate_sojourn(pr.state, 0.0);
+  ASSERT_EQ(returned.size(), expected.size());
+  ASSERT_EQ(raw.size(), expected_raw.size());
+  for (std::size_t i = 0; i < returned.size(); ++i) {
+    EXPECT_EQ(returned[i], expected[i]) << "packet " << i;
+    EXPECT_EQ(raw[i], expected_raw[i]) << "packet " << i;
+  }
 }
 
 TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {

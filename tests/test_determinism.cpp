@@ -389,41 +389,4 @@ TEST(determinism, ordered_schedule_matches_algorithm1) {
   }
 }
 
-// Dependency-ordered IRSA against Algorithm 1 with the IRSA skip off: the
-// schedule moves no delivery bit, and on these acyclic queue graphs it
-// infers each queue once where Algorithm 1 infers every device each round.
-TEST(determinism, engine_bit_identical_with_and_without_irsa_skip) {
-  const auto ptm = tiny_ptm();
-  for (auto build : {+[] { return topo::make_fattree16(); },
-                     +[] { return topo::make_line(4); }}) {
-    const auto topo = build();
-    const topo::routing routes{topo};
-    const auto streams = uniform_streams(topo.hosts().size());
-    for (const auto backend :
-         {des::delay_backend::ptm, des::delay_backend::tiered}) {
-      SCOPED_TRACE(std::to_string(topo.devices().size()) + " devices, " +
-                   des::to_string(backend));
-      obs::sink sink;
-      core::engine_config cfg;
-      cfg.partitions = 4;
-      cfg.delay.backend = backend;
-      cfg.irsa_skip_unchanged = true;
-      cfg.record_hops = true;
-      cfg.sink = &sink;
-      core::dqn_network skipping{topo, routes, ptm, {}, cfg};
-      cfg.irsa_skip_unchanged = false;
-      cfg.record_hops = false;
-      cfg.sink = nullptr;
-      core::dqn_network full{topo, routes, ptm, {}, cfg};
-
-      const auto skip_result = skipping.run(streams, 0.005);
-      const auto full_result = full.run(streams, 0.005);
-      expect_bit_identical(skip_result, full_result);
-      expect_each_queue_inferred_once(skip_result, sink,
-                                      injected_before(streams, 0.005),
-                                      skipping.stats());
-    }
-  }
-}
-
 }  // namespace
