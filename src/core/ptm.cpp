@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -64,6 +65,8 @@ ptm_model::ptm_model(const ptm_config& config) : config_{config} {
     sec_corrections_ = config_.sink->counter_handle_for("sec.corrections");
     sec_relative_ =
         config_.sink->histogram_handle_for("sec.relative_correction");
+    kept_columns_ =
+        config_.sink->histogram_handle_for("ptm.kept_input_columns");
   }
 }
 
@@ -110,6 +113,32 @@ std::size_t scheduler_of(const double* row) {
   for (std::size_t f = f_sched_fifo; f <= f_sched_wfq; ++f)
     if (row[f] > 0.5) return f - f_sched_fifo;
   return 0;  // default to FIFO if the one-hot is absent
+}
+
+// Compacts `rows` scaled feature rows in place to the columns holding a
+// value other than ±0.0 in some row, lists those columns ascending in
+// `kept` and returns how many there are. Row r's kept values end up at
+// scaled[r * count, (r + 1) * count). The copy runs forward, and each value
+// moves to an index no larger than its own, so none is overwritten before
+// it is copied.
+std::size_t compact_nonzero_columns(
+    double* scaled, std::size_t rows,
+    std::array<std::size_t, feature_count>& kept) {
+  constexpr std::uint32_t all = (std::uint32_t{1} << feature_count) - 1;
+  std::uint32_t nonzero = 0;
+  for (std::size_t r = 0; r < rows && nonzero != all; ++r)
+    for (std::size_t f = 0; f < feature_count; ++f)
+      nonzero |=
+          static_cast<std::uint32_t>(scaled[r * feature_count + f] != 0.0)
+          << f;
+  std::size_t count = 0;
+  for (std::size_t f = 0; f < feature_count; ++f)
+    if ((nonzero >> f) & 1U) kept[count++] = f;
+  if (count < feature_count)
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < count; ++j)
+        scaled[r * count + j] = scaled[r * feature_count + kept[j]];
+  return count;
 }
 
 }  // namespace
@@ -264,10 +293,11 @@ std::vector<double> ptm_model::predict(std::span<const double> windows,
             "ptm_model: windows size ", windows.size(),
             " not a multiple of window ", window_size);
   ws.reset();
-  nn::matrix& scaled = ws.take(windows.size() / window_size, window_size);
+  const std::size_t n = windows.size() / window_size;
+  nn::matrix& scaled = ws.take(n, window_size);
   scale_rows_into(windows, scaled.data().data());
-  return predict_scaled(scaled.data().data(), windows, window_size, ws,
-                        apply_sec, raw_out);
+  return to_sojourns(forward_scaled(scaled.data().data(), window_size, n, ws),
+                     windows, window_size, ws, apply_sec, raw_out);
 }
 
 std::vector<double> ptm_model::predict_rows(
@@ -289,33 +319,60 @@ std::vector<double> ptm_model::predict_rows(
   // Scale each row once, behind time_steps - 1 copies of the first: window i
   // is then the contiguous span of scaled rows [i, i + time_steps), with the
   // same front padding make_windows gives.
-  const std::size_t pad = feature_rows.empty() ? 0 : config_.time_steps - 1;
-  nn::matrix& scaled =
-      ws.take(pad + feature_rows.size() / feature_count, feature_count);
+  const std::size_t n = feature_rows.size() / feature_count;
+  const std::size_t pad = n == 0 ? 0 : config_.time_steps - 1;
+  nn::matrix& scaled = ws.take(pad + n, feature_count);
   double* const first = scaled.data().data() + pad * feature_count;
   scale_rows_into(feature_rows, first);
   for (std::size_t p = 0; p < pad; ++p)
     std::copy_n(first, feature_count, scaled.data().data() + p * feature_count);
-  return predict_scaled(scaled.data().data(), feature_rows, feature_count, ws,
-                        apply_sec, raw_out);
+  // Zero-column elision (MLP): a column that is ±0.0 in every scaled row of
+  // the call, padding included, adds only exact zeros to the first GEMM. So
+  // the rows are compacted to the other columns, window i becomes the
+  // time_steps * count doubles at row i, and the first layer reads only
+  // those columns' weight rows; its column-elided forward keeps every bit
+  // (nn/dense.hpp). On FIFO queues the other disciplines' one-hot bits and
+  // the class-work features are such columns.
+  std::size_t count = feature_count;
+  const nn::matrix* pred = nullptr;
+  if (config_.arch == ptm_arch::mlp) {
+    std::array<std::size_t, feature_count> kept{};
+    count = compact_nonzero_columns(scaled.data().data(), pad + n, kept);
+    const std::span<std::size_t> w_rows =
+        ws.take_indices(config_.time_steps * count);
+    for (std::size_t t = 0; t < config_.time_steps; ++t)
+      for (std::size_t j = 0; j < count; ++j)
+        w_rows[t * count + j] = t * feature_count + kept[j];
+    pred = &mlp_net_.forward(scaled.data().data(), n, count, w_rows, ws);
+  } else {
+    pred = &forward_scaled(scaled.data().data(), feature_count, n, ws);
+  }
+  if (n > 0) kept_columns_.observe(static_cast<double>(count));
+  return to_sojourns(*pred, feature_rows, feature_count, ws, apply_sec,
+                     raw_out);
 }
 
-std::vector<double> ptm_model::predict_scaled(
-    const double* scaled, std::span<const double> raw, std::size_t stride,
-    nn::workspace& ws, bool apply_sec, std::vector<double>* raw_out) const {
-  const std::size_t n = raw.size() / stride;
-  const std::size_t window_size = config_.time_steps * feature_count;
-  const nn::matrix* pred = nullptr;
-  if (config_.arch == ptm_arch::attention) {
-    nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy_n(scaled + i * stride, window_size,
-                  batch.data().data() + i * window_size);
-    pred = &attention_net_.forward(batch, ws);
-  } else {
+const nn::matrix& ptm_model::forward_scaled(const double* scaled,
+                                            std::size_t stride, std::size_t n,
+                                            nn::workspace& ws) const {
+  if (config_.arch == ptm_arch::mlp)
     // The first dense layer reads window i at scaled + i * stride in place.
-    pred = &mlp_net_.forward(scaled, n, stride, ws);
-  }
+    return mlp_net_.forward(scaled, n, stride, ws);
+  const std::size_t window_size = config_.time_steps * feature_count;
+  nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy_n(scaled + i * stride, window_size,
+                batch.data().data() + i * window_size);
+  return attention_net_.forward(batch, ws);
+}
+
+std::vector<double> ptm_model::to_sojourns(const nn::matrix& pred,
+                                           std::span<const double> raw,
+                                           std::size_t stride,
+                                           const nn::workspace& ws,
+                                           bool apply_sec,
+                                           std::vector<double>* raw_out) const {
+  const std::size_t n = raw.size() / stride;
   workspace_bytes_.set(static_cast<double>(ws.bytes()));
   std::vector<double> out(n);
   if (raw_out != nullptr) {
@@ -326,7 +383,7 @@ std::vector<double> ptm_model::predict_scaled(
     const double* last = final_row(raw, i, stride);
     // Clamp to (slightly beyond) the training range: scaled outputs past it
     // are extrapolation noise that the inverse transform would amplify.
-    double y = std::clamp((*pred)(i, 0), 0.0, 1.0);
+    double y = std::clamp(pred(i, 0), 0.0, 1.0);
     y = residual_from_net(target_scaler_.inverse(y), prior_bound(last));
     if (raw_out != nullptr) (*raw_out)[i] = std::max(0.0, y);
     if (apply_sec) {

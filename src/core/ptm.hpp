@@ -109,13 +109,20 @@ class ptm_model {
       std::span<const double> windows, nn::workspace& ws, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
 
-  // Row entry, the engine's path: `feature_rows` is one arrival series'
-  // (n, feature_count) raw rows (compute_features). Predicts the window
-  // ending at each row and equals predict(make_windows(feature_rows,
-  // time_steps), ...) bit for bit, but scales each row once and never
-  // materializes the windows: the MLP's first GEMM reads them in place as
-  // overlapping rows. Same workspace/SEC/raw_out/telemetry contract as above;
-  // the overload without `ws` uses a thread_local workspace.
+  // Row entry, the engine's path (the tiered backend's shadow check uses it
+  // too): `feature_rows` is one arrival series' (n, feature_count) raw rows
+  // (compute_features). Predicts the window ending at each row and equals
+  // predict(make_windows(feature_rows, time_steps), ...) bit for bit, but
+  // scales each row once and never materializes the windows: the MLP's
+  // first GEMM reads them in place as overlapping rows. It also skips the
+  // feature columns that are ±0.0 in every scaled row of the call (padding
+  // included): the rows are compacted to the other columns and the first
+  // layer multiplies only their weight rows, one GEMM per original k_block,
+  // which keeps every bit on every kernel backend (nn/dense.hpp). Records
+  // the kept column count on "ptm.kept_input_columns" (one observation per
+  // non-empty call; the attention architecture keeps all 17). Same
+  // workspace/SEC/raw_out/telemetry contract as above; the overload without
+  // `ws` uses a thread_local workspace.
   [[nodiscard]] std::vector<double> predict_rows(
       std::span<const double> feature_rows, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
@@ -145,13 +152,21 @@ class ptm_model {
   // Log-transform and min-max scale raw rows into `out` (same length).
   void scale_rows_into(std::span<const double> rows, double* out) const;
   [[nodiscard]] nn::seq_batch scale_windows(std::span<const double> windows) const;
-  // The predict core shared by both entries: window i's scaled input is the
-  // time_steps * feature_count doubles at scaled + i * stride, and its raw
-  // final row ends at raw[(i + 1) * stride]. stride is the window size for
-  // materialized windows and feature_count for rows; n = raw.size() / stride.
-  [[nodiscard]] std::vector<double> predict_scaled(
-      const double* scaled, std::span<const double> raw, std::size_t stride,
-      nn::workspace& ws, bool apply_sec, std::vector<double>* raw_out) const;
+  // The network pass over n windows, window i's scaled input being the
+  // time_steps * feature_count doubles at scaled + i * stride: stride is the
+  // window size for materialized windows and feature_count for rows. The
+  // MLP's first GEMM reads the windows in place; attention copies them.
+  [[nodiscard]] const nn::matrix& forward_scaled(const double* scaled,
+                                                 std::size_t stride,
+                                                 std::size_t n,
+                                                 nn::workspace& ws) const;
+  // The output stage shared by both entries: the network's scaled output
+  // for window i becomes a sojourn (inverse transforms, SEC, raw_out), with
+  // window i's raw final row ending at raw[(i + 1) * stride].
+  [[nodiscard]] std::vector<double> to_sojourns(
+      const nn::matrix& pred, std::span<const double> raw, std::size_t stride,
+      const nn::workspace& ws, bool apply_sec,
+      std::vector<double>* raw_out) const;
 
   ptm_config config_;
   nn::seq_regressor attention_net_;
@@ -166,6 +181,7 @@ class ptm_model {
   mutable obs::gauge_handle workspace_bytes_;    // nn.workspace_bytes
   mutable obs::counter_handle sec_corrections_;  // sec.corrections
   mutable obs::histogram_handle sec_relative_;   // sec.relative_correction
+  mutable obs::histogram_handle kept_columns_;   // ptm.kept_input_columns
 };
 
 }  // namespace dqn::core

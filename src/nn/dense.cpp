@@ -1,5 +1,6 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <istream>
@@ -9,6 +10,7 @@
 #include "nn/kernels/epilogue.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/tanh.hpp"
+#include "util/check.hpp"
 
 namespace dqn::nn {
 
@@ -62,6 +64,39 @@ const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
   matrix& y = ws.take(rows, w_.cols());
   kernels::gemm_nn(x, lda, w_.data().data(), y.data().data(), rows, w_.cols(),
                    w_.rows(), /*accumulate=*/false);
+  kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
+                    static_cast<kernels::unary>(act_));
+  return y;
+}
+
+const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
+                             std::span<const std::size_t> w_rows,
+                             workspace& ws) const {
+  const std::size_t out = w_.cols();
+  matrix& w = ws.take(w_rows.size(), out);
+  for (std::size_t j = 0; j < w_rows.size(); ++j) {
+    DQN_CHECK(w_rows[j] < w_.rows() && (j == 0 || w_rows[j - 1] < w_rows[j]),
+              "dense::forward: weight rows must ascend below ", w_.rows());
+    std::copy_n(w_.data().data() + w_rows[j] * out, out,
+                w.data().data() + j * out);
+  }
+  matrix& y = ws.take(rows, out);
+  // One call per k_block of the full layer: the SIMD kernels add each
+  // block's partial sum to C as a unit, so a kept column must stay in its
+  // original block. A block with no kept column would add +0.0 and is
+  // skipped; with none kept at all, C is the zero the full call would sum.
+  bool first = true;
+  for (std::size_t j0 = 0; j0 < w_rows.size();) {
+    const std::size_t block_end =
+        (w_rows[j0] / kernels::k_block + 1) * kernels::k_block;
+    std::size_t j1 = j0 + 1;
+    while (j1 < w_rows.size() && w_rows[j1] < block_end) ++j1;
+    kernels::gemm_nn(x + j0, lda, w.data().data() + j0 * out, y.data().data(),
+                     rows, out, j1 - j0, /*accumulate=*/!first);
+    first = false;
+    j0 = j1;
+  }
+  if (first) y.fill(0.0);
   kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
                     static_cast<kernels::unary>(act_));
   return y;

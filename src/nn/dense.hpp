@@ -2,6 +2,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 
 #include "nn/matrix.hpp"
 #include "nn/params.hpp"
@@ -33,6 +34,19 @@ class dense {
   // overlap (lda < in_dim()); see kernels::gemm_nn for the contract.
   [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
                                       std::size_t lda, workspace& ws) const;
+  // Column-elided forward over a strided input: input column j stands for
+  // weight row w_rows[j] (strictly ascending, < in_dim()), so row i is
+  // x[i*lda, i*lda + w_rows.size()) and every weight row w_rows leaves out
+  // meets an input that is ±0.0 in every row. Gathers the named rows of W
+  // into a ws slot and issues one GEMM per kernels::k_block-deep block of
+  // the full layer (accumulate = false on the first), which keeps the
+  // association the SIMD kernels use on the full input; the result equals
+  // forward() on the full input bit for bit on every backend (finite W;
+  // kernels/gemm.hpp, Numerics).
+  [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
+                                      std::size_t lda,
+                                      std::span<const std::size_t> w_rows,
+                                      workspace& ws) const;
 
   // grad_y: (batch, out_dim) → returns grad_x; accumulates weight grads.
   [[nodiscard]] matrix backward(const matrix& grad_y);

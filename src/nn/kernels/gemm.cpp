@@ -66,13 +66,11 @@ void naive_nt(const double* a, const double* b, double* c, std::size_t m,
 // --- Portable cache-blocked scalar kernel ----------------------------------
 //
 // Broadcast-A form shared by NN and TN (they differ only in how A is
-// indexed; `lda` is the row stride of A as stored): k is blocked so the B
-// panel a row of C accumulates against stays L2-resident, and rows are
-// processed in 4-row bundles so each B row loaded serves four accumulating
-// C rows. Per C element, k is still consumed in
-// ascending order — same association as the naive reference.
-
-constexpr std::size_t kc_block = 256;  // B panel: 256 rows × n cols
+// indexed; `lda` is the row stride of A as stored): k is blocked k_block
+// deep so the B panel a row of C accumulates against stays L2-resident, and
+// rows are processed in 4-row bundles so each B row loaded serves four
+// accumulating C rows. Per C element, k is still consumed in ascending order
+// straight into C — same association as the naive reference.
 
 template <bool TransA>
 inline double a_at(const double* a, std::size_t lda, std::size_t i,
@@ -88,8 +86,8 @@ void blocked_broadcast(const double* a, std::size_t lda, const double* b,
                        double* c, std::size_t m, std::size_t n, std::size_t k,
                        bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
-  for (std::size_t k0 = 0; k0 < k; k0 += kc_block) {
-    const std::size_t k1 = std::min(k, k0 + kc_block);
+  for (std::size_t k0 = 0; k0 < k; k0 += k_block) {
+    const std::size_t k1 = std::min(k, k0 + k_block);
     std::size_t i = 0;
     for (; i + 4 <= m; i += 4) {
       double* c0 = c + (i + 0) * n;

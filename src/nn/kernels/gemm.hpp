@@ -11,10 +11,12 @@
 // A may carry a row stride `lda`: row i of A is a[i*lda, i*lda + k). The
 // contiguous overloads use lda = k; lda > k reads a column window of a wider
 // matrix, and lda < k lets consecutive rows overlap — the PTM's first dense
-// layer reads its sliding windows in place from the scaled feature rows
-// with lda = feature_count. Each output element reads exactly the A values
-// a contiguous copy would hold, in the same order, so a strided call is
-// bit-identical to the contiguous call on a materialized copy.
+// layer reads its sliding windows in place from the scaled feature rows,
+// with lda = the feature columns it keeps (one call per k_block, each
+// starting at its block's first kept column). Each output element reads
+// exactly the A values a contiguous copy would hold, in the same order, so
+// a strided call is bit-identical to the contiguous call on a materialized
+// copy.
 //
 // Backends, weakest to strongest:
 //   naive   — the original triple loop, retained as the parity/bench
@@ -32,7 +34,14 @@
 // Numerics: all backends accumulate over k in ascending order per output
 // element, so they agree with the naive reference to FMA-rounding and
 // panel-partial-sum association — within 1e-10 relative of the reference
-// (tests/test_kernels.cpp holds every backend to that bound).
+// (tests/test_kernels.cpp holds every backend to that bound). The
+// association differs by backend family. The SIMD backends (avx2, avx512)
+// sum each k_block-deep block of k from zero and add that partial sum to C
+// as a unit, so a call's bits depend on where k_block splits k. The scalar
+// backends (naive, blocked) accumulate into C directly, one term at a time.
+// A caller that drops terms whose A value is ±0.0 keeps every bit as long
+// as it issues one call per original k_block (accumulate = false on the
+// first): nn::dense's column-elided forward relies on this.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +52,10 @@ class sink;
 }  // namespace dqn::obs
 
 namespace dqn::nn::kernels {
+
+// Depth of one k panel in the blocked and SIMD NN/TN kernels: rows of B a
+// panel streams, and in the SIMD kernels the span of one partial sum.
+inline constexpr std::size_t k_block = 256;
 
 enum class backend : std::uint8_t { naive = 0, blocked = 1, avx2 = 2, avx512 = 3 };
 

@@ -9,6 +9,7 @@
 // being added to C. NT keeps both streams contiguous over k and reduces
 // 2-wide unrolled dot products. Per C element every path consumes k in
 // ascending order, so results match the naive reference to FMA rounding.
+#include "nn/kernels/gemm.hpp"
 #include "nn/kernels/gemm_tables.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__) && defined(__x86_64__)
@@ -21,8 +22,6 @@
 namespace dqn::nn::kernels::detail {
 
 namespace {
-
-constexpr std::size_t kc_block = 256;
 
 // Every read of A goes through here. `lda` is A's row stride as stored: m
 // for TN (A is k×m); for NN, row i starts at a + i*lda (rows overlap when
@@ -49,8 +48,8 @@ void gemm_broadcast(const double* a, std::size_t lda, const double* b,
                     double* c, std::size_t m, std::size_t n, std::size_t k,
                     bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
-  for (std::size_t k0 = 0; k0 < k; k0 += kc_block) {
-    const std::size_t k1 = std::min(k, k0 + kc_block);
+  for (std::size_t k0 = 0; k0 < k; k0 += k_block) {
+    const std::size_t k1 = std::min(k, k0 + k_block);
     std::size_t i = 0;
     for (; i + 4 <= m; i += 4) {
       std::size_t j = 0;

@@ -36,7 +36,19 @@ const matrix& mlp::forward(const matrix& x, workspace& ws) const {
 const matrix& mlp::forward(const double* x, std::size_t rows, std::size_t lda,
                            workspace& ws) const {
   if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
-  const matrix* h = &layers_.front().forward(x, rows, lda, ws);
+  return forward_after_first(layers_.front().forward(x, rows, lda, ws), ws);
+}
+
+const matrix& mlp::forward(const double* x, std::size_t rows, std::size_t lda,
+                           std::span<const std::size_t> w_rows,
+                           workspace& ws) const {
+  if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
+  return forward_after_first(
+      layers_.front().forward(x, rows, lda, w_rows, ws), ws);
+}
+
+const matrix& mlp::forward_after_first(const matrix& h1, workspace& ws) const {
+  const matrix* h = &h1;
   for (auto it = layers_.begin() + 1; it != layers_.end(); ++it)
     h = &it->forward(*h, ws);
   return *h;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "nn/dense.hpp"
@@ -28,6 +29,13 @@ class mlp {
   // overlap): only the first layer reads x, straight through the GEMM.
   [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
                                       std::size_t lda, workspace& ws) const;
+  // Same with the first layer column-elided: input column j stands for its
+  // weight row w_rows[j] (dense::forward's column-elided overload, which
+  // keeps the result bit-identical to the full input's).
+  [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
+                                      std::size_t lda,
+                                      std::span<const std::size_t> w_rows,
+                                      workspace& ws) const;
   [[nodiscard]] matrix backward(const matrix& grad_y);
 
   void collect_params(param_list& out);
@@ -39,6 +47,10 @@ class mlp {
   void load(std::istream& in);
 
  private:
+  // Runs every layer after the first on the first layer's output.
+  [[nodiscard]] const matrix& forward_after_first(const matrix& h1,
+                                                  workspace& ws) const;
+
   std::vector<dense> layers_;
 };
 

@@ -17,6 +17,8 @@
 
 #include <cstddef>
 #include <deque>
+#include <span>
+#include <vector>
 
 #include "nn/matrix.hpp"
 #include "nn/seq.hpp"
@@ -56,10 +58,21 @@ class workspace {
     return s;
   }
 
-  // Rewind both cursors; keeps every allocation for reuse.
+  // Next index slot, resized to n (contents unspecified): the column maps a
+  // caller builds for nn::dense's column-elided forward.
+  [[nodiscard]] std::span<std::size_t> take_indices(std::size_t n) {
+    if (index_cursor_ == indices_.size()) indices_.emplace_back();
+    std::vector<std::size_t>& v = indices_[index_cursor_++];
+    if (n > v.capacity()) ++grow_count_;
+    v.resize(n);
+    return v;
+  }
+
+  // Rewind every cursor; keeps every allocation for reuse.
   void reset() noexcept {
     mat_cursor_ = 0;
     seq_cursor_ = 0;
+    index_cursor_ = 0;
   }
 
   // Bytes currently held across all slots (the nn.workspace_bytes gauge).
@@ -67,6 +80,7 @@ class workspace {
     std::size_t total = 0;
     for (const matrix& m : mats_) total += m.capacity() * sizeof(double);
     for (const seq_batch& s : seqs_) total += s.capacity() * sizeof(double);
+    for (const auto& v : indices_) total += v.capacity() * sizeof(std::size_t);
     return total;
   }
 
@@ -76,7 +90,7 @@ class workspace {
   [[nodiscard]] std::size_t grow_count() const noexcept { return grow_count_; }
 
   [[nodiscard]] std::size_t slots_in_use() const noexcept {
-    return mat_cursor_ + seq_cursor_;
+    return mat_cursor_ + seq_cursor_ + index_cursor_;
   }
 
  private:
@@ -89,8 +103,10 @@ class workspace {
   // contract above.
   std::deque<matrix> mats_;
   std::deque<seq_batch> seqs_;
+  std::deque<std::vector<std::size_t>> indices_;
   std::size_t mat_cursor_ = 0;
   std::size_t seq_cursor_ = 0;
+  std::size_t index_cursor_ = 0;
   std::size_t grow_count_ = 0;
 };
 

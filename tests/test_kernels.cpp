@@ -27,6 +27,7 @@
 #include <iterator>
 #include <limits>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -183,7 +184,7 @@ TEST(gemm_kernels, nt_matches_naive_reference) {
         s);
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
@@ -514,17 +515,22 @@ TEST(workspace, reset_reuses_slots_without_growing) {
   nn::workspace ws;
   nn::matrix& a = ws.take(8, 16);
   nn::seq_batch& s = ws.take_seq(4, 7, 3);
+  const std::span<std::size_t> idx = ws.take_indices(40);
   const std::size_t grown = ws.grow_count();
   EXPECT_GT(grown, 0u);
-  EXPECT_GT(ws.bytes(), 0u);
+  EXPECT_GE(ws.bytes(), 40 * sizeof(std::size_t));
+  EXPECT_EQ(ws.slots_in_use(), 3u);
   double* const a_ptr = a.data().data();
   double* const s_ptr = s.data().data();
   for (int pass = 0; pass < 5; ++pass) {
     ws.reset();
     nn::matrix& a2 = ws.take(8, 16);
     nn::seq_batch& s2 = ws.take_seq(4, 7, 3);
+    const std::span<std::size_t> idx2 = ws.take_indices(40);
     EXPECT_EQ(a2.data().data(), a_ptr);
     EXPECT_EQ(s2.data().data(), s_ptr);
+    EXPECT_EQ(idx2.data(), idx.data());
+    EXPECT_EQ(idx2.size(), 40u);
   }
   EXPECT_EQ(ws.grow_count(), grown);
 }
@@ -608,6 +614,78 @@ TEST(workspace_forward, mlp_and_dense_match_forward_const_exactly) {
   const nn::matrix& dgot = layer.forward(x, ws);
   for (std::size_t i = 0; i < dref.size(); ++i)
     EXPECT_DOUBLE_EQ(dref.data()[i], dgot.data()[i]);
+
+  // Column-elided input: columns 1 and 4 are 0.0 in every row, so the
+  // overload reads only the other five columns and their weight rows.
+  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 1) = x(r, 4) = 0.0;
+  const std::vector<std::size_t> kept{0, 2, 3, 5, 6};
+  std::vector<double> compact;
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (const std::size_t c : kept) compact.push_back(x(r, c));
+  const nn::matrix zref = net.forward_const(x);
+  ws.reset();
+  const nn::matrix& zfull = net.forward(x, ws);
+  const nn::aligned_vector zfull_bits = zfull.data();
+  const nn::matrix& zgot =
+      net.forward(compact.data(), x.rows(), kept.size(), kept, ws);
+  ASSERT_EQ(zgot.size(), zref.size());
+  for (std::size_t i = 0; i < zref.size(); ++i)
+    EXPECT_DOUBLE_EQ(zref.data()[i], zgot.data()[i]);
+  EXPECT_TRUE(same_bits(zfull_bits, zgot.data()));
+  const nn::matrix zdref = layer.forward_const(x);
+  ws.reset();
+  const nn::matrix& zdgot =
+      layer.forward(compact.data(), x.rows(), kept.size(), kept, ws);
+  for (std::size_t i = 0; i < zdref.size(); ++i)
+    EXPECT_DOUBLE_EQ(zdref.data()[i], zdgot.data()[i]);
+}
+
+// The column-elided dense forward equals the full input's forward bit for
+// bit on every backend, across k_block boundaries: zero columns scattered,
+// whole blocks zero (the first, a middle one), one column left, none left.
+TEST(workspace_forward, column_elided_dense_matches_full_input_bitwise) {
+  constexpr std::size_t kb = nn::kernels::k_block;
+  const std::size_t in = 2 * kb + 88;  // three blocks, the last partial
+  util::rng rng{26};
+  nn::dense layer{in, 20, nn::activation::tanh, rng};  // 20: column tails
+  struct zero_case {
+    const char* name;
+    bool (*zero)(std::size_t col);
+  };
+  const zero_case cases[] = {
+      {"none", [](std::size_t) { return false; }},
+      {"every third", [](std::size_t c) { return c % 3 == 1; }},
+      {"first block", [](std::size_t c) { return c < kb; }},
+      {"middle block", [](std::size_t c) { return c >= kb && c < 2 * kb; }},
+      {"all but one", [](std::size_t c) { return c != kb + 7; }},
+      {"all", [](std::size_t) { return true; }},
+  };
+  std::vector<backend> backends = compiled_backends();
+  backends.insert(backends.begin(), backend::naive);
+  for (const auto& zc : cases) {
+    nn::matrix x{7, in};  // 7 rows: one 4-row tile and a row tail
+    std::vector<std::size_t> kept;
+    for (std::size_t c = 0; c < in; ++c)
+      if (!zc.zero(c)) kept.push_back(c);
+    for (std::size_t r = 0; r < x.rows(); ++r)
+      for (std::size_t c = 0; c < in; ++c)
+        x(r, c) = zc.zero(c) ? (c % 2 == 0 ? 0.0 : -0.0)
+                             : rng.uniform(-1.0, 1.0);
+    std::vector<double> compact;
+    for (std::size_t r = 0; r < x.rows(); ++r)
+      for (const std::size_t c : kept) compact.push_back(x(r, c));
+    for (const backend be : backends) {
+      nn::kernels::force_backend(be);
+      nn::workspace ws;
+      const nn::aligned_vector want = layer.forward(x, ws).data();
+      ws.reset();
+      const nn::matrix& got = layer.forward(compact.data(), x.rows(),
+                                            kept.size(), kept, ws);
+      EXPECT_TRUE(same_bits(want, got.data()))
+          << zc.name << " on " << nn::kernels::to_string(be);
+    }
+  }
+  nn::kernels::reset_backend();
 }
 
 TEST(workspace_forward, bilstm_matches_forward_const_exactly) {
@@ -683,14 +761,18 @@ core::ptm_dataset random_dataset(std::size_t count, std::size_t time_steps,
   return data;
 }
 
-// A tiny PTM (T = 4). `with_sec` also fits the SEC tables on held-out data,
-// so the SEC stage really corrects predictions.
+// A tiny PTM (T = 4 unless given). `with_sec` also fits the SEC tables on
+// held-out data, so the SEC stage really corrects predictions. The first
+// training window is all zeros, so every feature's fitted minimum is 0 and a
+// raw 0.0 scales to exactly 0.0, as the engine's idle one-hot bits and
+// class-work features do.
 core::ptm_model tiny_trained_ptm(obs::sink* sink = nullptr,
                                  core::ptm_arch arch = core::ptm_arch::mlp,
-                                 bool with_sec = false) {
+                                 bool with_sec = false,
+                                 std::size_t time_steps = 4) {
   core::ptm_config cfg;
   cfg.arch = arch;
-  cfg.time_steps = 4;
+  cfg.time_steps = time_steps;
   cfg.mlp_hidden = {8};
   cfg.lstm_hidden = {4};
   cfg.heads = 1;
@@ -702,7 +784,9 @@ core::ptm_model tiny_trained_ptm(obs::sink* sink = nullptr,
   cfg.sink = sink;
   core::ptm_model model{cfg};
   util::rng rng{31};
-  (void)model.train(random_dataset(32, cfg.time_steps, rng));
+  core::ptm_dataset data = random_dataset(32, cfg.time_steps, rng);
+  std::fill_n(data.windows.begin(), cfg.time_steps * core::feature_count, 0.0);
+  (void)model.train(data);
   if (with_sec)
     model.fit_sec(random_dataset(256, cfg.time_steps, rng), 0.02, 4);
   return model;
@@ -743,6 +827,67 @@ std::vector<double> random_rows(std::size_t n, util::rng& rng) {
   return rows;
 }
 
+// Rows whose scaled columns are exactly 0.0 where real queues have them
+// (tiny_trained_ptm's scaler maps a raw 0.0 to 0.0); every other value is
+// drawn from [0.01, 1), which never scales to 0.0.
+enum class row_shape { fifo, sp, zero_in_some_rows, all_zero, none_zero };
+
+const char* to_string(row_shape shape) {
+  switch (shape) {
+    case row_shape::fifo: return "fifo";
+    case row_shape::sp: return "sp";
+    case row_shape::zero_in_some_rows: return "zero_in_some_rows";
+    case row_shape::all_zero: return "all_zero";
+    case row_shape::none_zero: return "none_zero";
+  }
+  return "?";
+}
+
+std::vector<double> shaped_rows(row_shape shape, std::size_t n,
+                                util::rng& rng) {
+  constexpr std::size_t f = core::feature_count;
+  std::vector<double> rows(n * f);
+  for (auto& v : rows) v = rng.uniform(0.01, 1.0);
+  const auto set_column = [&](std::size_t col, double value) {
+    for (std::size_t r = 0; r < n; ++r) rows[r * f + col] = value;
+  };
+  switch (shape) {
+    case row_shape::fifo:
+    case row_shape::zero_in_some_rows:
+      // A FIFO queue: the other one-hot bits, priority, weight and the
+      // higher-class work are 0 on every packet.
+      for (const std::size_t col :
+           {core::f_sched_sp, core::f_sched_wrr, core::f_sched_drr,
+            core::f_sched_wfq, core::f_priority, core::f_weight,
+            core::f_higher_class_work})
+        set_column(col, 0.0);
+      set_column(core::f_sched_fifo, 1.0);
+      if (shape == row_shape::zero_in_some_rows && n > 0) {
+        // Three of those columns carry one nonzero value each: in the first
+        // row (the one the padding copies), a middle row and the last row.
+        // Every one of them must be kept.
+        rows[core::f_priority] = 0.5;
+        rows[(n / 2) * f + core::f_weight] = 0.5;
+        rows[(n - 1) * f + core::f_higher_class_work] = 0.5;
+      }
+      break;
+    case row_shape::sp:
+      for (const std::size_t col :
+           {core::f_sched_fifo, core::f_sched_wrr, core::f_sched_drr,
+            core::f_sched_wfq, core::f_weight, core::f_gps_wait})
+        set_column(col, 0.0);
+      set_column(core::f_sched_sp, 1.0);
+      break;
+    case row_shape::all_zero: std::fill(rows.begin(), rows.end(), 0.0); break;
+    case row_shape::none_zero: break;
+  }
+  return rows;
+}
+
+constexpr row_shape kRowShapes[] = {row_shape::fifo, row_shape::sp,
+                                    row_shape::zero_in_some_rows,
+                                    row_shape::all_zero, row_shape::none_zero};
+
 TEST(ptm_row_path, matches_window_path_bitwise) {
   for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
     const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
@@ -773,6 +918,60 @@ TEST(ptm_row_path, matches_window_path_bitwise) {
         << core::to_string(arch)
         << ": SEC never corrected, so SEC-on was untested";
   }
+
+  // Exact-zero columns, which the row path drops from the MLP's first GEMM.
+  // T = 21 (K = 357, the default) and T = 31 (K = 527) span two and three
+  // k_blocks, so a compaction that moved a kept column into another block
+  // would change bits on the SIMD backends; T = 4 fits in one block.
+  std::vector<backend> backends = compiled_backends();
+  backends.insert(backends.begin(), backend::naive);
+  for (const std::size_t t :
+       {std::size_t{4}, std::size_t{21}, std::size_t{31}}) {
+    const core::ptm_model model =
+        tiny_trained_ptm(nullptr, core::ptm_arch::mlp, true, t);
+    util::rng rng{35 + t};
+    for (const row_shape shape : kRowShapes)
+      for (const std::size_t n : {std::size_t{1}, t, std::size_t{2000}}) {
+        const auto rows = shaped_rows(shape, n, rng);
+        const auto windows = core::make_windows(rows, t);
+        for (const backend be : backends) {
+          nn::kernels::force_backend(be);
+          for (const bool apply_sec : {true, false}) {
+            std::vector<double> want_raw, got_raw;
+            nn::workspace window_ws, row_ws;
+            const auto want =
+                model.predict(windows, window_ws, apply_sec, &want_raw);
+            const auto got =
+                model.predict_rows(rows, row_ws, apply_sec, &got_raw);
+            EXPECT_TRUE(same_bits(want, got))
+                << to_string(shape) << " T=" << t << " n=" << n << " on "
+                << nn::kernels::to_string(be) << " sec=" << apply_sec;
+            EXPECT_TRUE(same_bits(want_raw, got_raw))
+                << to_string(shape) << " T=" << t << " n=" << n << " on "
+                << nn::kernels::to_string(be) << " sec=" << apply_sec;
+          }
+        }
+      }
+  }
+  nn::kernels::reset_backend();
+}
+
+// One ptm.kept_input_columns observation per non-empty predict_rows call:
+// the columns left after the zero-column elision.
+TEST(ptm_row_path, records_kept_input_columns) {
+  obs::sink sink;
+  const core::ptm_model model = tiny_trained_ptm(&sink);
+  util::rng rng{36};
+  nn::workspace ws;
+  (void)model.predict_rows(shaped_rows(row_shape::fifo, 50, rng), ws);
+  auto kept = sink.metrics().histogram("ptm.kept_input_columns");
+  ASSERT_EQ(kept.count, 1u);
+  EXPECT_EQ(kept.max, static_cast<double>(core::feature_count - 7));
+  (void)model.predict_rows(shaped_rows(row_shape::none_zero, 50, rng), ws);
+  (void)model.predict_rows({}, ws);
+  kept = sink.metrics().histogram("ptm.kept_input_columns");
+  EXPECT_EQ(kept.count, 2u);
+  EXPECT_EQ(kept.max, static_cast<double>(core::feature_count));
 }
 
 TEST(ptm_row_path, empty_series_and_ragged_rows) {
@@ -788,22 +987,27 @@ TEST(ptm_row_path, empty_series_and_ragged_rows) {
 }
 
 // Steady state, the row path allocates exactly one block: the returned
-// vector. No windows, no staging copies; raw_out reuses its capacity.
+// vector. No windows, no staging copies, and on FIFO-shaped rows the column
+// map and the gathered weights live in the workspace; raw_out reuses its
+// capacity.
 TEST(ptm_row_path, steady_state_allocates_only_the_result) {
   for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
     const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
     util::rng rng{34};
-    const auto rows = random_rows(300, rng);
-    nn::workspace ws;
-    std::vector<double> raw;
-    for (int i = 0; i < 2; ++i) (void)model.predict_rows(rows, ws, true, &raw);
-    const std::size_t grown = ws.grow_count();
-    const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    const auto out = model.predict_rows(rows, ws, true, &raw);
-    const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 1u) << core::to_string(arch);
-    EXPECT_EQ(ws.grow_count(), grown);
-    EXPECT_EQ(out.size(), 300u);
+    for (const auto& rows :
+         {random_rows(300, rng), shaped_rows(row_shape::fifo, 300, rng)}) {
+      nn::workspace ws;
+      std::vector<double> raw;
+      for (int i = 0; i < 2; ++i)
+        (void)model.predict_rows(rows, ws, true, &raw);
+      const std::size_t grown = ws.grow_count();
+      const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+      const auto out = model.predict_rows(rows, ws, true, &raw);
+      const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 1u) << core::to_string(arch);
+      EXPECT_EQ(ws.grow_count(), grown);
+      EXPECT_EQ(out.size(), 300u);
+    }
   }
 }
 
