@@ -252,12 +252,8 @@ traffic::packet_stream apply_link(const traffic::packet_stream& in,
     throw std::invalid_argument{"apply_link: bandwidth must be > 0"};
   traffic::packet_stream out;
   out.reserve(in.size());
-  for (const auto& ev : in) {
-    const double latency =
-        static_cast<double>(ev.pkt.size_bytes) * 8.0 / bandwidth_bps +
-        propagation_delay;
-    out.push_back({ev.pkt, ev.time + latency});
-  }
+  for (const auto& ev : in)
+    out.push_back({ev.pkt, link_shift(ev, bandwidth_bps, propagation_delay)});
   // A constant-per-size shift can reorder mixed-size packets.
   std::sort(out.begin(), out.end());
   return out;

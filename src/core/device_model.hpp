@@ -120,7 +120,20 @@ class device_model {
   scheduler_context ctx_;
 };
 
-// Link device (Eq. 5): tau_out = tau_in + len/C + l/c.
+// Link device (Eq. 5) for one packet: the time `ev` reaches the far end of
+// the link, tau_out = tau_in + (len/C + l/c). apply_link and the engine's
+// fused device visit both shift through this one expression, so they agree
+// bit for bit.
+[[nodiscard]] inline double link_shift(const traffic::packet_event& ev,
+                                       double bandwidth_bps,
+                                       double propagation_delay) noexcept {
+  return ev.time +
+         (static_cast<double>(ev.pkt.size_bytes) * 8.0 / bandwidth_bps +
+          propagation_delay);
+}
+
+// Link device (Eq. 5) over a stream, re-sorted by (time, pid). The reference
+// path: the engine fuses the shift into its PFM pass instead of copying.
 [[nodiscard]] traffic::packet_stream apply_link(const traffic::packet_stream& in,
                                                 double bandwidth_bps,
                                                 double propagation_delay);

@@ -35,6 +35,15 @@ bool streams_equal(const traffic::packet_stream& a,
   return true;
 }
 
+// Pool seeds for `tasks` tasks: contiguous blocks, one per worker.
+std::vector<std::vector<std::size_t>> spread(std::size_t tasks,
+                                             std::size_t workers) {
+  std::vector<std::vector<std::size_t>> seeds(workers);
+  for (std::size_t t = 0; t < tasks; ++t)
+    seeds[t * workers / tasks].push_back(t);
+  return seeds;
+}
+
 // One device's output from the current IRSA round, staged by the worker
 // that inferred it until the round's barrier.
 struct staged_slot {
@@ -127,17 +136,6 @@ void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) 
         "retroactively)"};
   (void)topo_->at(node);  // bounds check
   device_overrides_.insert_or_assign(node, device_model{ptm_, std::move(ctx)});
-}
-
-traffic::packet_stream dqn_network::ingress_of(
-    const std::vector<std::vector<traffic::packet_stream>>& egress,
-    topo::node_id node, std::size_t port) const {
-  // The ingress of (node, port) is the upstream peer's egress through the
-  // connecting link device (Eq. 5).
-  const auto peer = topo_->peer_of(node, port);
-  const auto& link = topo_->link_at(peer.link_index);
-  return apply_link(egress[static_cast<std::size_t>(peer.node)][peer.port],
-                    link.bandwidth_bps, link.propagation_delay);
 }
 
 des::run_result dqn_network::run(
@@ -337,8 +335,8 @@ des::run_result dqn_network::run_core(
     sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch));
 
   // One egress state. During a round every worker reads its devices' feeds
-  // from `egress` — the previous round's state (Algorithm 1 "pull the
-  // packet flows from iteration t-1") — and nobody writes it. An inferred
+  // in place from `egress` — the previous round's state (Algorithm 1 "pull
+  // the packet flows from iteration t-1") — and nobody writes it. An inferred
   // device stages the new streams of its stage's queues in its own `next`
   // slot and flags each of those ports whose stream changed. Between rounds
   // this thread moves the staged streams into `egress` and marks dirty
@@ -391,30 +389,27 @@ des::run_result dqn_network::run_core(
             ++worker_skips[worker];
             continue;
           }
+          // The ingress links (Eq. 5) and the PFM in one pass that reads each
+          // upstream peer's egress stream in place: shift every packet by its
+          // link, route it by its own destination, and keep it only when its
+          // egress queue is in this stage. Pids are unique, so once sorted by
+          // (time, pid) each queue is the stream apply_link and then
+          // apply_forwarding would give it, whatever the append order.
           const std::size_t ports = topo_->port_count(node);
-          std::vector<traffic::packet_stream> ingress(ports);
-          std::vector<double> port_bandwidths(ports);
-          for (std::size_t p = 0; p < ports; ++p) {
-            ingress[p] = ingress_of(egress, node, p);
-            port_bandwidths[p] =
-                topo_->link_at(topo_->at(node).links[p]).bandwidth_bps;
+          std::vector<traffic::packet_stream> queues(ports);
+          for (std::size_t in = 0; in < ports; ++in) {
+            const auto peer = topo_->peer_of(node, in);
+            const auto& link = topo_->link_at(peer.link_index);
+            for (const auto& ev :
+                 egress[static_cast<std::size_t>(peer.node)][peer.port]) {
+              const std::size_t out =
+                  routes_->egress_port(node, ev.pkt.dst_host, ev.pkt.flow_id);
+              if (stage_of(node, out) != stage) continue;
+              queues[out].push_back(
+                  {ev.pkt,
+                   link_shift(ev, link.bandwidth_bps, link.propagation_delay)});
+            }
           }
-          // Destination-based forwarding needs the packet's dst, so bind a
-          // per-device forward over (fid -> dst) collected from the ingress
-          // (a keyed vector: deterministic, and cheaper to build + probe
-          // than a hash map at per-device ingress sizes).
-          util::keyed_vector<std::uint32_t, topo::node_id> flow_dst;
-          for (const auto& stream : ingress)
-            for (const auto& ev : stream)
-              flow_dst.push_back(ev.pkt.flow_id, ev.pkt.dst_host);
-          flow_dst.finalize();
-          auto forward_by_flow = [this, node, &flow_dst](std::uint32_t fid,
-                                                         std::size_t) {
-            return routes_->egress_port(node, flow_dst.at(fid), fid);
-          };
-          // The PFM runs once per visit; only this stage's queues are inferred.
-          std::vector<traffic::packet_stream> queues =
-              apply_forwarding(ingress, forward_by_flow, ports);
           const device_model* model = &device_;
           if (const auto it = device_overrides_.find(node);
               it != device_overrides_.end())
@@ -440,8 +435,10 @@ des::run_result dqn_network::run_core(
             }
             queue_drops[n][p].clear();
             call.dropped = &queue_drops[n][p];
-            slot.streams[p] = model->process_queue(std::move(queues[p]), p,
-                                                   port_bandwidths[p], call);
+            std::sort(queues[p].begin(), queues[p].end());
+            slot.streams[p] = model->process_queue(
+                std::move(queues[p]), p,
+                topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
             slot.port_changed[p] =
                 streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
           }
@@ -509,13 +506,32 @@ des::run_result dqn_network::run_core(
                               stats_.busy_seconds -
                           1.0);
 
-  // Collect deliveries: the ingress streams of host nodes.
+  // Collect deliveries on the pool. One round builds each host's run: its
+  // access link's delivery of the peer's egress stream, sorted by (time,
+  // pid). Each later round merges adjacent runs pairwise. Pids are unique,
+  // so the last run is the one global sort of every record. These rounds
+  // add nothing to the IRSA stats.
   des::run_result result;
   for (const auto& device : queue_drops)
     for (const auto& drops : device) result.drops += drops.size();
-  for (const topo::node_id host : hosts) {
-    const traffic::packet_stream inbound = ingress_of(egress, host, 0);
+  const auto by_delivery = [](const des::delivery_record& a,
+                              const des::delivery_record& b) {
+    if (a.delivery_time != b.delivery_time)
+      return a.delivery_time < b.delivery_time;
+    return a.pid < b.pid;
+  };
+  std::vector<std::vector<des::delivery_record>> runs(hosts.size());
+  (void)pool.run_round(spread(runs.size(), workers), [&](std::size_t h,
+                                                         std::size_t) {
+    const topo::node_id host = hosts[h];
+    const auto peer = topo_->peer_of(host, 0);
+    const auto& link = topo_->link_at(peer.link_index);
+    const auto& inbound =
+        egress[static_cast<std::size_t>(peer.node)][peer.port];
+    auto& run = runs[h];
+    run.reserve(inbound.size());
     for (const auto& ev : inbound) {
+      // A foreign host drops the packet silently, as in the DES.
       if (ev.pkt.dst_host != host) continue;
       des::delivery_record d;
       d.pid = ev.pkt.pid;
@@ -523,18 +539,34 @@ des::run_result dqn_network::run_core(
       d.src = ev.pkt.src_host;
       d.dst = ev.pkt.dst_host;
       d.send_time = send_times.at(ev.pkt.pid);
-      d.delivery_time = ev.time;
+      d.delivery_time =
+          link_shift(ev, link.bandwidth_bps, link.propagation_delay);
       if (tracer != nullptr && tracer->sampled(ev.pkt.pid))
-        tracer->record_delivery(ev.pkt.pid, ev.time);
-      result.deliveries.push_back(d);
+        tracer->record_delivery(ev.pkt.pid, d.delivery_time);
+      run.push_back(d);
     }
+    std::sort(run.begin(), run.end(), by_delivery);
+  });
+  while (runs.size() > 1) {
+    std::vector<std::vector<des::delivery_record>> merged((runs.size() + 1) /
+                                                          2);
+    (void)pool.run_round(spread(merged.size(), workers), [&](std::size_t i,
+                                                             std::size_t) {
+      auto& left = runs[2 * i];
+      if (2 * i + 1 == runs.size()) {
+        merged[i] = std::move(left);
+        return;
+      }
+      auto& right = runs[2 * i + 1];
+      merged[i].resize(left.size() + right.size());
+      std::merge(left.begin(), left.end(), right.begin(), right.end(),
+                 merged[i].begin(), by_delivery);
+      left = {};
+      right = {};
+    });
+    runs = std::move(merged);
   }
-  std::sort(result.deliveries.begin(), result.deliveries.end(),
-            [](const des::delivery_record& a, const des::delivery_record& b) {
-              if (a.delivery_time != b.delivery_time)
-                return a.delivery_time < b.delivery_time;
-              return a.pid < b.pid;
-            });
+  if (!runs.empty()) result.deliveries = std::move(runs.front());
 
   if (config_.record_hops) {
     for (const topo::node_id node : devices) {

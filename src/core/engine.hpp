@@ -21,9 +21,14 @@
 // links, MimicNet-style), device batches are the stealable unit
 // (util/work_stealing_pool.hpp rebalances stragglers within an IRSA
 // iteration), and the egress state workers read only changes between
-// iterations, so the per-packet path takes no locks. Delivery records are
-// bit-identical across shard counts and strategies
-// (tests/test_determinism.cpp).
+// iterations, so the per-packet path takes no locks. A device visit reads
+// its feeds in place: one pass over each upstream egress stream shifts
+// every packet by the link and routes it by its own destination, fusing
+// apply_link and apply_forwarding, which stay the reference path
+// (determinism.engine_matches_layer_pipeline holds the engine to them bit
+// for bit). Delivery collection runs on the same pool: per-host runs, then
+// a pairwise merge tree. Delivery records are bit-identical across shard
+// counts and strategies (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
@@ -223,10 +228,6 @@ class dqn_network : public des::estimator {
   [[nodiscard]] des::run_result run_core(
       const std::vector<traffic::packet_stream>& host_streams, double horizon,
       obs::sink* sink, delay_provider& provider, std::size_t partitions);
-
-  [[nodiscard]] traffic::packet_stream ingress_of(
-      const std::vector<std::vector<traffic::packet_stream>>& egress,
-      topo::node_id node, std::size_t port) const;
 
   // The IRSA stage of the egress queue behind `port` of device `node`.
   [[nodiscard]] std::size_t stage_of(topo::node_id node, std::size_t port) const {

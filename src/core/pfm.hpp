@@ -3,7 +3,9 @@
 // (Eq. 6). Semantically this is the paper's 0/1 forwarding tensor F of shape
 // K x K x N applied to the stacked ingress streams (Eq. 7); the hot path
 // applies it sparsely (one gather per packet), and the dense tensor is
-// available for inspection and tests.
+// available for inspection and tests. apply_forwarding is the reference
+// path: the engine fuses the same routing into its link pass and routes
+// each packet by its own destination (core/engine.hpp).
 #pragma once
 
 #include <cstdint>

@@ -389,4 +389,180 @@ TEST(determinism, ordered_schedule_matches_algorithm1) {
   }
 }
 
+// --- the engine against the public layer pipeline --------------------------
+
+// Every port's egress stream, [node][port].
+using egress_state = std::vector<std::vector<traffic::packet_stream>>;
+
+bool same_stream(const traffic::packet_stream& a,
+                 const traffic::packet_stream& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].pkt.pid != b[i].pkt.pid || !same_bits(a[i].time, b[i].time))
+      return false;
+  return true;
+}
+
+// Algorithm 1 over the public operators, as a Jacobi iteration from the
+// engine's host egress streams: each round computes every device from the
+// previous round's streams with apply_link and device_model::process (which
+// forwards with apply_forwarding), until no stream changes by a bit.
+// `drops` receives the last round's drop count.
+egress_state layer_pipeline(
+    const topo::topology& topo, const topo::routing& routes,
+    const core::dqn_network& engine, const core::device_model& model,
+    core::delay_provider& provider,
+    const std::map<std::uint32_t, topo::node_id>& flow_dst,
+    std::uint64_t& drops) {
+  egress_state state(topo.node_count());
+  for (std::size_t n = 0; n < state.size(); ++n)
+    state[n].resize(topo.port_count(static_cast<topo::node_id>(n)));
+  for (const auto host : topo.hosts())
+    state[static_cast<std::size_t>(host)][0] = engine.egress_stream(host, 0);
+  for (std::size_t round = 0; round < 20; ++round) {
+    egress_state next = state;
+    drops = 0;
+    for (const auto node : topo.devices()) {
+      const std::size_t ports = topo.port_count(node);
+      std::vector<traffic::packet_stream> ingress(ports);
+      std::vector<double> bandwidths(ports);
+      for (std::size_t p = 0; p < ports; ++p) {
+        const auto peer = topo.peer_of(node, p);
+        const auto& link = topo.link_at(peer.link_index);
+        ingress[p] = core::apply_link(
+            state[static_cast<std::size_t>(peer.node)][peer.port],
+            link.bandwidth_bps, link.propagation_delay);
+        bandwidths[p] = topo.link_at(topo.at(node).links[p]).bandwidth_bps;
+      }
+      const core::forward_fn forward = [&](std::uint32_t fid, std::size_t) {
+        return routes.egress_port(node, flow_dst.at(fid), fid);
+      };
+      std::vector<traffic::packet> dropped;
+      next[static_cast<std::size_t>(node)] =
+          model.process(ingress, forward, true, nullptr, &dropped, bandwidths,
+                        nullptr, nullptr, nullptr, &provider,
+                        static_cast<std::int64_t>(node), round);
+      drops += dropped.size();
+    }
+    bool changed = false;
+    for (std::size_t n = 0; n < state.size(); ++n)
+      for (std::size_t p = 0; p < state[n].size(); ++p)
+        changed = changed || !same_stream(state[n][p], next[n][p]);
+    state = std::move(next);
+    if (!changed) return state;
+  }
+  ADD_FAILURE() << "the layer pipeline did not reach a bitwise fixed point "
+                   "in 20 rounds";
+  return state;
+}
+
+// The engine reads its feeds in place, fusing the link shift and the PFM
+// into one pass per device visit, and collects deliveries on its pool. It
+// must give exactly what the public layer pipeline gives: every device
+// egress stream, every delivery and the drop count, bit for bit. Acyclic
+// topologies only: a cyclic stage stops at a 1e-9 tolerance, not at a
+// bitwise fixed point.
+TEST(determinism, engine_matches_layer_pipeline) {
+  constexpr double horizon = 0.005;
+  const auto ptm = tiny_ptm();
+  const auto check = [&](const topo::topology& topo,
+                         const core::scheduler_context& ctx,
+                         const std::vector<traffic::packet_stream>& streams,
+                         std::size_t workers) {
+    const topo::routing routes{topo};
+    core::engine_config cfg;
+    cfg.partitions = workers;
+    cfg.delay.backend = des::delay_backend::ptm;
+    core::dqn_network engine{topo, routes, ptm, ctx, cfg};
+    const auto result = engine.run(streams, horizon);
+    ASSERT_FALSE(result.deliveries.empty());
+
+    // The test's traffic gives each flow id one destination, so forward()
+    // may route by flow id.
+    std::map<std::uint32_t, topo::node_id> flow_dst;
+    for (const auto host : topo.hosts())
+      for (const auto& ev : engine.egress_stream(host, 0)) {
+        const auto it = flow_dst.emplace(ev.pkt.flow_id, ev.pkt.dst_host).first;
+        ASSERT_EQ(it->second, ev.pkt.dst_host) << "flow " << ev.pkt.flow_id;
+      }
+    const core::device_model model{ptm, ctx};
+    const auto provider = core::make_delay_provider(ptm, cfg.delay);
+    provider->prepare(topo.node_count() + 1);
+    std::uint64_t drops = 0;
+    const egress_state state =
+        layer_pipeline(topo, routes, engine, model, *provider, flow_dst, drops);
+
+    for (const auto node : topo.devices())
+      for (std::size_t port = 0; port < topo.port_count(node); ++port)
+        EXPECT_TRUE(same_stream(engine.egress_stream(node, port),
+                                state[static_cast<std::size_t>(node)][port]))
+            << "node " << node << " port " << port;
+
+    std::vector<des::delivery_record> expected;
+    for (const auto host : topo.hosts()) {
+      const auto peer = topo.peer_of(host, 0);
+      const auto& link = topo.link_at(peer.link_index);
+      const auto& stream =
+          state[static_cast<std::size_t>(peer.node)][peer.port];
+      for (const auto& ev : core::apply_link(stream, link.bandwidth_bps,
+                                             link.propagation_delay)) {
+        if (ev.pkt.dst_host != host) continue;
+        des::delivery_record d;
+        d.pid = ev.pkt.pid;
+        d.dst = ev.pkt.dst_host;
+        d.delivery_time = ev.time;
+        expected.push_back(d);
+      }
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const des::delivery_record& a, const des::delivery_record& b) {
+                if (a.delivery_time != b.delivery_time)
+                  return a.delivery_time < b.delivery_time;
+                return a.pid < b.pid;
+              });
+    ASSERT_EQ(result.deliveries.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(result.deliveries[i].pid, expected[i].pid) << "delivery " << i;
+      EXPECT_EQ(result.deliveries[i].dst, expected[i].dst) << "delivery " << i;
+      EXPECT_TRUE(same_bits(result.deliveries[i].delivery_time,
+                            expected[i].delivery_time))
+          << "delivery " << i << " delivery_time bits differ";
+    }
+    EXPECT_EQ(result.drops, drops);
+    if (ctx.buffer_bytes > 0) {
+      EXPECT_GT(drops, 0u) << "the case must drop packets";
+    }
+  };
+
+  {
+    SCOPED_TRACE("fattree16, FIFO, 4 workers");
+    check(topo::make_fattree16(), {}, fattree_streams(), 4);
+  }
+  {
+    SCOPED_TRACE("line4, 3-class SP, 3 KB drop-tail, 1 worker");
+    // 1 Gbps links; each host sends one flow per class, each to another host.
+    const auto topo = topo::make_line(4, {1e9, 1e-6});
+    std::vector<traffic::flow_spec> flows;
+    for (std::uint32_t src = 0; src < 4; ++src)
+      for (std::uint32_t c = 0; c < 3; ++c) {
+        traffic::flow_spec flow;
+        flow.flow_id = src * 3 + c;
+        flow.src_host = static_cast<std::int32_t>(src);
+        flow.dst_host = static_cast<std::int32_t>((src + 1 + c) % 4);
+        flow.priority = static_cast<std::uint8_t>(c);
+        flows.push_back(flow);
+      }
+    traffic::tg_util_config tg;
+    tg.per_flow_rate = 30'000.0;
+    tg.seed = 13;
+    auto generators = traffic::make_generators(flows, tg);
+    util::rng rng{13};
+    const auto streams = traffic::per_host_streams(generators, 4, horizon, rng);
+    core::scheduler_context sp;
+    sp.kind = des::scheduler_kind::sp;
+    sp.buffer_bytes = 3000;
+    check(topo, sp, streams, 1);
+  }
+}
+
 }  // namespace

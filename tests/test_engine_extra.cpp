@@ -211,6 +211,38 @@ TEST(engine_extra, works_on_every_evaluation_topology) {
   }
 }
 
+// Two hosts send on the same flow id to different hosts. Each packet must be
+// routed by its own destination: every packet is delivered or dropped, and
+// the engine delivers the packets the DES delivers, to the same hosts. A
+// route chosen per flow id would carry some packets to a host they are not
+// for, where collection loses them without counting a drop.
+TEST(engine_extra, routes_each_packet_by_its_own_destination) {
+  const auto topo = topo::make_line(3);
+  const topo::routing routes{topo};
+  std::vector<traffic::packet_stream> streams(3);
+  std::uint64_t pid = 0;
+  for (int i = 0; i < 50; ++i) {
+    for (const auto& [src, dst] : {std::pair{0, 2}, std::pair{1, 0}}) {
+      traffic::packet pkt;
+      pkt.pid = pid++;
+      pkt.flow_id = 5;
+      pkt.size_bytes = 1000;
+      pkt.dst_host = dst;
+      streams[static_cast<std::size_t>(src)].push_back({pkt, i * 20e-6});
+    }
+  }
+  des::network oracle{topo, routes, {}};
+  core::dqn_network engine{topo, routes, shared_ptm(), {}, {}};
+  const auto truth = oracle.run(streams, 0.01);
+  const auto result = engine.run(streams, 0.01);
+  EXPECT_EQ(truth.deliveries.size(), pid);
+  EXPECT_EQ(result.deliveries.size() + result.drops, pid);
+  std::set<std::pair<std::uint64_t, topo::node_id>> delivered, expected;
+  for (const auto& d : result.deliveries) delivered.emplace(d.pid, d.dst);
+  for (const auto& d : truth.deliveries) expected.emplace(d.pid, d.dst);
+  EXPECT_EQ(delivered, expected);
+}
+
 TEST(engine_extra, zero_traffic_is_handled) {
   const auto topo = topo::make_line(2);
   const topo::routing routes{topo};
