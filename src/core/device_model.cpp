@@ -224,10 +224,19 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
   }
   std::vector<double> departures(queue.size());
   project_departures(queue, sojourns, tx_order, departures, line_bps);
+  // Re-sequencing: egress streams are time series again (§3.2.4). The
+  // projection starts each departure at or after the end of the previous
+  // one in transmission order, so the stream built in that order is
+  // already in (time, pid) order. Only a service time below the
+  // timestamps' ulp can tie two departures out of pid order, and the sort
+  // covers that case.
   traffic::packet_stream out_stream;
   out_stream.reserve(queue.size());
-  for (std::size_t i = 0; i < queue.size(); ++i) {
+  for (const std::size_t i : tx_order)
     out_stream.push_back({queue[i].pkt, departures[i]});
+  if (!std::is_sorted(out_stream.begin(), out_stream.end()))
+    std::sort(out_stream.begin(), out_stream.end());
+  for (std::size_t i = 0; i < queue.size(); ++i) {
     if (call.hops != nullptr)
       call.hops->push_back({queue[i].pkt.pid, port, queue[i].time, departures[i]});
     if (tracer != nullptr && tracer->sampled(queue[i].pkt.pid)) {
@@ -241,8 +250,6 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
       tracer->record_hop(queue[i].pkt.pid, hop);
     }
   }
-  // Re-sequencing: egress streams are time series again (§3.2.4).
-  std::sort(out_stream.begin(), out_stream.end());
   return out_stream;
 }
 

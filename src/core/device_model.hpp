@@ -102,8 +102,9 @@ class device_model {
   // forwarded to egress `port` (apply_forwarding's stream for that port),
   // drained at `line_bps`. Runs the drop-tail replay, the sojourn backend,
   // the strict-priority clamp and the feasibility projection, and returns
-  // the port's egress stream ordered by departure. The engine calls this
-  // directly, so it can infer a device's queues in separate IRSA stages.
+  // the port's egress stream in (departure time, pid) order. The engine
+  // calls this directly, so it can infer a device's queues in separate IRSA
+  // stages.
   [[nodiscard]] traffic::packet_stream process_queue(traffic::packet_stream queue,
                                                      std::size_t port,
                                                      double line_bps,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -51,6 +52,67 @@ struct staged_slot {
   std::vector<std::uint8_t> port_changed;  // per egress port
   bool inferred = false;
 };
+
+// A worker's buffers for the fused link-and-forward pass, reused across its
+// device visits.
+struct visit_buffers {
+  // Per egress port: the queue the pass fills, moved on to process_queue.
+  std::vector<traffic::packet_stream> queues;
+  // Per egress port, ports + 1 offsets into its queue: where each ingress
+  // port's run starts, then the queue's size.
+  std::vector<std::size_t> run_starts;
+};
+
+// Puts `queue` in (time, pid) order. Its run r is queue[starts[r],
+// starts[r + 1]) and is normally ordered already; adjacent runs then merge
+// pairwise, level by level, between `queue` and `spare`. If a run is out of
+// order, the queue is sorted instead. Pids are unique, so either way the
+// result is the one std::sort gives. `starts` and `spare` come back
+// overwritten.
+void merge_runs(traffic::packet_stream& queue, std::span<std::size_t> starts,
+                traffic::packet_stream& spare) {
+  const auto at = [&starts](traffic::packet_stream& stream, std::size_t run) {
+    return stream.begin() + static_cast<std::ptrdiff_t>(starts[run]);
+  };
+  // Check each run and compact the starts of the non-empty ones.
+  std::size_t count = 0;
+  for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
+    if (starts[r] == starts[r + 1]) continue;
+    if (!std::is_sorted(at(queue, r), at(queue, r + 1))) {
+      std::sort(queue.begin(), queue.end());
+      return;
+    }
+    starts[count++] = starts[r];
+  }
+  starts[count] = queue.size();
+  // Each level halves the run count and swaps the buffers' roles. With an
+  // odd number of levels the first reads a copy in `spare`, so that the
+  // last one writes into `queue`.
+  std::size_t levels = 0;
+  for (std::size_t runs = count; runs > 1; runs = (runs + 1) / 2) ++levels;
+  if (levels == 0) return;
+  spare.resize(queue.size());
+  traffic::packet_stream* src = &queue;
+  traffic::packet_stream* dst = &spare;
+  if (levels % 2 == 1) {
+    std::copy(queue.begin(), queue.end(), spare.begin());
+    std::swap(src, dst);
+  }
+  while (count > 1) {
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < count; r += 2) {
+      if (r + 1 == count)
+        std::copy(at(*src, r), at(*src, r + 1), at(*dst, r));
+      else
+        std::merge(at(*src, r), at(*src, r + 1), at(*src, r + 1),
+                   at(*src, r + 2), at(*dst, r));
+      starts[kept++] = starts[r];
+    }
+    starts[kept] = queue.size();
+    count = kept;
+    std::swap(src, dst);
+  }
+}
 
 }  // namespace
 
@@ -230,8 +292,10 @@ des::run_result dqn_network::run_core(
     if (!out.empty()) {
       // NIC queueing prediction: the host's single FIFO egress queue at the
       // access link's rate, fed in (time, pid) order as the PFM feeds every
-      // egress queue.
-      std::sort(out.begin(), out.end());
+      // egress queue. Send times never decrease (checked above), so only
+      // equal-time packets out of pid order need the sort.
+      if (!std::is_sorted(out.begin(), out.end()))
+        std::sort(out.begin(), out.end());
       const double nic_bps =
           topo_->link_at(topo_->at(hosts[i]).links[0]).bandwidth_bps;
       out = host_nic_.process_queue(std::move(out), 0, nic_bps, nic_call);
@@ -322,6 +386,8 @@ des::run_result dqn_network::run_core(
   // moves a batch to another worker's workspace, which only affects arena
   // warmth, never numerics.
   std::vector<nn::workspace> worker_workspaces(workers);
+  std::vector<visit_buffers> worker_buffers(workers);
+  merge_spares_.resize(workers);
   std::vector<double> worker_busy(workers, 0.0);
   std::vector<std::size_t> iteration_inferences(workers, 0);
   // Shard event labels, built once per run (the event path is per
@@ -392,12 +458,23 @@ des::run_result dqn_network::run_core(
           // The ingress links (Eq. 5) and the PFM in one pass that reads each
           // upstream peer's egress stream in place: shift every packet by its
           // link, route it by its own destination, and keep it only when its
-          // egress queue is in this stage. Pids are unique, so once sorted by
-          // (time, pid) each queue is the stream apply_link and then
-          // apply_forwarding would give it, whatever the append order.
+          // egress queue is in this stage. Each queue gets one run per
+          // ingress port, and a run is in (time, pid) order: the peer's line
+          // spaced its departures at least one service time apart, and the
+          // link delays each packet by its own service time plus a constant.
+          // Merging the runs gives each queue the stream apply_link and then
+          // apply_forwarding would give it.
           const std::size_t ports = topo_->port_count(node);
-          std::vector<traffic::packet_stream> queues(ports);
+          visit_buffers& buffers = worker_buffers[worker];
+          if (buffers.queues.size() < ports) buffers.queues.resize(ports);
+          buffers.run_starts.resize(ports * (ports + 1));
+          const auto run_start = [&](std::size_t port,
+                                     std::size_t in) -> std::size_t& {
+            return buffers.run_starts[port * (ports + 1) + in];
+          };
           for (std::size_t in = 0; in < ports; ++in) {
+            for (std::size_t p = 0; p < ports; ++p)
+              run_start(p, in) = buffers.queues[p].size();
             const auto peer = topo_->peer_of(node, in);
             const auto& link = topo_->link_at(peer.link_index);
             for (const auto& ev :
@@ -405,11 +482,13 @@ des::run_result dqn_network::run_core(
               const std::size_t out =
                   routes_->egress_port(node, ev.pkt.dst_host, ev.pkt.flow_id);
               if (stage_of(node, out) != stage) continue;
-              queues[out].push_back(
+              buffers.queues[out].push_back(
                   {ev.pkt,
                    link_shift(ev, link.bandwidth_bps, link.propagation_delay)});
             }
           }
+          for (std::size_t p = 0; p < ports; ++p)
+            run_start(p, ports) = buffers.queues[p].size();
           const device_model* model = &device_;
           if (const auto it = device_overrides_.find(node);
               it != device_overrides_.end())
@@ -435,9 +514,10 @@ des::run_result dqn_network::run_core(
             }
             queue_drops[n][p].clear();
             call.dropped = &queue_drops[n][p];
-            std::sort(queues[p].begin(), queues[p].end());
+            merge_runs(buffers.queues[p], {&run_start(p, 0), ports + 1},
+                       merge_spares_[worker]);
             slot.streams[p] = model->process_queue(
-                std::move(queues[p]), p,
+                std::move(buffers.queues[p]), p,
                 topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
             slot.port_changed[p] =
                 streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
@@ -507,8 +587,8 @@ des::run_result dqn_network::run_core(
                           1.0);
 
   // Collect deliveries on the pool. One round builds each host's run: its
-  // access link's delivery of the peer's egress stream, sorted by (time,
-  // pid). Each later round merges adjacent runs pairwise. Pids are unique,
+  // access link's delivery of the peer's egress stream, in (time, pid)
+  // order. Each later round merges adjacent runs pairwise. Pids are unique,
   // so the last run is the one global sort of every record. These rounds
   // add nothing to the IRSA stats.
   des::run_result result;
@@ -545,7 +625,11 @@ des::run_result dqn_network::run_core(
         tracer->record_delivery(ev.pkt.pid, d.delivery_time);
       run.push_back(d);
     }
-    std::sort(run.begin(), run.end(), by_delivery);
+    // The inbound stream is in (time, pid) order and the access link
+    // shifts it as it serialized it, so the run is normally in delivery
+    // order already.
+    if (!std::is_sorted(run.begin(), run.end(), by_delivery))
+      std::sort(run.begin(), run.end(), by_delivery);
   });
   while (runs.size() > 1) {
     std::vector<std::vector<des::delivery_record>> merged((runs.size() + 1) /

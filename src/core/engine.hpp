@@ -257,6 +257,10 @@ class dqn_network : public des::estimator {
   engine_stats stats_;
   bool ran_ = false;
   std::unique_ptr<util::work_stealing_pool> pool_;
+  // The second buffer of each pool worker's run merges in a device visit.
+  // Like the pool it survives across run() calls, so a repeated run does not
+  // grow it again.
+  std::vector<traffic::packet_stream> merge_spares_;
   std::vector<std::vector<traffic::packet_stream>> final_egress_;
 };
 

@@ -37,6 +37,13 @@ std::vector<double> compute_features(const traffic::packet_stream& arrivals,
       gps_share[c] = ctx.class_weights[clamped] / weight_total;
     }
   }
+  // A row reads only slots klass - 1 and klass, so the sweeps stop at the
+  // stream's largest class: one slot under FIFO. The slots they cover see
+  // the same operations in the same order as a full sweep.
+  std::size_t classes = 1;
+  for (const auto& ev : arrivals)
+    classes = std::max<std::size_t>(
+        classes, std::min<std::size_t>(ev.pkt.priority, max_classes - 1) + 1);
   double prev_service = 0;
   double prev_time = arrivals.empty() ? 0.0 : arrivals.front().time;
   bool first = true;
@@ -47,15 +54,17 @@ std::vector<double> compute_features(const traffic::packet_stream& arrivals,
     prev_time = ev.time;
     if (!first) {
       unfinished = std::max(0.0, unfinished + prev_service - iat);
-      for (auto& w : class_work) w = std::max(0.0, w - iat);
-      for (auto& w : own_only_work) w = std::max(0.0, w - iat);
+      for (std::size_t c = 0; c < classes; ++c) {
+        class_work[c] = std::max(0.0, class_work[c] - iat);
+        own_only_work[c] = std::max(0.0, own_only_work[c] - iat);
+      }
     }
     prev_service = len * 8.0 / ctx.bandwidth_bps;
     const std::size_t klass = std::min<std::size_t>(ev.pkt.priority, max_classes - 1);
     const double higher_work = klass == 0 ? 0.0 : class_work[klass - 1];
     const double own_work = class_work[klass];
     const double own_only = own_only_work[klass];
-    for (std::size_t c = klass; c < max_classes; ++c)
+    for (std::size_t c = klass; c < classes; ++c)
       class_work[c] += prev_service;
     own_only_work[klass] += prev_service;
     if (first) {

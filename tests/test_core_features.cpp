@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <initializer_list>
 #include <set>
 #include <sstream>
@@ -353,6 +356,121 @@ TEST(features, per_class_work_tracks_priorities) {
   // Packet 4: the queue fully drained during the 10 s gap.
   EXPECT_DOUBLE_EQ(at(3, f_higher_class_work), 0.0);
   EXPECT_DOUBLE_EQ(at(3, f_own_class_work), 0.0);
+}
+
+// compute_features as it was before its class sweeps stopped at the
+// stream's largest class: every sweep covers all 16 class slots.
+std::vector<double> full_sweep_features(const packet_stream& arrivals,
+                                        const scheduler_context& ctx) {
+  std::vector<double> rows(arrivals.size() * feature_count, 0.0);
+  constexpr std::size_t max_classes = 16;
+  double ema_bytes = 0;
+  double ema_rate = 0;
+  double unfinished = 0;
+  std::array<double, max_classes> class_work{};
+  std::array<double, max_classes> own_only_work{};
+  std::array<double, max_classes> gps_share;
+  gps_share.fill(1.0);
+  if (!ctx.class_weights.empty()) {
+    double weight_total = 0;
+    for (double w : ctx.class_weights) weight_total += w;
+    for (std::size_t c = 0; c < max_classes; ++c) {
+      const std::size_t clamped = std::min(c, ctx.class_weights.size() - 1);
+      gps_share[c] = ctx.class_weights[clamped] / weight_total;
+    }
+  }
+  double prev_service = 0;
+  double prev_time = arrivals.empty() ? 0.0 : arrivals.front().time;
+  bool first = true;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const auto& ev = arrivals[i];
+    const double len = ev.pkt.size_bytes;
+    const double iat = first ? 0.0 : std::max(0.0, ev.time - prev_time);
+    prev_time = ev.time;
+    if (!first) {
+      unfinished = std::max(0.0, unfinished + prev_service - iat);
+      for (auto& w : class_work) w = std::max(0.0, w - iat);
+      for (auto& w : own_only_work) w = std::max(0.0, w - iat);
+    }
+    prev_service = len * 8.0 / ctx.bandwidth_bps;
+    const std::size_t klass =
+        std::min<std::size_t>(ev.pkt.priority, max_classes - 1);
+    const double higher_work = klass == 0 ? 0.0 : class_work[klass - 1];
+    const double own_work = class_work[klass];
+    const double own_only = own_only_work[klass];
+    for (std::size_t c = klass; c < max_classes; ++c)
+      class_work[c] += prev_service;
+    own_only_work[klass] += prev_service;
+    if (first) {
+      ema_bytes = len;
+      ema_rate = 0;
+      first = false;
+    } else {
+      ema_bytes =
+          workload_smoothing * ema_bytes + (1 - workload_smoothing) * len;
+      const double inst_rate = len / std::max(iat, 1e-9);
+      ema_rate =
+          workload_smoothing * ema_rate + (1 - workload_smoothing) * inst_rate;
+    }
+    double* row = rows.data() + i * feature_count;
+    row[f_len] = len;
+    row[f_iat] = iat;
+    row[f_workload_bytes] = ema_bytes;
+    row[f_workload_rate] = ema_rate;
+    row[f_sched_fifo] = ctx.kind == dqn::des::scheduler_kind::fifo ? 1.0 : 0.0;
+    row[f_sched_sp] = ctx.kind == dqn::des::scheduler_kind::sp ? 1.0 : 0.0;
+    row[f_sched_wrr] = ctx.kind == dqn::des::scheduler_kind::wrr ? 1.0 : 0.0;
+    row[f_sched_drr] = ctx.kind == dqn::des::scheduler_kind::drr ? 1.0 : 0.0;
+    row[f_sched_wfq] = ctx.kind == dqn::des::scheduler_kind::wfq ? 1.0 : 0.0;
+    row[f_priority] = ev.pkt.priority;
+    row[f_weight] = ctx.weight_of(ev.pkt);
+    row[f_protocol] = ev.pkt.protocol == 6 ? 1.0 : 0.0;
+    row[f_unfinished_work] = unfinished;
+    row[f_higher_class_work] = higher_work;
+    row[f_own_class_work] = own_work;
+    row[f_own_only_work] = own_only;
+    row[f_gps_wait] = own_only / gps_share[klass];
+  }
+  return rows;
+}
+
+TEST(features, class_sweep_matches_full_sweep_bit_for_bit) {
+  // A loaded 1 Gbps line (mean gap ~ one service time) so every class keeps
+  // a backlog; priorities drawn from each set, the last one clamped to 15.
+  const std::vector<std::vector<std::uint8_t>> priority_sets = {
+      {0}, {0, 1, 2}, {0, 7}, {0, 3, 15, 16, 20}};
+  std::vector<scheduler_context> contexts(3);
+  contexts[0].kind = dqn::des::scheduler_kind::fifo;
+  contexts[1].kind = dqn::des::scheduler_kind::sp;
+  contexts[2].kind = dqn::des::scheduler_kind::wfq;
+  contexts[2].class_weights = {8.0, 4.0, 2.0, 1.0};
+  for (auto& ctx : contexts) ctx.bandwidth_bps = 1e9;
+  dqn::util::rng rng{42};
+  for (const auto& priorities : priority_sets) {
+    packet_stream stream;
+    double time = 0;
+    for (std::uint64_t pid = 0; pid < 400; ++pid) {
+      packet p;
+      p.pid = pid;
+      p.size_bytes = static_cast<std::uint32_t>(64 + rng.uniform_int(1437));
+      p.priority = priorities[rng.uniform_int(priorities.size())];
+      p.protocol = rng.uniform_int(2) == 0 ? 6 : 17;
+      time += rng.uniform(0.0, 2.4e-5);
+      stream.push_back({p, time});
+    }
+    for (const auto& ctx : contexts) {
+      SCOPED_TRACE(::testing::Message()
+                   << "scheduler " << static_cast<int>(ctx.kind) << ", "
+                   << priorities.size() << " classes, top "
+                   << static_cast<int>(priorities.back()));
+      const auto rows = compute_features(stream, ctx);
+      const auto expected = full_sweep_features(stream, ctx);
+      ASSERT_EQ(rows.size(), expected.size());
+      EXPECT_EQ(std::memcmp(rows.data(), expected.data(),
+                            rows.size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(sec, mismatched_sizes_throw) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -140,6 +141,30 @@ std::vector<traffic::packet_stream> uniform_streams(std::size_t hosts) {
 
 std::vector<traffic::packet_stream> fattree_streams() {
   return uniform_streams(16);
+}
+
+// Host streams full of near-ties, from t = 1 ms: every nanosecond each host
+// sends a burst of three packets at one instant (64, 576 and 1500 B) to the
+// next host. Pids fall with time, so they descend within each burst and
+// from each burst to the next.
+std::vector<traffic::packet_stream> descending_pid_streams(std::size_t hosts,
+                                                           std::size_t bursts) {
+  constexpr std::uint32_t sizes[] = {64, 576, 1500};
+  std::vector<traffic::packet_stream> streams(hosts);
+  std::uint64_t pid = hosts * bursts * std::size(sizes);
+  for (std::size_t burst = 0; burst < bursts; ++burst) {
+    const double time = 1e-3 + 1e-9 * static_cast<double>(burst);
+    for (std::size_t h = 0; h < hosts; ++h)
+      for (const std::uint32_t size : sizes) {
+        traffic::packet pkt;
+        pkt.pid = pid--;
+        pkt.flow_id = static_cast<std::uint32_t>(h);
+        pkt.size_bytes = size;
+        pkt.dst_host = static_cast<std::int32_t>((h + 1) % hosts);
+        streams[h].push_back({pkt, time});
+      }
+  }
+  return streams;
 }
 
 TEST(determinism, engine_bit_identical_across_partition_counts) {
@@ -403,22 +428,42 @@ bool same_stream(const traffic::packet_stream& a,
   return true;
 }
 
-// Algorithm 1 over the public operators, as a Jacobi iteration from the
-// engine's host egress streams: each round computes every device from the
-// previous round's streams with apply_link and device_model::process (which
-// forwards with apply_forwarding), until no stream changes by a bit.
-// `drops` receives the last round's drop count.
+// Algorithm 1 over the public operators. SInit: each host's packets up to
+// the horizon, sorted by (time, pid), through a FIFO host-NIC queue at its
+// access link's rate. Then a Jacobi iteration: each round computes every
+// device from the previous round's streams with apply_link and
+// device_model::process (which forwards with apply_forwarding), until no
+// stream changes by a bit. `drops` receives the last round's drop count.
 egress_state layer_pipeline(
     const topo::topology& topo, const topo::routing& routes,
-    const core::dqn_network& engine, const core::device_model& model,
-    core::delay_provider& provider,
+    const std::vector<traffic::packet_stream>& host_streams, double horizon,
+    const std::shared_ptr<const core::ptm_model>& ptm,
+    const core::scheduler_context& ctx, core::delay_provider& provider,
     const std::map<std::uint32_t, topo::node_id>& flow_dst,
     std::uint64_t& drops) {
   egress_state state(topo.node_count());
   for (std::size_t n = 0; n < state.size(); ++n)
     state[n].resize(topo.port_count(static_cast<topo::node_id>(n)));
-  for (const auto host : topo.hosts())
-    state[static_cast<std::size_t>(host)][0] = engine.egress_stream(host, 0);
+  const auto hosts = topo.hosts();
+  const core::device_model model{ptm, ctx};
+  const core::device_model nic{ptm, core::scheduler_context{}};
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    traffic::packet_stream queue;
+    for (const auto& ev : host_streams[i]) {
+      if (ev.time > horizon) break;
+      traffic::packet pkt = ev.pkt;
+      pkt.src_host = hosts[i];
+      pkt.dst_host = hosts[static_cast<std::size_t>(pkt.dst_host)];
+      queue.push_back({pkt, ev.time});
+    }
+    std::sort(queue.begin(), queue.end());
+    core::queue_call call;
+    call.delay = &provider;
+    const double nic_bps =
+        topo.link_at(topo.at(hosts[i]).links[0]).bandwidth_bps;
+    state[static_cast<std::size_t>(hosts[i])][0] =
+        nic.process_queue(std::move(queue), 0, nic_bps, call);
+  }
   for (std::size_t round = 0; round < 20; ++round) {
     egress_state next = state;
     drops = 0;
@@ -457,11 +502,12 @@ egress_state layer_pipeline(
 }
 
 // The engine reads its feeds in place, fusing the link shift and the PFM
-// into one pass per device visit, and collects deliveries on its pool. It
-// must give exactly what the public layer pipeline gives: every device
-// egress stream, every delivery and the drop count, bit for bit. Acyclic
-// topologies only: a cyclic stage stops at a 1e-9 tolerance, not at a
-// bitwise fixed point.
+// into one pass per device visit, and collects deliveries on its pool; it
+// sorts a stream only when a check finds it out of (time, pid) order. It
+// must give exactly what the public layer pipeline gives: every host and
+// device egress stream, every delivery and the drop count, bit for bit.
+// Acyclic topologies only: a cyclic stage stops at a 1e-9 tolerance, not
+// at a bitwise fixed point.
 TEST(determinism, engine_matches_layer_pipeline) {
   constexpr double horizon = 0.005;
   const auto ptm = tiny_ptm();
@@ -485,14 +531,14 @@ TEST(determinism, engine_matches_layer_pipeline) {
         const auto it = flow_dst.emplace(ev.pkt.flow_id, ev.pkt.dst_host).first;
         ASSERT_EQ(it->second, ev.pkt.dst_host) << "flow " << ev.pkt.flow_id;
       }
-    const core::device_model model{ptm, ctx};
     const auto provider = core::make_delay_provider(ptm, cfg.delay);
     provider->prepare(topo.node_count() + 1);
     std::uint64_t drops = 0;
-    const egress_state state =
-        layer_pipeline(topo, routes, engine, model, *provider, flow_dst, drops);
+    const egress_state state = layer_pipeline(
+        topo, routes, streams, horizon, ptm, ctx, *provider, flow_dst, drops);
 
-    for (const auto node : topo.devices())
+    for (topo::node_id node = 0;
+         static_cast<std::size_t>(node) < topo.node_count(); ++node)
       for (std::size_t port = 0; port < topo.port_count(node); ++port)
         EXPECT_TRUE(same_stream(engine.egress_stream(node, port),
                                 state[static_cast<std::size_t>(node)][port]))
@@ -562,6 +608,52 @@ TEST(determinism, engine_matches_layer_pipeline) {
     sp.kind = des::scheduler_kind::sp;
     sp.buffer_bytes = 3000;
     check(topo, sp, streams, 1);
+  }
+  {
+    SCOPED_TRACE("line4 at 1e23 bps, FIFO, descending pids, 2 workers");
+    // Near 1 ms a 64 B service time (5e-21 s) is below half an ulp of the
+    // timestamps and a 1500 B one (1.2e-19 s) rounds to one ulp. So the
+    // engine's checked orders all fail here and fall back to their sorts:
+    // equal-time host packets with descending pids (SInit); departures that
+    // tie while pids descend along the transmission order (re-sequencing);
+    // and tied packets whose link shifts untie them out of pid order (the
+    // ingress runs of the fused visit, and delivery collection).
+    check(topo::make_line(4, {1e23, 0.0}), {}, descending_pid_streams(4, 500),
+          2);
+  }
+  {
+    SCOPED_TRACE("process_queue on departures tied out of pid order");
+    // The pipeline above runs process_queue itself, so it cannot catch
+    // process_queue's own output order. Here the first packet waits 1 us and
+    // the rest not at all; their 64 B service times vanish below the ulp, so
+    // every departure ties with the first one while pids descend along the
+    // FIFO transmission order.
+    struct first_waits final : core::delay_provider {
+      std::vector<double> estimate_sojourn(const core::device_state& state,
+                                           double) override {
+        std::vector<double> sojourns(state.arrivals->size(), 0.0);
+        sojourns.front() = 1e-6;
+        return sojourns;
+      }
+      const char* name() const noexcept override { return "first_waits"; }
+    } provider;
+    traffic::packet_stream queue;
+    for (std::uint64_t k = 0; k < 8; ++k) {
+      traffic::packet pkt;
+      pkt.pid = 100 - k;
+      pkt.size_bytes = 64;
+      queue.push_back({pkt, 1e-3 + 1e-9 * static_cast<double>(k)});
+    }
+    core::queue_call call;
+    call.delay = &provider;
+    const auto out =
+        core::device_model{ptm, {}}.process_queue(queue, 0, 1e23, call);
+    ASSERT_EQ(out.size(), queue.size());
+    EXPECT_TRUE(same_bits(out.front().time, out.back().time))
+        << "the case must tie";
+    auto sorted = out;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_TRUE(same_stream(out, sorted)) << "not in (time, pid) order";
   }
 }
 
