@@ -22,7 +22,6 @@
 
 #include "baselines/mimicnet.hpp"
 #include "core/delay_provider.hpp"
-#include "obs/telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -260,68 +259,6 @@ int main(int argc, char** argv) {
         sink->gauge("table7.ptm_wall_seconds", ptm_wall);
         sink->gauge("table7.tiered_wall_seconds", tiered_wall);
       }
-    }
-  }
-
-  // Live-telemetry overhead on the Table-7 workload: the identical
-  // FatTree16 run with the telemetry plane off and on (default 250 ms
-  // sampler + /metrics endpoint on an ephemeral loopback port, scraped once
-  // mid-measurement via the renderer). Best-of-3 walls on both sides; the
-  // ENSURE below is a loose in-bench sanity bound — CI's perf-smoke gate
-  // holds the tight one.
-  {
-    const auto s = bench::make_scenario_load(
-        topo::make_fattree16(bench::bench_links()),
-        traffic::traffic_model::poisson, 0.5, 0.05 * scale, 1000);
-    std::size_t packets = 0;
-    for (const auto& stream : s.streams) packets += stream.size();
-    auto context = bench::compare_context(s, ptm, fifo_tm,
-                                          /*apply_sec=*/true,
-                                          /*partitions=*/4);
-    const auto net = des::make_estimator("deepqueuenet", context);
-    des::run_request request;
-    request.host_streams = &s.streams;
-    request.horizon = s.horizon;
-    const auto best_wall = [&](obs::sink* run_sink) {
-      request.sink = run_sink;
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto result = net->run(request);
-        best = rep == 0 ? result.wall_seconds
-                        : std::min(best, result.wall_seconds);
-      }
-      return best;
-    };
-    obs::sink off_sink;
-    const double off_wall = best_wall(&off_sink);
-    obs::sink on_sink;
-    const auto telemetry_cfg = obs::telemetry::telemetry_config{}
-                                   .with_enabled(true)
-                                   .with_metrics_port(0);
-    auto* plane = on_sink.start_telemetry(telemetry_cfg);
-    const double on_wall = best_wall(&on_sink);
-    const std::string exposition = plane->render_metrics();
-    DQN_ENSURE(exposition.find("# TYPE engine_deliveries counter") !=
-                   std::string::npos,
-               "table7: /metrics exposition is missing the engine counters");
-    const auto samples = plane->sampler().samples();
-    on_sink.stop_telemetry();
-    const double overhead = off_wall > 0 ? on_wall / off_wall - 1.0 : 0.0;
-    std::printf("[telemetry] FatTree16 best-of-3: off %s, on %s "
-                "(overhead %+.2f%%, %llu samples)\n",
-                util::format_duration(off_wall).c_str(),
-                util::format_duration(on_wall).c_str(), overhead * 100.0,
-                static_cast<unsigned long long>(samples));
-    DQN_ENSURE(overhead < 0.10,
-               "table7: telemetry overhead ", overhead,
-               " exceeds the 10% in-bench sanity bound");
-    table.add_row({"FatTree16", "DQN+telemetry", "4", std::to_string(packets),
-                   util::format_duration(on_wall),
-                   util::fmt(overhead * 100.0, 2) + "% overhead"});
-    if (obs::sink* sink = bench::bench_sink(); sink != nullptr) {
-      sink->gauge("table7.telemetry_overhead_fraction", overhead);
-      sink->gauge("table7.telemetry_off_wall_seconds", off_wall);
-      sink->gauge("table7.telemetry_on_wall_seconds", on_wall);
     }
   }
 

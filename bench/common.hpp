@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/dlib.hpp"
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
@@ -27,7 +29,6 @@
 #include "des/estimator_factory.hpp"
 #include "des/network.hpp"
 #include "obs/sink.hpp"
-#include "obs/telemetry/resource_stats.hpp"
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
@@ -55,11 +56,13 @@ inline obs::sink* bench_sink() {
     static obs::sink sink;
     static std::string destination{env};
     std::atexit([] {
-      // Stamp end-of-process resource usage (peak RSS, CPU split, context
-      // switches) into the snapshot so every profiled bench records what it
-      // cost — run_all_benches.sh lifts peak_rss_bytes into
-      // BENCH_results.json from these gauges.
-      obs::telemetry::publish_resource_gauges(sink);
+      // Stamp the process's peak RSS (ru_maxrss is kilobytes on Linux) into
+      // the snapshot so every profiled bench records what it cost;
+      // run_all_benches.sh lifts it into BENCH_results.json.
+      struct rusage usage {};
+      if (getrusage(RUSAGE_SELF, &usage) == 0)
+        sink.gauge("process.max_rss_bytes",
+                   static_cast<double>(usage.ru_maxrss) * 1024.0);
       const std::string doc = sink.to_json();
       if (destination == "1" || destination == "-") {
         std::printf("%s\n", doc.c_str());

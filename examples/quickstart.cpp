@@ -30,36 +30,22 @@
 //                          also carries quickstart.measured_* gauges:
 //                          measured wall at 1 and N workers plus speedup.
 //
-// Live telemetry (obs/telemetry/):
-//   --metrics-port P       start the sink's background sampler and serve
-//                          /metrics, /snapshot, /series, /runs, /healthz on
-//                          127.0.0.1:P (0 = pick an ephemeral port; the
-//                          bound one is printed to stderr);
-//   --serve-hold           after the workflow finishes, keep serving until
-//                          SIGTERM/SIGINT, then shut down cleanly (exit 0);
-//   --strict-obs           after the run, fail (exit 3) if observability
-//                          reported data loss — dropped trace events or
-//                          logged contract violations;
-//   --telemetry-smoke      sampler-overhead check: same scenario run with
-//                          telemetry off and on (best of 3 each), one-line
-//                          JSON summary. CI's perf-smoke job gates on the
-//                          overhead fraction.
+// Observability check:
+//   --strict-obs           run the default workflow through one obs::sink,
+//                          then fail (exit 3) if it reported data loss —
+//                          dropped trace events or logged contract
+//                          violations. CI's verify job runs it.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "des/estimator_factory.hpp"
 #include "des/run_api.hpp"
 #include "examples/example_util.hpp"
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
-#include "obs/telemetry/telemetry.hpp"
 
 using namespace dqn;
 
@@ -82,52 +68,6 @@ struct estimator_options {
   // the sharded work-stealing scheduler). 0 = the quickstart default (2).
   std::size_t threads = 0;
 };
-
-struct telemetry_options {
-  int metrics_port = -1;  // -1 = no telemetry plane
-  bool serve_hold = false;
-  bool strict_obs = false;
-  bool telemetry_smoke = false;
-};
-
-std::sig_atomic_t volatile g_shutdown_requested = 0;
-
-extern "C" void quickstart_handle_signal(int) { g_shutdown_requested = 1; }
-
-// Start the live telemetry plane on `sink` per --metrics-port and report
-// where it serves. Returns the plane (owned by the sink) or nullptr.
-obs::telemetry::telemetry_plane* start_telemetry(
-    obs::sink& sink, const telemetry_options& options) {
-  // Install the shutdown handlers up front, not when hold_and_serve() is
-  // reached: a supervisor may SIGTERM while the demo pipeline is still
-  // running, and that must still be the clean exit path (hold_and_serve
-  // sees the flag already set and returns immediately).
-  if (options.serve_hold) {
-    std::signal(SIGTERM, quickstart_handle_signal);
-    std::signal(SIGINT, quickstart_handle_signal);
-  }
-  if (options.metrics_port < 0) return nullptr;
-  auto config = obs::telemetry::telemetry_config{}
-                    .with_enabled(true)
-                    .with_metrics_port(options.metrics_port);
-  auto* plane = sink.start_telemetry(config);
-  if (plane != nullptr && plane->metrics_port() >= 0)
-    std::fprintf(stderr,
-                 "[telemetry] serving http://127.0.0.1:%d/ "
-                 "(/metrics /snapshot /series /runs /healthz)\n",
-                 plane->metrics_port());
-  return plane;
-}
-
-// --serve-hold: block until SIGTERM/SIGINT, then stop the plane. The clean
-// exit path is asserted by CI's telemetry smoke (kill -TERM; wait; rc == 0).
-void hold_and_serve(obs::sink& sink) {
-  std::fprintf(stderr, "[telemetry] holding; send SIGTERM to exit\n");
-  while (g_shutdown_requested == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds{50});
-  std::fprintf(stderr, "[telemetry] shutdown requested; stopping plane\n");
-  sink.stop_telemetry();
-}
 
 // --strict-obs: non-zero exit when the summary carries a data-loss WARNING
 // footer (dropped trace events / contract violations).
@@ -224,86 +164,6 @@ int run_tiered_smoke() {
               tiered_wall > 0 ? ptm_wall / tiered_wall : 0.0, ptm_deliveries,
               tiered_deliveries, shadow_samples);
   return 0;
-}
-
-// --telemetry-smoke: measure what the live telemetry plane costs a run.
-// Trains a tiny model, then runs the same FatTree16 scenario with telemetry
-// off and on (best of 3 each, same estimator, separate sinks so the only
-// delta is the plane itself: 25 ms sampler + bound-but-unscraped endpoint).
-// CI's perf-smoke job gates on overhead_fraction.
-int run_telemetry_smoke() {
-  core::dutil_config dutil_cfg;
-  dutil_cfg.ports = 4;
-  dutil_cfg.bandwidth_bps = examples::link_bps;
-  dutil_cfg.streams = 30;
-  dutil_cfg.packets_per_stream = 200;
-  dutil_cfg.ptm.time_steps = 8;
-  dutil_cfg.ptm.mlp_hidden = {24, 12};
-  dutil_cfg.ptm.epochs = 8;
-  dutil_cfg.seed = 7;
-  std::fprintf(stderr, "[telemetry-smoke] training a tiny device model...\n");
-  auto bundle = core::train_device_model(dutil_cfg);
-  auto ptm = std::make_shared<const core::ptm_model>(std::move(bundle.model));
-
-  const auto topo = topo::make_fattree16(examples::links());
-  const topo::routing routes{topo};
-  const double horizon = 0.02;
-  const auto traffic_setup = examples::make_traffic_load(
-      topo, routes, traffic::traffic_model::poisson, /*max link load=*/0.3,
-      horizon, 7);
-
-  des::estimator_context context;
-  context.topo = &topo;
-  context.routes = &routes;
-  context.ptm = ptm;
-  context.engine.partitions = 2;
-  const auto net = des::make_estimator("deepqueuenet", context);
-
-  des::run_request request;
-  request.host_streams = &traffic_setup.streams;
-  request.horizon = horizon;
-
-  std::size_t deliveries = 0;
-  const auto best_wall = [&](obs::sink* sink) {
-    request.sink = sink;
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto result = net->run(request);
-      deliveries = result.deliveries.size();
-      best = rep == 0 ? result.wall_seconds
-                      : std::min(best, result.wall_seconds);
-    }
-    return best;
-  };
-
-  std::fprintf(stderr, "[telemetry-smoke] running with telemetry off...\n");
-  obs::sink off_sink;
-  const double off_wall = best_wall(&off_sink);
-
-  std::fprintf(stderr, "[telemetry-smoke] running with telemetry on...\n");
-  obs::sink on_sink;
-  const auto config = obs::telemetry::telemetry_config{}
-                          .with_enabled(true)
-                          .with_sample_period_ms(25)
-                          .with_metrics_port(0);
-  auto* plane = on_sink.start_telemetry(config);
-  const double on_wall = best_wall(&on_sink);
-
-  const std::uint64_t samples = plane->sampler().samples();
-  const std::string exposition = plane->render_metrics();
-  const bool exposition_ok =
-      exposition.find("# TYPE engine_deliveries counter") != std::string::npos &&
-      exposition.find("process_rss_bytes") != std::string::npos;
-  on_sink.stop_telemetry();
-
-  const double overhead = off_wall > 0 ? on_wall / off_wall - 1.0 : 0.0;
-  std::printf("{\"off_wall_seconds\": %.6f, \"on_wall_seconds\": %.6f, "
-              "\"overhead_fraction\": %.4f, \"samples\": %llu, "
-              "\"exposition_ok\": %s, \"deliveries\": %zu}\n",
-              off_wall, on_wall, overhead,
-              static_cast<unsigned long long>(samples),
-              exposition_ok ? "true" : "false", deliveries);
-  return exposition_ok ? 0 : 1;
 }
 
 // The profile mode (--json / --chrome-trace / --journeys). Deliberately
@@ -446,7 +306,7 @@ int run_profiled(const profile_options& options, std::size_t threads) {
 int main(int argc, char** argv) {
   profile_options options;
   estimator_options est_options;
-  telemetry_options tele_options;
+  bool strict_obs = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
     if (arg == "--json") {
@@ -469,23 +329,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--metrics-port" && i + 1 < argc) {
-      tele_options.metrics_port =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--serve-hold") {
-      tele_options.serve_hold = true;
     } else if (arg == "--strict-obs") {
-      tele_options.strict_obs = true;
-    } else if (arg == "--telemetry-smoke") {
-      tele_options.telemetry_smoke = true;
+      strict_obs = true;
     } else {
       std::fprintf(stderr,
                    "usage: quickstart [--json] [--chrome-trace <path>] "
                    "[--journeys N] [--threads N] "
                    "[--estimator des|deepqueuenet|fluid] "
                    "[--delay-backend ptm|analytical|tiered] [--tiered-smoke] "
-                   "[--metrics-port P] [--serve-hold] [--strict-obs] "
-                   "[--telemetry-smoke]\n");
+                   "[--strict-obs]\n");
       return 2;
     }
   }
@@ -512,17 +364,12 @@ int main(int argc, char** argv) {
     }
   }
   if (est_options.tiered_smoke) return run_tiered_smoke();
-  if (tele_options.telemetry_smoke) return run_telemetry_smoke();
   if (options.any()) return run_profiled(options, est_options.threads);
 
   std::printf("=== DeepQueueNet quickstart ===\n\n");
 
-  // One sink for the whole workflow when telemetry / strict-obs is on; the
-  // plane (sampler + endpoint) rides on it for the process lifetime.
+  // One sink for the whole workflow when --strict-obs is on.
   obs::sink sink;
-  const bool instrumented =
-      tele_options.metrics_port >= 0 || tele_options.strict_obs;
-  start_telemetry(sink, tele_options);
 
   // 1. Device model (trained once, then loaded from ./dqn_models).
   auto ptm = examples::example_device_model();
@@ -552,7 +399,7 @@ int main(int argc, char** argv) {
   context.flows = &traffic_setup.flows;
   context.flow_rates_pps = &flow_rates;
   context.mean_packet_size = 712.0;  // poisson traffic's mean packet size
-  if (instrumented) {
+  if (strict_obs) {
     context.engine.sink = &sink;
     context.des.sink = &sink;
   }
@@ -561,7 +408,7 @@ int main(int argc, char** argv) {
   des::run_request request;
   request.host_streams = &traffic_setup.streams;
   request.horizon = horizon;
-  if (instrumented) request.sink = &sink;
+  if (strict_obs) request.sink = &sink;
   const auto prediction = estimator->run(request);
   const auto* net = dynamic_cast<const core::dqn_network*>(estimator.get());
   if (net != nullptr) {
@@ -606,7 +453,6 @@ int main(int argc, char** argv) {
   std::printf("\ndone. Try examples/quickstart --json for a profiled run, or "
               "examples/capacity_planning, scheduler_tuning, topology_design "
               "next.\n");
-  if (tele_options.serve_hold) hold_and_serve(sink);
-  if (tele_options.strict_obs) return strict_obs_verdict(sink);
+  if (strict_obs) return strict_obs_verdict(sink);
   return 0;
 }

@@ -151,6 +151,76 @@ else
 fi
 
 # ---------------------------------------------------------------------------
+# Rule 7: the metric catalog matches the code. Every string-literal metric
+# name passed to count/gauge/observe/*_handle_for under src/, or written by
+# the sink's own export as counters["..."] (comments skipped, through
+# ast_lint.py's masking lexer), must be listed in
+# docs/OBSERVABILITY.md's "Metric catalog" table, and every name listed there
+# must have such a call site. Names built at run time are catalogued as one
+# of two patterns: <stage>.<name>.seconds (obs::scoped_timer) and
+# contracts.violations.<kind> (obs/contracts.cpp).
+# ---------------------------------------------------------------------------
+if command -v python3 >/dev/null 2>&1; then
+  if ! python3 - <<'PY'
+import os
+import re
+import sys
+
+sys.path.insert(0, "scripts")
+from ast_lint import line_of, mask_source
+
+PATTERNS = {"<stage>.<name>.seconds", "contracts.violations.<kind>"}
+DOC = "docs/OBSERVABILITY.md"
+# Masking blanks string contents but keeps the quotes and every offset, so
+# the name is read back from the original text at the masked match. The
+# sink's own export writes `counters["trace.dropped"]` directly.
+CALL = re.compile(
+    r'(?:(?:\.|->)\s*(?:count|gauge|observe|\w+_handle_for)\(|\bcounters\[)'
+    r'\s*"( *)"\s*[,)\]]')
+
+sites = {}
+for root, _dirs, files in os.walk("src"):
+    for name in sorted(files):
+        if not name.endswith((".cpp", ".hpp")):
+            continue
+        path = os.path.join(root, name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for m in CALL.finditer(mask_source(text)):
+            metric = text[m.start(1):m.end(1)]
+            sites.setdefault(metric, f"{path}:{line_of(text, m.start(1))}")
+
+with open(DOC, encoding="utf-8") as fh:
+    doc = fh.read()
+heading = "\n## Metric catalog\n"
+if heading not in doc:
+    print(f"{DOC}: no '## Metric catalog' section", file=sys.stderr)
+    sys.exit(1)
+section = doc.split(heading, 1)[1].split("\n## ", 1)[0]
+catalog = set()
+for row in section.splitlines():
+    if row.startswith("| `"):
+        catalog.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+
+problems = [f"{site}: metric \"{metric}\" is not in {DOC}'s catalog"
+            for metric, site in sorted(sites.items()) if metric not in catalog]
+problems += [f"{DOC}: catalog lists \"{entry}\" but no call site under src/ "
+             "publishes it"
+             for entry in sorted(catalog - sites.keys() - PATTERNS)]
+for problem in problems:
+    print(problem, file=sys.stderr)
+sys.exit(1 if problems else 0)
+PY
+  then
+    fail "metric catalog out of step with the code (see above)"
+  fi
+elif [ "$require_tools" = 1 ]; then
+  fail "python3 not found but --require-tools was given"
+else
+  echo "lint: python3 not found; skipping the metric catalog check" >&2
+fi
+
+# ---------------------------------------------------------------------------
 # clang-tidy over the compilation database (src/ only: tests and benches get
 # tidied in CI where the runtime cost is parallelized).
 # ---------------------------------------------------------------------------

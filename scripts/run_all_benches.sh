@@ -56,7 +56,6 @@ keys = ["engine.iterations", "engine.device_inferences", "engine.deliveries",
 gauges = snap.get("gauges", {})
 gauge_keys = ["tiered.analytical_fraction", "table7.tiered_speedup",
               "table7.ptm_wall_seconds", "table7.tiered_wall_seconds",
-              "table7.telemetry_overhead_fraction",
               "table7.measured_wall_w1", "table7.measured_wall_w2",
               "table7.measured_wall_w4", "table7.measured_wall_w8",
               "table7.measured_speedup_w2", "table7.measured_speedup_w4",
@@ -72,9 +71,8 @@ entry = {
     "hostname": socket.gethostname(),
     "counters": {k: counters[k] for k in keys if k in counters},
 }
-# End-of-process resource gauges published by bench_sink()'s atexit hook
-# (obs/telemetry/resource_stats.hpp): peak RSS is the headline number for
-# tracking bench memory across commits.
+# Peak RSS, published by bench_sink()'s atexit hook (bench/common.hpp): the
+# headline number for tracking bench memory across commits.
 rss = gauges.get("process.max_rss_bytes")
 if rss is not None:
     entry["peak_rss_bytes"] = int(rss)

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "baselines/constant_delay_replay.hpp"
-#include "des/run_recorder.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
 #include "util/stopwatch.hpp"
@@ -31,14 +30,12 @@ des::run_result fluid_estimator::run(const des::run_request& request) {
   if (request.host_streams == nullptr)
     throw std::invalid_argument{"fluid_estimator::run: host_streams is null"};
   obs::scoped_timer timer{request.sink, "fluid", "run"};
-  des::run_recorder recorder{request.sink, estimator_name(), "-"};
   util::stopwatch watch;
   const auto delays = predict_mean_delays(*topo_, *routes_, flows_,
                                           flow_rates_pps_, mean_packet_size_);
   auto result = replay_constant_delays(*topo_, *request.host_streams,
                                        request.horizon, delays);
   result.wall_seconds = watch.elapsed_seconds();
-  recorder.complete(result);
   if (request.sink != nullptr) {
     request.sink->count("fluid.deliveries",
                         static_cast<double>(result.deliveries.size()));

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "des/run_recorder.hpp"
 #include "nn/adam.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
@@ -277,12 +276,10 @@ des::run_result mimicnet_estimator::run(const des::run_request& request) {
   if (request.host_streams == nullptr)
     throw std::invalid_argument{"mimicnet::run: host_streams is null"};
   obs::scoped_timer timer{request.sink, "mimicnet", "run"};
-  des::run_recorder recorder{request.sink, estimator_name(), "-"};
   util::stopwatch watch;
   auto result = predict(*target_topo_, *target_routes_, *request.host_streams,
                         request.horizon);
   result.wall_seconds = watch.elapsed_seconds();
-  recorder.complete(result);
   if (request.sink != nullptr)
     request.sink->count("mimicnet.deliveries",
                         static_cast<double>(result.deliveries.size()));

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "baselines/constant_delay_replay.hpp"
-#include "des/run_recorder.hpp"
 #include "nn/adam.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
@@ -190,7 +189,6 @@ des::run_result routenet_estimator::run(const des::run_request& request) {
   if (request.host_streams == nullptr)
     throw std::invalid_argument{"routenet::run: host_streams is null"};
   obs::scoped_timer timer{request.sink, "routenet", "run"};
-  des::run_recorder recorder{request.sink, estimator_name(), "-"};
   util::stopwatch watch;
   const auto kpis =
       predict_flows(*topo_, *routes_, flows_, flow_rates_pps_, mean_packet_size_);
@@ -199,7 +197,6 @@ des::run_result routenet_estimator::run(const des::run_request& request) {
   auto result = replay_constant_delays(*topo_, *request.host_streams,
                                        request.horizon, delays);
   result.wall_seconds = watch.elapsed_seconds();
-  recorder.complete(result);
   if (request.sink != nullptr)
     request.sink->count("routenet.deliveries",
                         static_cast<double>(result.deliveries.size()));

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "des/run_recorder.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/workspace.hpp"
 #include "obs/journey.hpp"
@@ -224,14 +223,12 @@ des::run_result dqn_network::run_core(
   // journey tracing is active only when the sink's tracer was configured.
   obs::histogram_handle device_seconds_handle;
   obs::histogram_handle partition_busy_handle;
-  obs::gauge_handle pool_depth_handle;
   obs::journey_tracer* tracer = nullptr;
   if (sink != nullptr) {
     device_seconds_handle =
         sink->histogram_handle_for("engine.device_infer_seconds");
     partition_busy_handle =
         sink->histogram_handle_for("engine.partition_busy_seconds");
-    pool_depth_handle = sink->gauge_handle_for("engine.pool_queue_depth");
     if (sink->journeys().enabled()) tracer = &sink->journeys();
     // Which GEMM backend this run's inference rides on (selected once at
     // startup; see nn/kernels/gemm.hpp).
@@ -435,10 +432,6 @@ des::run_result dqn_network::run_core(
       const std::uint64_t iteration_span = iteration_timer.id();
       const util::work_stealing_pool::task_fn infer_batch = [&](std::size_t batch,
                                                                 std::size_t worker) {
-        // Sampled per batch (not per device) from inside the workers so the
-        // background telemetry sampler sees mid-round depth, not the
-        // post-barrier zero.
-        pool_depth_handle.set(static_cast<double>(pool.remaining()));
         const double cpu_start = util::thread_cpu_seconds();
         for (const std::size_t d : sp.batches[batch]) {
           const topo::node_id node = devices[d];
@@ -685,21 +678,14 @@ des::run_result dqn_network::run(const des::run_request& request) {
   DQN_ENSURE(request.host_streams != nullptr,
              "dqn_network::run: request.host_streams is null");
   obs::sink* const sink = request.sink != nullptr ? request.sink : config_.sink;
-  const des::delay_backend backend =
-      request.delay.has_value() ? request.delay->backend
-                                : config_.delay.backend;
-  des::run_recorder recorder{sink, estimator_name(), des::to_string(backend)};
   // A per-run delay policy rides on a fresh provider for this run only; a
   // per-run worker count rebuilds the persistent pool lazily (ensure_pool).
   const std::unique_ptr<delay_provider> per_run_provider =
       request.delay.has_value() ? make_delay_provider(ptm_, *request.delay)
                                 : nullptr;
-  des::run_result result = run_core(
-      *request.host_streams, request.horizon, sink,
-      per_run_provider != nullptr ? *per_run_provider : *provider_,
-      request.threads > 0 ? request.threads : config_.partitions);
-  recorder.complete(result);
-  return result;
+  return run_core(*request.host_streams, request.horizon, sink,
+                  per_run_provider != nullptr ? *per_run_provider : *provider_,
+                  request.threads > 0 ? request.threads : config_.partitions);
 }
 
 const traffic::packet_stream& dqn_network::egress_stream(topo::node_id node,

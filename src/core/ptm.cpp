@@ -58,7 +58,7 @@ ptm_model::ptm_model(const ptm_config& config) : config_{config} {
     dims.push_back(1);
     mlp_net_ = nn::mlp{dims, nn::activation::tanh, rng};
   }
-  // predict's telemetry handles: resolved once, here, where the sink is
+  // predict's metric handles: resolved once, here, where the sink is
   // fixed, so no predict call takes the registry's name lock.
   if (config_.sink != nullptr) {
     workspace_bytes_ = config_.sink->gauge_handle_for("nn.workspace_bytes");

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "des/run_recorder.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
 #include "util/check.hpp"
@@ -213,10 +212,8 @@ run_result network::run(const run_request& request) {
              "network::run: request.host_streams is null");
   obs::sink* const saved = config_.sink;
   if (request.sink != nullptr) config_.sink = request.sink;
-  run_recorder recorder{config_.sink, estimator_name(), "-"};
   try {
     run_result result = run(*request.host_streams, request.horizon);
-    recorder.complete(result);
     config_.sink = saved;
     return result;
   } catch (...) {

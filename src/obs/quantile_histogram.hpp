@@ -38,12 +38,6 @@ class quantile_histogram {
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
-  // Raw count of bucket `index` (callers iterate [0, bucket_count) — the
-  // Prometheus exposition accumulates these into coarse `le` buckets).
-  [[nodiscard]] std::uint64_t count_at(std::size_t index) const noexcept {
-    return index < bucket_count ? counts_[index] : 0;
-  }
-
   // Quantile estimate for q in [0, 1]: the representative value of the
   // bucket holding the ceil(q * total)-th sample. Returns 0 when empty.
   [[nodiscard]] double quantile(double q) const noexcept;

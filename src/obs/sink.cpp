@@ -2,39 +2,8 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
-#include "obs/telemetry/telemetry.hpp"
 
 namespace dqn::obs {
-
-sink::sink() = default;
-
-sink::~sink() { stop_telemetry(); }
-
-telemetry::telemetry_plane* sink::start_telemetry(
-    const telemetry::telemetry_config& config) {
-  if (!config.enabled) return nullptr;
-  const util::lock_guard lock{telemetry_mutex_};
-  if (!telemetry_)
-    telemetry_ =
-        std::make_unique<telemetry::telemetry_plane>(*this, runs_, config);
-  return telemetry_.get();
-}
-
-void sink::stop_telemetry() {
-  std::unique_ptr<telemetry::telemetry_plane> plane;
-  {
-    const util::lock_guard lock{telemetry_mutex_};
-    plane = std::move(telemetry_);
-  }
-  // Destroyed outside the lock: the plane's teardown joins threads whose
-  // handlers may call back into this sink.
-  plane.reset();
-}
-
-telemetry::telemetry_plane* sink::telemetry_plane() noexcept {
-  const util::lock_guard lock{telemetry_mutex_};
-  return telemetry_.get();
-}
 
 std::string sink::to_json() const {
   registry_snapshot snap = metrics_.snapshot();

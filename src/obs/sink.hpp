@@ -24,30 +24,20 @@
 // util::text_table for terminal output.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "obs/journey.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/telemetry/run_ledger.hpp"
 #include "obs/trace_log.hpp"
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace dqn::obs {
 
-namespace telemetry {
-class telemetry_plane;
-struct telemetry_config;
-}  // namespace telemetry
-
 class sink {
  public:
-  sink();
-  ~sink();  // stops any live telemetry plane before members tear down
+  sink() = default;
 
   sink(const sink&) = delete;
   sink& operator=(const sink&) = delete;
@@ -89,27 +79,6 @@ class sink {
     return journeys_;
   }
 
-  // Bounded ledger of completed estimator executions. Always present (no
-  // plane needed) so every run(run_request) can record; the /runs endpoint
-  // reads it when a plane is serving.
-  [[nodiscard]] telemetry::run_ledger& runs() noexcept { return runs_; }
-  [[nodiscard]] const telemetry::run_ledger& runs() const noexcept {
-    return runs_;
-  }
-
-  // Start the live telemetry plane (background sampler + optional /metrics
-  // server — see obs/telemetry/telemetry.hpp) against this sink. Idempotent:
-  // a plane that is already running is returned as-is; a config with
-  // enabled == false is a no-op returning nullptr. Throws std::runtime_error
-  // when an exposition port is requested but cannot be bound.
-  telemetry::telemetry_plane* start_telemetry(
-      const telemetry::telemetry_config& config);
-  // Stop and destroy the plane (final sampler tick included); no-op when
-  // none is running.
-  void stop_telemetry();
-  // The live plane, or nullptr.
-  [[nodiscard]] telemetry::telemetry_plane* telemetry_plane() noexcept;
-
   // Full snapshot as one JSON document:
   //   {"counters": {...}, "gauges": {...}, "histograms": {...},
   //    "events": [...], "journeys": [...]}
@@ -132,7 +101,6 @@ class sink {
     metrics_.clear();
     trace_.clear();
     journeys_.clear();
-    runs_.clear();
   }
 
  private:
@@ -140,10 +108,6 @@ class sink {
   metric_registry metrics_;
   trace_log trace_;
   journey_tracer journeys_;
-  telemetry::run_ledger runs_;
-  util::mutex telemetry_mutex_;
-  std::unique_ptr<telemetry::telemetry_plane> telemetry_
-      DQN_GUARDED_BY(telemetry_mutex_);
 };
 
 }  // namespace dqn::obs

@@ -22,7 +22,6 @@
 // directly in the wait loop.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -99,16 +98,6 @@ class condition_variable {
   void notify_all() noexcept { cv_.notify_all(); }
 
   void wait(unique_lock& lock) { cv_.wait(lock.native()); }
-
-  // Timed wait, same re-held-on-return contract as wait(). Returns
-  // std::cv_status::timeout when the duration elapsed without a notify —
-  // background threads (obs telemetry sampler) use this as an interruptible
-  // sleep: wake instantly on notify, tick on timeout.
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(unique_lock& lock,
-                          const std::chrono::duration<Rep, Period>& duration) {
-    return cv_.wait_for(lock.native(), duration);
-  }
 
  private:
   std::condition_variable cv_;

@@ -110,8 +110,7 @@ class work_stealing_pool {
                           const task_fn& fn);
 
   // Tasks seeded but not yet finished in the current round (0 between
-  // rounds). Monitoring-grade: a relaxed-tolerant snapshot for the
-  // engine.pool_queue_depth gauge.
+  // rounds).
   [[nodiscard]] std::size_t remaining() const noexcept {
     return remaining_.load(std::memory_order_acquire);
   }

@@ -1,8 +1,8 @@
 // Observability subsystem (src/obs) and the unified estimator run API:
-// registry thread-safety, JSON export validity, null-sink overhead, the
-// engine/DES instrumentation invariants on a FatTree16 run, lifecycle misuse
-// errors, the engine_config builder chain, and call-compatibility of the
-// des::estimator implementations.
+// registry thread-safety, JSON export validity, the summary table's WARNING
+// footer, null-sink overhead, the engine/DES instrumentation invariants on a
+// FatTree16 run, lifecycle misuse errors, the engine_config builder chain,
+// and call-compatibility of the des::estimator implementations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +27,7 @@
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/check.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -170,6 +171,30 @@ TEST(obs_sink, to_json_is_valid_and_carries_all_sections) {
   // The summary table renders one row per metric without throwing.
   const auto table = sink.summary_table();
   EXPECT_FALSE(table.to_string().empty());
+}
+
+TEST(obs_sink, footer_warns_on_data_loss_counters) {
+  obs::sink clean;
+  clean.count("engine.deliveries", 5);
+  EXPECT_TRUE(clean.summary_table().footer().empty());
+
+  obs::sink lossy;
+  lossy.count("trace.dropped", 12);
+  lossy.count("contracts.violations", 2);
+  const auto table = lossy.summary_table();
+  ASSERT_EQ(table.footer().size(), 2u);
+  EXPECT_NE(table.footer()[0].find("trace.dropped"), std::string::npos);
+  EXPECT_NE(table.footer()[1].find("contracts.violations"),
+            std::string::npos);
+  // Footer lines render into the text output too.
+  EXPECT_NE(table.to_string().find("WARNING"), std::string::npos);
+
+  util::text_table plain{{"a"}};
+  plain.add_row({"1"});
+  plain.add_footer("note");
+  EXPECT_NE(plain.to_string().find("note"), std::string::npos);
+  // CSV stays machine-clean: no footer lines.
+  EXPECT_EQ(plain.to_csv().find("note"), std::string::npos);
 }
 
 TEST(obs_timer, null_sink_overhead_is_negligible) {
