@@ -107,9 +107,12 @@ int run_tiered_smoke() {
   auto bundle = core::train_device_model(dutil_cfg);
   auto ptm = std::make_shared<const core::ptm_model>(std::move(bundle.model));
 
-  // A 20-device fat-tree at 30% max-link load: most egress queues sit under
-  // the default 0.35 utilization threshold, so the tiered run serves them
-  // analytically and skips their DNN inference.
+  // A 20-device fat-tree at 30% max-link load with SP switches: most switch
+  // queues sit under the default 0.35 utilization threshold, so the tiered
+  // run serves them analytically, after one shadow check each, and skips
+  // their DNN inference. The host NICs are FIFO and take the exact closed
+  // form on the tiered backend; a FIFO switch would too, and take no shadow
+  // sample.
   const auto topo = topo::make_fattree16(examples::links());
   const topo::routing routes{topo};
   const double horizon = 0.02;
@@ -121,6 +124,7 @@ int run_tiered_smoke() {
   context.topo = &topo;
   context.routes = &routes;
   context.ptm = ptm;
+  context.scheduler.kind = des::scheduler_kind::sp;
   context.engine.partitions = 2;
   const auto net = des::make_estimator("deepqueuenet", context);
 

@@ -180,8 +180,8 @@ void tiered_delay_provider::bind_sink(obs::sink* sink) {
 }
 
 void tiered_delay_provider::prepare(std::size_t device_slots) {
-  // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
-  // budget state survive across IRSA iterations but not across prepare().
+  // Slot = device id; hysteresis and budget state survive across IRSA
+  // iterations but not across prepare().
   tiers_.assign(device_slots, device_tier{});
 }
 
@@ -189,9 +189,9 @@ tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,
                                                           double utilization) {
   const double threshold = policy_.utilization_threshold;
   const double band = policy_.hysteresis;
-  // Strict comparison: threshold 0 means "never analytical" (pure PTM) even
-  // for idle zero-utilization windows, so the two policy extremes reproduce
-  // the pure backends exactly.
+  // Strict comparison: threshold 0 means "never analytical" even for idle
+  // zero-utilization windows, so threshold 0 sends every non-FIFO queue to
+  // the PTM.
   if (slot >= tiers_.size())  // unprepared: stateless threshold decision
     return utilization < threshold ? tier::analytical : tier::ptm;
 
@@ -220,7 +220,15 @@ tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,
 std::vector<double> tiered_delay_provider::estimate_sojourn(
     const device_state& state, double window_seconds) {
   const std::size_t n = row_count(state);
-  const std::size_t slot = static_cast<std::size_t>(state.device + 1);
+  // Under FIFO the closed form is the exact Lindley wait, not an estimate:
+  // a FIFO queue never reads or writes the tier state.
+  if (state.ctx != nullptr && state.ctx->kind == des::scheduler_kind::fifo) {
+    analytical_calls_.fetch_add(1, std::memory_order_relaxed);
+    analytical_packets_.fetch_add(n, std::memory_order_relaxed);
+    return analytical_.estimate_sojourn(state, window_seconds);
+  }
+  // A negative id (the host NIC's -1) wraps past every prepared slot.
+  const auto slot = static_cast<std::size_t>(state.device);
   tier chosen = decide(slot, state.utilization);
 
   if (chosen == tier::analytical && slot < tiers_.size() &&

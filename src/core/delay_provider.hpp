@@ -13,14 +13,17 @@
 //                               waits; SP/GPS priors for the rest), with the
 //                               LDQBD/MAP machinery of src/queueing as the
 //                               stationary reference (queueing/sojourn.hpp);
-//  * tiered_delay_provider    — routes each device per iteration by a
-//                               utilization threshold with hysteresis plus a
-//                               bounded error-budget shadow check: both
+//  * tiered_delay_provider    — a FIFO queue, host NICs included, always
+//                               takes the exact closed form; every other
+//                               queue is routed per device and iteration by
+//                               a utilization threshold with hysteresis plus
+//                               a bounded error-budget shadow check: both
 //                               backends on the last 128 packets of a
 //                               device's first analytical window, each
 //                               packet's gap recorded in
 //                               tiered.shadow_abs_error_seconds
-//                               (des::delay_policy), so cold devices skip
+//                               (des::delay_policy). Threshold 0 sends every
+//                               non-FIFO queue to the PTM; cold devices skip
 //                               DNN inference entirely.
 //
 // Threading contract (matches the engine's partition loop): estimate_sojourn
@@ -85,8 +88,9 @@ class delay_provider {
   // detaches). The engine calls this once per run, before any estimates.
   virtual void bind_sink(obs::sink* sink);
 
-  // Run boundary: size per-device state for ids in [-1, device_slots - 1).
-  // Stateless backends ignore it.
+  // Run boundary: size per-device state for ids in [0, device_slots). Calls
+  // for any other id (the host NIC's -1) keep no state. Stateless backends
+  // ignore it.
   virtual void prepare(std::size_t device_slots);
 
   // Run boundary: export counters/gauges accumulated since the last publish
@@ -161,7 +165,8 @@ class analytical_delay_provider final : public delay_provider {
 };
 
 // ---------------------------------------------------------------------------
-// Tiered backend: per-device dispatch between the two above.
+// Tiered backend: FIFO queues take the analytical backend, whose Lindley wait
+// is exact for them; other queues dispatch per device between the two above.
 // ---------------------------------------------------------------------------
 class tiered_delay_provider final : public delay_provider {
  public:
@@ -207,15 +212,15 @@ class tiered_delay_provider final : public delay_provider {
     bool pinned_ptm = false;      // error-budget promotion is permanent
   };
 
-  // Resolve the tier for (slot, utilization), applying the hysteresis band
-  // and counting transitions. Slots beyond the prepared range fall back to a
-  // stateless threshold decision (no hysteresis memory).
+  // Resolve the tier of a non-FIFO queue for (slot, utilization), applying
+  // the hysteresis band and counting transitions. Slots beyond the prepared
+  // range fall back to a stateless threshold decision (no hysteresis memory).
   tier decide(std::size_t slot, double utilization);
 
   ptm_delay_provider ptm_;
   analytical_delay_provider analytical_;
   des::delay_policy policy_;
-  std::vector<device_tier> tiers_;  // slot = device id + 1 (-1 = host NIC)
+  std::vector<device_tier> tiers_;  // slot = device id; non-FIFO queues only
   obs::histogram_handle shadow_abs_error_;  // tiered.shadow_abs_error_seconds
 
   std::atomic<std::uint64_t> analytical_packets_{0};

@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "nn/kernels/gemm.hpp"
 #include "nn/workspace.hpp"
@@ -235,9 +236,9 @@ des::run_result dqn_network::run_core(
     nn::kernels::report_dispatch(*sink);
   }
   // Arm the sojourn backend for this run: resolve its metric handles and
-  // size its per-device tiering state (slot 0 = the host-NIC pseudo-device).
+  // size its per-device tiering state (slot = device id).
   provider.bind_sink(sink);
-  provider.prepare(topo_->node_count() + 1);
+  provider.prepare(topo_->node_count());
   // The PFM counters, resolved once: each lookup takes the registry's lock.
   obs::counter_handle forwarded_handle;
   obs::counter_handle drops_handle;
@@ -246,27 +247,34 @@ des::run_result dqn_network::run_core(
     drops_handle = sink->counter_handle_for("pfm.drops");
   }
 
+  // The persistent worker pool, and one inference workspace per worker,
+  // alive across SInit, devices and IRSA rounds: after the first pass the
+  // arenas have grown to their high-water shapes and the PTM forward path
+  // stops allocating entirely. Stealing moves a task to another worker's
+  // workspace, which only affects arena warmth, never numerics.
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min(partitions, devices.size()));
+  util::work_stealing_pool& pool = ensure_pool(workers);
+  std::vector<nn::workspace> worker_workspaces(workers);
+
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
-  // translating host indices to node ids.
+  // translating host indices to node ids. One pool task per host: it writes
+  // only its host's egress slot and its own (pid, send time) run. A failed
+  // round names the lowest bad host, as a serial loop would.
   obs::scoped_timer sinit_timer{sink, "engine", "sinit"};
   std::vector<std::vector<traffic::packet_stream>> egress(topo_->node_count());
   for (std::size_t i = 0; i < topo_->node_count(); ++i)
     egress[i].resize(topo_->port_count(static_cast<topo::node_id>(i)));
-  // pid -> send time, feeding the exported delivery records below. A sorted
-  // keyed vector rather than an unordered map: delivery export must be
-  // deterministic across runs and partition counts, and keyed vectors make
-  // any future traversal ordered by construction (dqn-unordered-iteration).
-  util::keyed_vector<std::uint64_t, double> send_times;
-  // The host-NIC loop runs on this thread; one workspace serves every host.
-  nn::workspace host_nic_workspace;
-  queue_call nic_call;
-  nic_call.apply_sec = config_.apply_sec;
-  nic_call.forwarded = forwarded_handle;
-  nic_call.drops = drops_handle;
-  nic_call.workspace = &host_nic_workspace;
-  nic_call.delay = &provider;  // device -1 (host NIC), iteration 0
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
+  // One task per host, in contiguous blocks per worker; collection reuses
+  // the seeds.
+  const auto host_seeds = spread(hosts.size(), workers);
+  std::vector<std::vector<std::pair<std::uint64_t, double>>> sends(
+      hosts.size());
+  (void)pool.run_round(host_seeds, [&](std::size_t i, std::size_t worker) {
     auto& out = egress[static_cast<std::size_t>(hosts[i])][0];
+    auto& run = sends[i];
+    out.reserve(host_streams[i].size());
+    run.reserve(host_streams[i].size());
     double previous_send = -std::numeric_limits<double>::infinity();
     for (const auto& ev : host_streams[i]) {
       DQN_ENSURE(ev.time >= previous_send, "dqn_network::run: host ", i,
@@ -281,24 +289,39 @@ des::run_result dqn_network::run_core(
                  " out of range for ", hosts.size(), " hosts (pid ", pkt.pid,
                  ")");
       pkt.dst_host = hosts[static_cast<std::size_t>(pkt.dst_host)];
-      send_times.push_back(pkt.pid, ev.time);
+      run.emplace_back(pkt.pid, ev.time);
       if (tracer != nullptr && tracer->sampled(pkt.pid))
         tracer->record_send(pkt.pid, pkt.flow_id, ev.time);
       out.push_back({pkt, ev.time});
     }
-    if (!out.empty()) {
-      // NIC queueing prediction: the host's single FIFO egress queue at the
-      // access link's rate, fed in (time, pid) order as the PFM feeds every
-      // egress queue. Send times never decrease (checked above), so only
-      // equal-time packets out of pid order need the sort.
-      if (!std::is_sorted(out.begin(), out.end()))
-        std::sort(out.begin(), out.end());
-      const double nic_bps =
-          topo_->link_at(topo_->at(hosts[i]).links[0]).bandwidth_bps;
-      out = host_nic_.process_queue(std::move(out), 0, nic_bps, nic_call);
-    }
-  }
-  const std::size_t sent = send_times.size();
+    if (out.empty()) return;
+    // NIC queueing prediction: the host's single FIFO egress queue at the
+    // access link's rate, fed in (time, pid) order as the PFM feeds every
+    // egress queue. Send times never decrease (checked above), so only
+    // equal-time packets out of pid order need the sort.
+    if (!std::is_sorted(out.begin(), out.end()))
+      std::sort(out.begin(), out.end());
+    queue_call call;
+    call.apply_sec = config_.apply_sec;
+    call.forwarded = forwarded_handle;
+    call.drops = drops_handle;
+    call.workspace = &worker_workspaces[worker];
+    call.delay = &provider;  // device -1 (host NIC), iteration 0
+    const double nic_bps =
+        topo_->link_at(topo_->at(hosts[i]).links[0]).bandwidth_bps;
+    out = host_nic_.process_queue(std::move(out), 0, nic_bps, call);
+  });
+  // pid -> send time, feeding the exported delivery records below, merged
+  // from the hosts' runs in host order. A sorted keyed vector rather than an
+  // unordered map: delivery export must be deterministic across runs and
+  // partition counts, and keyed vectors make any future traversal ordered by
+  // construction (dqn-unordered-iteration).
+  util::keyed_vector<std::uint64_t, double> send_times;
+  std::size_t sent = 0;
+  for (const auto& run : sends) sent += run.size();
+  send_times.reserve(sent);
+  for (const auto& run : sends)
+    for (const auto& [pid, time] : run) send_times.push_back(pid, time);
   send_times.finalize();  // keeps one entry per pid
   DQN_ENSURE(send_times.size() == sent, "dqn_network::run: pid ",
              des::duplicate_pid(host_streams, horizon), " injected twice");
@@ -320,13 +343,10 @@ des::run_result dqn_network::run_core(
   const std::size_t max_iterations =
       config_.max_iterations > 0 ? config_.max_iterations : 1 + topo_->diameter();
 
-  // Shard the devices across the persistent worker pool. The topology
-  // strategy (default) BFS-grows connected shards so boundary windows mostly
-  // stay worker-local; round_robin remains the legacy interleaving. Results
-  // are identical either way — the shard only decides where a device runs.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(partitions, devices.size()));
-  util::work_stealing_pool& pool = ensure_pool(workers);
+  // Shard the devices across the worker pool. The topology strategy
+  // (default) BFS-grows connected shards so boundary windows mostly stay
+  // worker-local; round_robin remains the legacy interleaving. Results are
+  // identical either way — the shard only decides where a device runs.
   const topo::shard_plan plan =
       topo::shard_devices(*topo_, devices, workers, config_.sharding);
   stats_.workers = workers;
@@ -377,12 +397,6 @@ des::run_result dqn_network::run_core(
 
   std::vector<std::size_t> worker_inferences(workers, 0);
   std::vector<std::size_t> worker_skips(workers, 0);
-  // One inference workspace per worker, alive across devices and IRSA
-  // rounds: after the first pass the arenas have grown to their high-water
-  // shapes and the PTM forward path stops allocating entirely. Stealing
-  // moves a batch to another worker's workspace, which only affects arena
-  // warmth, never numerics.
-  std::vector<nn::workspace> worker_workspaces(workers);
   std::vector<visit_buffers> worker_buffers(workers);
   merge_spares_.resize(workers);
   std::vector<double> worker_busy(workers, 0.0);
@@ -594,8 +608,7 @@ des::run_result dqn_network::run_core(
     return a.pid < b.pid;
   };
   std::vector<std::vector<des::delivery_record>> runs(hosts.size());
-  (void)pool.run_round(spread(runs.size(), workers), [&](std::size_t h,
-                                                         std::size_t) {
+  (void)pool.run_round(host_seeds, [&](std::size_t h, std::size_t) {
     const topo::node_id host = hosts[h];
     const auto peer = topo_->peer_of(host, 0);
     const auto& link = topo_->link_at(peer.link_index);

@@ -26,9 +26,10 @@
 // every packet by the link and routes it by its own destination, fusing
 // apply_link and apply_forwarding, which stay the reference path
 // (determinism.engine_matches_layer_pipeline holds the engine to them bit
-// for bit). Delivery collection runs on the same pool: per-host runs, then
-// a pairwise merge tree. Delivery records are bit-identical across shard
-// counts and strategies (tests/test_determinism.cpp).
+// for bit). SInit and delivery collection run on the same pool: SInit as
+// one task per host, collection as per-host runs, then a pairwise merge
+// tree. Delivery records are bit-identical across shard counts and
+// strategies (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>

@@ -124,7 +124,10 @@ void work_stealing_pool::execute(std::size_t task, std::size_t worker) {
     (*fn)(task, worker);
   } catch (...) {
     const lock_guard lock{error_mutex_};
-    if (first_error_ == nullptr) first_error_ = std::current_exception();
+    if (first_error_ == nullptr || task < first_error_task_) {
+      first_error_ = std::current_exception();
+      first_error_task_ = task;
+    }
   }
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     const lock_guard lock{done_mutex_};

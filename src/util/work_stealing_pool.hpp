@@ -102,10 +102,12 @@ class work_stealing_pool {
   // Execute one round: seeds[w] is the ordered task list placed on worker
   // w's deque (seeds.size() must equal size()). fn(task, worker) is invoked
   // exactly once per seeded task, on whichever worker ran it. Blocks until
-  // every task has finished; the first exception a task threw is rethrown
-  // here (the remaining tasks still run to completion first, so the round
-  // barrier holds even on failure). Returns the number of steal operations
-  // the round needed — 0 when every worker drained only its own deque.
+  // every task has finished; the exception of the lowest-numbered task that
+  // threw is rethrown here, so a failed round names the same culprit at
+  // every worker count (the remaining tasks still run to completion first,
+  // so the round barrier holds even on failure). Returns the number of steal
+  // operations the round needed — 0 when every worker drained only its own
+  // deque.
   std::uint64_t run_round(const std::vector<std::vector<std::size_t>>& seeds,
                           const task_fn& fn);
 
@@ -146,7 +148,9 @@ class work_stealing_pool {
   condition_variable done_cv_;
 
   mutex error_mutex_;
+  // The exception of the lowest-numbered task that threw this round.
   std::exception_ptr first_error_ DQN_GUARDED_BY(error_mutex_);
+  std::size_t first_error_task_ DQN_GUARDED_BY(error_mutex_) = 0;
 };
 
 }  // namespace dqn::util

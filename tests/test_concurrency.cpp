@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -256,7 +257,8 @@ TEST(concurrency, partitioned_engine_matches_single_partition_run) {
 // concurrently for *different* devices. Each thread hammers its own device
 // id against one shared tiered provider; the relaxed tier counters must stay
 // exact and no thread may observe another's tier state. This is the TSan
-// workload for the tiered dispatch path.
+// workload for the tiered dispatch path. The queues are SP: a FIFO queue
+// takes the closed form without touching the tier state.
 TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
   constexpr std::size_t workers = 8;
   constexpr std::size_t calls_per_worker = 50;
@@ -268,7 +270,7 @@ TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
   policy.hysteresis = 0;
   policy.error_budget = 0;
   core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(workers + 1);
+  provider.prepare(workers);
 
   traffic::packet_stream stream;
   double t = 0;
@@ -279,7 +281,8 @@ TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
     t += 5e-6;
     stream.push_back({p, t});
   }
-  const core::scheduler_context ctx;
+  core::scheduler_context ctx;
+  ctx.kind = des::scheduler_kind::sp;
   const auto rows = core::compute_features(stream, ctx);
 
   run_threads(workers, [&](std::size_t worker) {
@@ -306,7 +309,8 @@ TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
 // Same determinism bar as the pure-PTM partition test, with the tiered
 // policy's per-device hysteresis + error-budget state in the loop: tier
 // decisions depend only on a device's own utilization history, so partition
-// count must not change a single delivery.
+// count must not change a single delivery. The switches are SP, so that
+// state is written for every switch, from several workers.
 TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
@@ -324,14 +328,16 @@ TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
                           .with_threshold(0.35)
                           .with_hysteresis(0.05)
                           .with_error_budget(0.25);
+  core::scheduler_context switches;
+  switches.kind = des::scheduler_kind::sp;
   core::engine_config serial_cfg;
   serial_cfg.partitions = 1;
   serial_cfg.delay = policy;
   core::engine_config parallel_cfg;
   parallel_cfg.partitions = 4;
   parallel_cfg.delay = policy;
-  core::dqn_network serial{topo, routes, ptm, {}, serial_cfg};
-  core::dqn_network parallel{topo, routes, ptm, {}, parallel_cfg};
+  core::dqn_network serial{topo, routes, ptm, switches, serial_cfg};
+  core::dqn_network parallel{topo, routes, ptm, switches, parallel_cfg};
 
   const auto serial_result = serial.run(streams, 0.005);
   const auto parallel_result = parallel.run(streams, 0.005);
@@ -539,6 +545,31 @@ TEST(concurrency, work_stealing_pool_propagates_first_exception) {
     second.fetch_add(1);
   });
   EXPECT_EQ(second.load(), 10u);
+
+  // Two tasks throw, the higher-numbered one first: the round still reports
+  // the lower one. Task 2 is seeded on worker 0 and task 7 on worker 1; a
+  // worker steals only once its own deque is empty, so whichever worker
+  // waits in task 2 cannot hold task 7 behind it.
+  const std::vector<std::vector<std::size_t>> split{{0, 1, 2, 3, 4},
+                                                    {5, 6, 7, 8, 9}};
+  std::latch higher_thrown{1};
+  try {
+    (void)pool.run_round(
+        split, [&higher_thrown](std::size_t task, std::size_t) {
+          if (task == 7) {
+            higher_thrown.count_down();
+            throw std::runtime_error{"task 7 failed"};
+          }
+          if (task == 2) {
+            higher_thrown.wait();
+            std::this_thread::sleep_for(std::chrono::milliseconds{20});
+            throw std::runtime_error{"task 2 failed"};
+          }
+        });
+    ADD_FAILURE() << "round with failing tasks did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 2 failed");
+  }
 }
 
 TEST(concurrency, work_stealing_pool_rounds_accumulate_exactly) {

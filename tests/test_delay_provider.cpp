@@ -1,13 +1,15 @@
 // Delay-provider API tests (core/delay_provider.hpp): backend parity against
-// closed-form queueing theory, the tiered policy's threshold/hysteresis state
-// machine and error-budget shadow check, the policy extremes reproducing the
-// pure backends bit-for-bit through the engine, the per-run delay override of
-// des::run_request, and the string-keyed estimator factory.
+// closed-form queueing theory, the tiered policy's FIFO rule (a FIFO queue
+// always takes the exact closed form), its threshold/hysteresis state machine
+// and error-budget shadow check on non-FIFO queues, the policy extremes
+// reproducing the pure backends bit-for-bit through the engine, the per-run
+// delay override of des::run_request, and the string-keyed estimator factory.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -65,6 +67,10 @@ traffic::packet_stream make_stream(std::size_t n, double gap,
   return stream;
 }
 
+// The tiered backend keeps tier state, and runs its shadow check, for
+// non-FIFO queues only; the probes that exercise them use strict priority.
+constexpr auto sp = des::scheduler_kind::sp;
+
 // A ready-to-estimate device_state over one arrival series. Owns the rows so
 // the state's spans stay valid for the fixture's lifetime.
 struct probe {
@@ -74,8 +80,10 @@ struct probe {
   core::device_state state;
 
   explicit probe(traffic::packet_stream arrivals, double bandwidth_bps = 1e9,
-                 std::int64_t device = 1)
+                 std::int64_t device = 1,
+                 des::scheduler_kind kind = des::scheduler_kind::fifo)
       : stream{std::move(arrivals)} {
+    ctx.kind = kind;
     ctx.bandwidth_bps = bandwidth_bps;
     rows = core::compute_features(stream, ctx);
     state.device = device;
@@ -189,7 +197,7 @@ TEST(delay_provider, tiered_hysteresis_state_machine) {
   core::tiered_delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
-  probe pr{make_stream(10, 5e-6)};
+  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
   const auto call = [&](double utilization) {
     pr.state.utilization = utilization;
     return provider.estimate_sojourn(pr.state, 5e-5);
@@ -235,7 +243,7 @@ TEST(delay_provider, tiered_unprepared_slot_decides_statelessly) {
   policy.error_budget = 0;
   core::tiered_delay_provider provider{tiny_ptm(), policy};  // no prepare()
 
-  probe pr{make_stream(5, 5e-6), 1e9, /*device=*/5};
+  probe pr{make_stream(5, 5e-6), 1e9, /*device=*/5, sp};
   pr.state.utilization = 0.3;
   (void)provider.estimate_sojourn(pr.state, 5e-5);
   EXPECT_EQ(provider.stats().analytical_calls, 1u);
@@ -255,7 +263,7 @@ TEST(delay_provider, tiered_error_budget_pins_device_to_ptm) {
   core::tiered_delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
-  probe pr{make_stream(10, 5e-6)};
+  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
   const auto first = provider.estimate_sojourn(pr.state, 5e-5);
 
   // The spot check ran both backends, failed the budget, and returned the
@@ -282,7 +290,7 @@ TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
   core::tiered_delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
-  probe pr{make_stream(10, 5e-6)};
+  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
   const auto first = provider.estimate_sojourn(pr.state, 5e-5);
   EXPECT_EQ(provider.stats().budget_promotions, 0u);
 
@@ -308,7 +316,7 @@ TEST(delay_provider, tiered_shadow_sample_matches_full_window_ptm) {
   obs::sink sink;
   provider.bind_sink(&sink);
 
-  probe pr{make_stream(600, 5e-6)};
+  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
   std::vector<double> raw;
   pr.state.raw_out = &raw;
   const auto returned = provider.estimate_sojourn(pr.state, 0.0);
@@ -346,7 +354,7 @@ TEST(delay_provider, tiered_shadow_failure_returns_full_window_ptm) {
   core::tiered_delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
-  probe pr{make_stream(600, 5e-6)};
+  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
   std::vector<double> raw;
   pr.state.raw_out = &raw;
   const auto returned = provider.estimate_sojourn(pr.state, 0.0);
@@ -362,6 +370,74 @@ TEST(delay_provider, tiered_shadow_failure_returns_full_window_ptm) {
     EXPECT_EQ(returned[i], expected[i]) << "packet " << i;
     EXPECT_EQ(raw[i], expected_raw[i]) << "packet " << i;
   }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Under FIFO the closed form is the exact Lindley wait, so a FIFO queue takes
+// it whatever the policy says: at threshold 0, which would send any other
+// queue to the PTM, and with a budget no learned model clears, it neither
+// runs the PTM nor takes a shadow sample.
+TEST(delay_provider, tiered_fifo_queue_takes_the_closed_form) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 0;
+  policy.hysteresis = 0;
+  policy.error_budget = 1e-9;
+  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+  obs::sink sink;
+  provider.bind_sink(&sink);
+
+  probe pr{make_stream(600, 5e-6)};
+  pr.state.utilization = 0.9;
+  std::vector<double> raw;
+  pr.state.raw_out = &raw;
+  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
+
+  core::analytical_delay_provider analytical;
+  std::vector<double> expected_raw;
+  pr.state.raw_out = &expected_raw;
+  const auto expected = analytical.estimate_sojourn(pr.state, 0.0);
+  EXPECT_TRUE(same_bits(returned, expected));
+  EXPECT_TRUE(same_bits(raw, expected_raw));
+  EXPECT_TRUE(same_bits(raw, returned));  // no SEC stage: raw_out echoes
+
+  const auto stats = provider.stats();
+  EXPECT_EQ(stats.ptm_calls, 0u);
+  EXPECT_EQ(stats.budget_promotions, 0u);
+  EXPECT_EQ(stats.analytical_calls, 1u);
+  EXPECT_EQ(stats.analytical_packets, pr.stream.size());
+  EXPECT_EQ(sink.metrics().histogram("tiered.shadow_abs_error_seconds").count,
+            0u);
+}
+
+// Threshold 0 sends every non-FIFO queue to the PTM: an SP queue's estimate
+// and its pre-correction trace equal the pure PTM backend's bit for bit.
+TEST(delay_provider, tiered_threshold_zero_sends_sp_queue_to_ptm) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 0;
+  policy.hysteresis = 0;
+  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+
+  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
+  std::vector<double> raw;
+  pr.state.raw_out = &raw;
+  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
+
+  core::ptm_delay_provider learned{tiny_ptm()};
+  std::vector<double> expected_raw;
+  pr.state.raw_out = &expected_raw;
+  const auto expected = learned.estimate_sojourn(pr.state, 0.0);
+  EXPECT_TRUE(same_bits(returned, expected));
+  EXPECT_TRUE(same_bits(raw, expected_raw));
+  EXPECT_EQ(provider.stats().ptm_calls, 1u);
+  EXPECT_EQ(provider.stats().analytical_calls, 0u);
 }
 
 TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
@@ -386,8 +462,10 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level parity: the tiered policy extremes must reproduce the pure
-// backends bit-for-bit, and run_request.delay must override per run only.
+// Engine-level parity: on a FIFO network the tiered backend must reproduce
+// the analytical one bit-for-bit at every threshold, threshold 0 must send
+// every non-FIFO queue to the PTM, and run_request.delay must override per
+// run only.
 // ---------------------------------------------------------------------------
 
 struct engine_scenario {
@@ -406,11 +484,15 @@ struct engine_scenario {
     streams = traffic::per_host_streams(generators, 16, horizon, rng);
   }
 
-  [[nodiscard]] des::run_result run(const des::delay_policy& policy) const {
+  // `switches` is the scheduler of every switch; host NICs are FIFO.
+  [[nodiscard]] des::run_result run(
+      const des::delay_policy& policy, obs::sink* sink = nullptr,
+      core::scheduler_context switches = {}) const {
     core::engine_config cfg;
     cfg.partitions = 2;
     cfg.delay = policy;
-    core::dqn_network net{topo, routes, tiny_ptm(), {}, cfg};
+    cfg.sink = sink;
+    core::dqn_network net{topo, routes, tiny_ptm(), std::move(switches), cfg};
     return net.run(streams, horizon);
   }
 };
@@ -420,34 +502,74 @@ void expect_identical_deliveries(const des::run_result& a,
   ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
   for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
     EXPECT_EQ(a.deliveries[i].pid, b.deliveries[i].pid);
-    EXPECT_DOUBLE_EQ(a.deliveries[i].delivery_time,
-                     b.deliveries[i].delivery_time);
+    EXPECT_EQ(std::memcmp(&a.deliveries[i].delivery_time,
+                          &b.deliveries[i].delivery_time, sizeof(double)),
+              0)
+        << "delivery " << i;
   }
 }
 
-TEST(delay_provider, tiered_threshold_zero_is_pure_ptm_through_engine) {
-  const engine_scenario sc;
-  const auto ptm_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::ptm));
-  const auto tiered_result =
-      sc.run(des::delay_policy{}
-                 .with_backend(des::delay_backend::tiered)
-                 .with_threshold(0)
-                 .with_hysteresis(0));
-  ASSERT_FALSE(ptm_result.deliveries.empty());
-  expect_identical_deliveries(ptm_result, tiered_result);
-}
-
-TEST(delay_provider, tiered_huge_threshold_is_pure_analytical_through_engine) {
+// Every queue of a FIFO network, host NICs included, takes the exact closed
+// form under tiered, so the threshold cannot move a delivery.
+TEST(delay_provider, tiered_on_fifo_network_equals_analytical_through_engine) {
   const engine_scenario sc;
   const auto analytical_result =
       sc.run(des::delay_policy{}.with_backend(des::delay_backend::analytical));
+  ASSERT_FALSE(analytical_result.deliveries.empty());
+  for (const double threshold : {0.0, 0.35, 1e9}) {
+    SCOPED_TRACE(threshold);
+    expect_identical_deliveries(
+        analytical_result,
+        sc.run(des::delay_policy{}
+                   .with_backend(des::delay_backend::tiered)
+                   .with_threshold(threshold)));
+  }
+}
+
+// With SP switches at threshold 0, the host NICs (FIFO) take the closed form
+// and every switch queue takes the PTM.
+TEST(delay_provider,
+     tiered_threshold_zero_sends_sp_switches_to_ptm_through_engine) {
+  const engine_scenario sc;
+  core::scheduler_context switches;
+  switches.kind = sp;
+  obs::sink sink;
+  const auto result = sc.run(des::delay_policy{}
+                                 .with_backend(des::delay_backend::tiered)
+                                 .with_threshold(0)
+                                 .with_hysteresis(0),
+                             &sink, switches);
+  ASSERT_FALSE(result.deliveries.empty());
+  ASSERT_EQ(result.drops, 0u);
+
+  double injected = 0;
+  for (const auto& stream : sc.streams)
+    for (const auto& ev : stream)
+      if (ev.time <= sc.horizon) ++injected;
+  const auto& metrics = sink.metrics();
+  EXPECT_EQ(metrics.counter("tiered.analytical_packets"), injected);
+  EXPECT_GT(metrics.counter("tiered.ptm_packets"), 0.0);
+  EXPECT_EQ(metrics.counter("tiered.ptm_packets"),
+            metrics.counter("pfm.forwarded") - injected);
+}
+
+// The other extreme on SP switches, where the tier state is live: with no
+// threshold to cross and the shadow check off, every queue takes the closed
+// form.
+TEST(delay_provider, tiered_huge_threshold_is_pure_analytical_through_engine) {
+  const engine_scenario sc;
+  core::scheduler_context switches;
+  switches.kind = sp;
+  const auto analytical_result = sc.run(
+      des::delay_policy{}.with_backend(des::delay_backend::analytical),
+      nullptr, switches);
   const auto tiered_result =
       sc.run(des::delay_policy{}
                  .with_backend(des::delay_backend::tiered)
                  .with_threshold(1e9)
                  .with_hysteresis(0)
-                 .with_error_budget(0));
+                 .with_error_budget(0),
+             nullptr, switches);
   ASSERT_FALSE(analytical_result.deliveries.empty());
   expect_identical_deliveries(analytical_result, tiered_result);
 }

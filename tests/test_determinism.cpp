@@ -532,7 +532,7 @@ TEST(determinism, engine_matches_layer_pipeline) {
         ASSERT_EQ(it->second, ev.pkt.dst_host) << "flow " << ev.pkt.flow_id;
       }
     const auto provider = core::make_delay_provider(ptm, cfg.delay);
-    provider->prepare(topo.node_count() + 1);
+    provider->prepare(topo.node_count());
     std::uint64_t drops = 0;
     const egress_state state = layer_pipeline(
         topo, routes, streams, horizon, ptm, ctx, *provider, flow_dst, drops);

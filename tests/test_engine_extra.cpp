@@ -298,4 +298,42 @@ TEST(engine_extra, estimators_reject_pid_sent_twice) {
                                   " injected twice");
 }
 
+TEST(engine_extra, estimators_reject_destination_out_of_range) {
+  auto streams = make_streams(3, 50'000.0, 0.02, 1);
+  ASSERT_FALSE(streams[1].empty());
+  // Host indices run 0..2; index 3 names no host.
+  streams[1].front().pkt.dst_host = 3;
+  expect_both_reject(streams, "dst_host 3 out of range for 3 hosts (pid " +
+                                  std::to_string(streams[1].front().pkt.pid) +
+                                  ")");
+}
+
+// SInit validates each host's stream in its own pool task. With two bad
+// streams the run names the lower host at every worker count, as a serial
+// loop over the hosts would.
+TEST(engine_extra, bad_host_streams_name_the_same_host_at_every_worker_count) {
+  const auto topo = topo::make_fattree16();
+  const topo::routing routes{topo};
+  auto streams = make_streams(16, 50'000.0, 0.005, 3);
+  for (const std::size_t host : {3, 12}) {
+    ASSERT_GE(streams[host].size(), 2u);
+    std::swap(streams[host][0], streams[host][1]);
+  }
+  const std::string culprit = "host 3 stream goes back in time at pid " +
+                              std::to_string(streams[3][1].pkt.pid);
+  for (const std::size_t partitions : {1, 4}) {
+    SCOPED_TRACE(partitions);
+    core::engine_config cfg;
+    cfg.partitions = partitions;
+    core::dqn_network engine{topo, routes, shared_ptm(), {}, cfg};
+    try {
+      (void)engine.run(streams, 0.005);
+      ADD_FAILURE() << "run accepted bad host streams";
+    } catch (const util::contract_violation& e) {
+      EXPECT_NE(std::string{e.what()}.find(culprit), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
