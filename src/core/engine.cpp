@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -16,7 +19,6 @@
 #include "obs/span.hpp"
 #include "topo/queue_graph.hpp"
 #include "util/check.hpp"
-#include "util/keyed_vector.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dqn::core {
@@ -63,55 +65,106 @@ struct visit_buffers {
   std::vector<std::size_t> run_starts;
 };
 
+// How many of the first k elements std::merge(a, a + na, b, b + nb) takes
+// from `a` (the co-rank of k). Ties go to `a`, as in std::merge.
+template <typename T, typename Less>
+std::size_t co_rank(const T* a, std::size_t na, const T* b, std::size_t nb,
+                    std::size_t k, Less less) {
+  std::size_t lo = k > nb ? k - nb : 0;
+  std::size_t hi = std::min(k, na);
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo + 1) / 2;
+    // Does a[i - 1] come out before b[k - i]?
+    if (!less(b[k - i], a[i - 1]))
+      lo = i;
+    else
+      hi = i - 1;
+  }
+  return lo;
+}
+
+// Output positions [lo, hi) of one level of a pairwise merge from `from`
+// into `to`. Run r is [starts[r], starts[r + 1]); each even run merges with
+// the next one at the pair's start, and a last unpaired run is copied. A
+// piece that cuts a pair starts and ends at the co-ranks of its cuts (merge
+// path), so the pieces of one level can merge at once.
+template <typename T, typename Less>
+void merge_level_piece(const T* from, T* to,
+                       std::span<const std::size_t> starts, std::size_t lo,
+                       std::size_t hi, Less less) {
+  const std::size_t count = starts.size() - 1;
+  for (std::size_t r = 0; r < count; r += 2) {
+    const std::size_t first = starts[r];
+    const std::size_t last = starts[std::min(r + 2, count)];
+    if (last <= lo) continue;
+    if (first >= hi) break;
+    const std::size_t begin = std::max(first, lo);
+    const std::size_t end = std::min(last, hi);
+    if (r + 1 == count) {
+      std::copy(from + begin, from + end, to + begin);
+      continue;
+    }
+    const T* a = from + first;
+    const T* b = from + starts[r + 1];
+    const std::size_t na = starts[r + 1] - first;
+    const std::size_t nb = last - starts[r + 1];
+    const std::size_t a0 = co_rank(a, na, b, nb, begin - first, less);
+    const std::size_t a1 = co_rank(a, na, b, nb, end - first, less);
+    std::merge(a + a0, a + a1, b + (begin - first - a0),
+               b + (end - first - a1), to + begin, less);
+  }
+}
+
+// Merges the ordered runs of `data`, [starts[r], starts[r + 1]), into one
+// ordered sequence in `data`: adjacent runs merge pairwise, level by level,
+// between `data` and `spare`, and the two vectors swap when the last level
+// lands in `spare`. `merge_level(from, to, starts)` runs one level, for
+// example as merge_level_piece over the whole output. Empty runs are
+// dropped first. `starts` and `spare` come back overwritten.
+template <typename T, typename Level>
+void merge_levels(std::vector<T>& data, std::vector<T>& spare,
+                  std::span<std::size_t> starts, Level&& merge_level) {
+  std::size_t count = 0;
+  for (std::size_t r = 0; r + 1 < starts.size(); ++r)
+    if (starts[r] != starts[r + 1]) starts[count++] = starts[r];
+  starts[count] = data.size();
+  if (count <= 1) return;
+  spare.resize(data.size());
+  T* from = data.data();
+  T* to = spare.data();
+  while (count > 1) {
+    merge_level(static_cast<const T*>(from), to, starts.first(count + 1));
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < count; r += 2) starts[kept++] = starts[r];
+    starts[kept] = data.size();
+    count = kept;
+    std::swap(from, to);
+  }
+  if (from != data.data()) std::swap(data, spare);
+}
+
 // Puts `queue` in (time, pid) order. Its run r is queue[starts[r],
-// starts[r + 1]) and is normally ordered already; adjacent runs then merge
-// pairwise, level by level, between `queue` and `spare`. If a run is out of
-// order, the queue is sorted instead. Pids are unique, so either way the
-// result is the one std::sort gives. `starts` and `spare` come back
-// overwritten.
+// starts[r + 1]) and is normally ordered already; the runs then merge
+// (merge_levels) on this thread. If a run is out of order, the queue is
+// sorted instead. Pids are unique, so either way the result is the one
+// std::sort gives.
 void merge_runs(traffic::packet_stream& queue, std::span<std::size_t> starts,
                 traffic::packet_stream& spare) {
-  const auto at = [&starts](traffic::packet_stream& stream, std::size_t run) {
-    return stream.begin() + static_cast<std::ptrdiff_t>(starts[run]);
+  const auto at = [&queue](std::size_t offset) {
+    return queue.begin() + static_cast<std::ptrdiff_t>(offset);
   };
-  // Check each run and compact the starts of the non-empty ones.
-  std::size_t count = 0;
   for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
-    if (starts[r] == starts[r + 1]) continue;
-    if (!std::is_sorted(at(queue, r), at(queue, r + 1))) {
+    if (!std::is_sorted(at(starts[r]), at(starts[r + 1]))) {
       std::sort(queue.begin(), queue.end());
       return;
     }
-    starts[count++] = starts[r];
   }
-  starts[count] = queue.size();
-  // Each level halves the run count and swaps the buffers' roles. With an
-  // odd number of levels the first reads a copy in `spare`, so that the
-  // last one writes into `queue`.
-  std::size_t levels = 0;
-  for (std::size_t runs = count; runs > 1; runs = (runs + 1) / 2) ++levels;
-  if (levels == 0) return;
-  spare.resize(queue.size());
-  traffic::packet_stream* src = &queue;
-  traffic::packet_stream* dst = &spare;
-  if (levels % 2 == 1) {
-    std::copy(queue.begin(), queue.end(), spare.begin());
-    std::swap(src, dst);
-  }
-  while (count > 1) {
-    std::size_t kept = 0;
-    for (std::size_t r = 0; r < count; r += 2) {
-      if (r + 1 == count)
-        std::copy(at(*src, r), at(*src, r + 1), at(*dst, r));
-      else
-        std::merge(at(*src, r), at(*src, r + 1), at(*src, r + 1),
-                   at(*src, r + 2), at(*dst, r));
-      starts[kept++] = starts[r];
-    }
-    starts[kept] = queue.size();
-    count = kept;
-    std::swap(src, dst);
-  }
+  merge_levels(queue, spare, starts,
+               [](const traffic::packet_event* from, traffic::packet_event* to,
+                  std::span<const std::size_t> level) {
+                 merge_level_piece(from, to, level, 0, level.back(),
+                                   std::less<>{});
+               });
 }
 
 }  // namespace
@@ -215,6 +268,9 @@ des::run_result dqn_network::run_core(
   DQN_ENSURE(host_streams.size() == hosts.size(),
              "dqn_network::run: one stream per host required (got ",
              host_streams.size(), " streams for ", hosts.size(), " hosts)");
+  DQN_ENSURE(std::isfinite(horizon) && horizon > 0,
+             "dqn_network::run: horizon must be finite and > 0 (got ", horizon,
+             ")");
 
   util::stopwatch watch;
   stats_ = {};
@@ -259,8 +315,9 @@ des::run_result dqn_network::run_core(
 
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
   // translating host indices to node ids. One pool task per host: it writes
-  // only its host's egress slot and its own (pid, send time) run. A failed
-  // round names the lowest bad host, as a serial loop would.
+  // only its host's egress slot, its host's slice of `send_times` and its
+  // own pid tracker. A failed round names the lowest bad host, as a serial
+  // loop would.
   obs::scoped_timer sinit_timer{sink, "engine", "sinit"};
   std::vector<std::vector<traffic::packet_stream>> egress(topo_->node_count());
   for (std::size_t i = 0; i < topo_->node_count(); ++i)
@@ -268,13 +325,19 @@ des::run_result dqn_network::run_core(
   // One task per host, in contiguous blocks per worker; collection reuses
   // the seeds.
   const auto host_seeds = spread(hosts.size(), workers);
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> sends(
-      hosts.size());
+  // Send time by injection index (traffic::packet::send_index): host i's
+  // packets take the indices from slice[i] on, in stream order.
+  std::vector<std::size_t> slice(hosts.size() + 1, 0);
+  for (std::size_t i = 0; i < hosts.size(); ++i)
+    slice[i + 1] = slice[i] + host_streams[i].size();
+  DQN_ENSURE(slice.back() <= std::numeric_limits<std::uint32_t>::max(),
+             "dqn_network::run: ", slice.back(),
+             " packets in the host streams overflow the 32-bit send index");
+  std::vector<double> send_times(slice.back());
+  std::vector<des::rising_pids> host_pids(hosts.size());
   (void)pool.run_round(host_seeds, [&](std::size_t i, std::size_t worker) {
     auto& out = egress[static_cast<std::size_t>(hosts[i])][0];
-    auto& run = sends[i];
     out.reserve(host_streams[i].size());
-    run.reserve(host_streams[i].size());
     double previous_send = -std::numeric_limits<double>::infinity();
     for (const auto& ev : host_streams[i]) {
       DQN_ENSURE(ev.time >= previous_send, "dqn_network::run: host ", i,
@@ -289,7 +352,10 @@ des::run_result dqn_network::run_core(
                  " out of range for ", hosts.size(), " hosts (pid ", pkt.pid,
                  ")");
       pkt.dst_host = hosts[static_cast<std::size_t>(pkt.dst_host)];
-      run.emplace_back(pkt.pid, ev.time);
+      const std::size_t index = slice[i] + out.size();
+      pkt.send_index = static_cast<std::uint32_t>(index);
+      send_times[index] = ev.time;
+      host_pids[i].add(pkt.pid);
       if (tracer != nullptr && tracer->sampled(pkt.pid))
         tracer->record_send(pkt.pid, pkt.flow_id, ev.time);
       out.push_back({pkt, ev.time});
@@ -311,20 +377,16 @@ des::run_result dqn_network::run_core(
         topo_->link_at(topo_->at(hosts[i]).links[0]).bandwidth_bps;
     out = host_nic_.process_queue(std::move(out), 0, nic_bps, call);
   });
-  // pid -> send time, feeding the exported delivery records below, merged
-  // from the hosts' runs in host order. A sorted keyed vector rather than an
-  // unordered map: delivery export must be deterministic across runs and
-  // partition counts, and keyed vectors make any future traversal ordered by
-  // construction (dqn-unordered-iteration).
-  util::keyed_vector<std::uint64_t, double> send_times;
-  std::size_t sent = 0;
-  for (const auto& run : sends) sent += run.size();
-  send_times.reserve(sent);
-  for (const auto& run : sends)
-    for (const auto& [pid, time] : run) send_times.push_back(pid, time);
-  send_times.finalize();  // keeps one entry per pid
-  DQN_ENSURE(send_times.size() == sent, "dqn_network::run: pid ",
-             des::duplicate_pid(host_streams, horizon), " injected twice");
+  // Pids that rise in host order are distinct; only other input pays for
+  // the sort that finds a duplicate.
+  des::rising_pids pids;
+  for (const auto& host : host_pids) pids.append(host);
+  if (!pids.rising) {
+    const std::optional<std::uint64_t> duplicate =
+        des::duplicate_pid(host_streams, horizon);
+    DQN_ENSURE(!duplicate.has_value(), "dqn_network::run: pid ", *duplicate,
+               " injected twice");
+  }
   sinit_timer.stop();
 
   // Hop records and drops of each egress queue's latest inference,
@@ -593,11 +655,13 @@ des::run_result dqn_network::run_core(
                               stats_.busy_seconds -
                           1.0);
 
-  // Collect deliveries on the pool. One round builds each host's run: its
-  // access link's delivery of the peer's egress stream, in (time, pid)
-  // order. Each later round merges adjacent runs pairwise. Pids are unique,
-  // so the last run is the one global sort of every record. These rounds
-  // add nothing to the IRSA stats.
+  // Collect deliveries on the pool. One round writes each host's run, its
+  // access link's delivery of the peer's egress stream in (time, pid)
+  // order, into the host's slice of one buffer. The runs then merge
+  // pairwise, level by level, between that buffer and a spare; every level
+  // is cut into one equal piece per worker. Pids are unique, so the result
+  // is the one global sort of every record. These rounds add nothing to the
+  // IRSA stats.
   des::run_result result;
   for (const auto& device : queue_drops)
     for (const auto& drops : device) result.drops += drops.size();
@@ -607,56 +671,72 @@ des::run_result dqn_network::run_core(
       return a.delivery_time < b.delivery_time;
     return a.pid < b.pid;
   };
-  std::vector<std::vector<des::delivery_record>> runs(hosts.size());
+  const auto inbound_of = [&](std::size_t h) -> const traffic::packet_stream& {
+    const auto peer = topo_->peer_of(hosts[h], 0);
+    return egress[static_cast<std::size_t>(peer.node)][peer.port];
+  };
+  // Host h's run starts at run_starts[h]; it ends there plus its length
+  // (run_ends[h]), short of the next slice only when foreign packets left.
+  std::vector<std::size_t> run_starts(hosts.size() + 1, 0);
+  for (std::size_t h = 0; h < hosts.size(); ++h)
+    run_starts[h + 1] = run_starts[h] + inbound_of(h).size();
+  std::vector<std::size_t> run_ends(hosts.size());
+  std::vector<des::delivery_record> deliveries(run_starts.back());
   (void)pool.run_round(host_seeds, [&](std::size_t h, std::size_t) {
     const topo::node_id host = hosts[h];
-    const auto peer = topo_->peer_of(host, 0);
-    const auto& link = topo_->link_at(peer.link_index);
-    const auto& inbound =
-        egress[static_cast<std::size_t>(peer.node)][peer.port];
-    auto& run = runs[h];
-    run.reserve(inbound.size());
-    for (const auto& ev : inbound) {
+    const auto& link = topo_->link_at(topo_->peer_of(host, 0).link_index);
+    const auto run =
+        deliveries.begin() + static_cast<std::ptrdiff_t>(run_starts[h]);
+    auto out = run;
+    for (const auto& ev : inbound_of(h)) {
       // A foreign host drops the packet silently, as in the DES.
       if (ev.pkt.dst_host != host) continue;
-      des::delivery_record d;
+      des::delivery_record& d = *out++;
       d.pid = ev.pkt.pid;
       d.flow_id = ev.pkt.flow_id;
       d.src = ev.pkt.src_host;
       d.dst = ev.pkt.dst_host;
-      d.send_time = send_times.at(ev.pkt.pid);
+      d.send_time = send_times[ev.pkt.send_index];
       d.delivery_time =
           link_shift(ev, link.bandwidth_bps, link.propagation_delay);
       if (tracer != nullptr && tracer->sampled(ev.pkt.pid))
         tracer->record_delivery(ev.pkt.pid, d.delivery_time);
-      run.push_back(d);
     }
+    run_ends[h] = run_starts[h] + static_cast<std::size_t>(out - run);
     // The inbound stream is in (time, pid) order and the access link
     // shifts it as it serialized it, so the run is normally in delivery
     // order already.
-    if (!std::is_sorted(run.begin(), run.end(), by_delivery))
-      std::sort(run.begin(), run.end(), by_delivery);
+    if (!std::is_sorted(run, out, by_delivery))
+      std::sort(run, out, by_delivery);
   });
-  while (runs.size() > 1) {
-    std::vector<std::vector<des::delivery_record>> merged((runs.size() + 1) /
-                                                          2);
-    (void)pool.run_round(spread(merged.size(), workers), [&](std::size_t i,
-                                                             std::size_t) {
-      auto& left = runs[2 * i];
-      if (2 * i + 1 == runs.size()) {
-        merged[i] = std::move(left);
-        return;
-      }
-      auto& right = runs[2 * i + 1];
-      merged[i].resize(left.size() + right.size());
-      std::merge(left.begin(), left.end(), right.begin(), right.end(),
-                 merged[i].begin(), by_delivery);
-      left = {};
-      right = {};
-    });
-    runs = std::move(merged);
+  // Close the gaps foreign packets left, in host order.
+  std::size_t kept = 0;
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    const std::size_t length = run_ends[h] - run_starts[h];
+    if (kept != run_starts[h]) {
+      const auto first = deliveries.begin();
+      std::copy(first + static_cast<std::ptrdiff_t>(run_starts[h]),
+                first + static_cast<std::ptrdiff_t>(run_ends[h]),
+                first + static_cast<std::ptrdiff_t>(kept));
+      run_starts[h] = kept;
+    }
+    kept += length;
   }
-  if (!runs.empty()) result.deliveries = std::move(runs.front());
+  deliveries.resize(kept);
+  run_starts.back() = kept;
+  std::vector<des::delivery_record> spare;
+  const auto pieces = spread(workers, workers);
+  const auto merge_level = [&](const des::delivery_record* from,
+                               des::delivery_record* to,
+                               std::span<const std::size_t> level) {
+    const std::size_t n = level.back();
+    (void)pool.run_round(pieces, [&](std::size_t piece, std::size_t) {
+      merge_level_piece(from, to, level, n * piece / workers,
+                        n * (piece + 1) / workers, by_delivery);
+    });
+  };
+  merge_levels(deliveries, spare, std::span{run_starts}, merge_level);
+  result.deliveries = std::move(deliveries);
 
   if (config_.record_hops) {
     for (const topo::node_id node : devices) {

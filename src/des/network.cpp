@@ -1,7 +1,10 @@
 #include "des/network.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/scoped_timer.hpp"
@@ -62,7 +65,7 @@ void network::receive(topo::node_id node, std::size_t in_port,
       d.flow_id = pkt.flow_id;
       d.src = pkt.src_host;
       d.dst = pkt.dst_host;
-      d.send_time = send_times_.at(pkt.pid);
+      d.send_time = send_times_[pkt.send_index];
       d.delivery_time = sim_.now();
       result_.deliveries.push_back(d);
     }
@@ -134,11 +137,17 @@ run_result network::run(const std::vector<traffic::packet_stream>& host_streams,
   DQN_ENSURE(host_streams.size() == hosts.size(),
              "network::run: one stream per host required (got ",
              host_streams.size(), " streams for ", hosts.size(), " hosts)");
+  DQN_ENSURE(std::isfinite(horizon) && horizon > 0,
+             "network::run: horizon must be finite and > 0 (got ", horizon,
+             ")");
   reset();
   util::stopwatch watch;
   result_ = {};
   send_times_.clear();
 
+  // Each injected packet takes the next index into send_times_, which
+  // receive() reads back per delivery.
+  rising_pids pids;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const topo::node_id host = hosts[i];
     double previous_send = -std::numeric_limits<double>::infinity();
@@ -147,8 +156,14 @@ run_result network::run(const std::vector<traffic::packet_stream>& host_streams,
                  " stream goes back in time at pid ", ev.pkt.pid);
       previous_send = ev.time;
       if (ev.time > horizon) break;
-      send_times_.push_back(ev.pkt.pid, ev.time);
+      DQN_ENSURE(
+          send_times_.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "network::run: the injected packets overflow the 32-bit send "
+          "index");
+      pids.add(ev.pkt.pid);
       traffic::packet pkt = ev.pkt;
+      pkt.send_index = static_cast<std::uint32_t>(send_times_.size());
+      send_times_.push_back(ev.time);
       // Streams address hosts by index among topo.hosts(); translate both
       // endpoints to topology node ids.
       pkt.src_host = host;
@@ -169,12 +184,14 @@ run_result network::run(const std::vector<traffic::packet_stream>& host_streams,
     }
   }
 
-  // All sends are recorded; sort the table once before the event loop reads
-  // it (receive() resolves send times per delivery).
-  const std::size_t sent = send_times_.size();
-  send_times_.finalize();  // keeps one entry per pid
-  DQN_ENSURE(send_times_.size() == sent, "network::run: pid ",
-             duplicate_pid(host_streams, horizon), " injected twice");
+  // Pids that rise in injection order are distinct; only other input pays
+  // for the sort that finds a duplicate.
+  if (!pids.rising) {
+    const std::optional<std::uint64_t> duplicate =
+        duplicate_pid(host_streams, horizon);
+    DQN_ENSURE(!duplicate.has_value(), "network::run: pid ", *duplicate,
+               " injected twice");
+  }
 
   // Drain: generous allowance for queued packets to leave the network.
   {

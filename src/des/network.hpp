@@ -20,7 +20,6 @@
 #include "topo/graph.hpp"
 #include "topo/routing.hpp"
 #include "traffic/packet.hpp"
-#include "util/keyed_vector.hpp"
 
 namespace dqn::des {
 
@@ -43,7 +42,8 @@ class network : public estimator {
   // host_streams[i] is the ingress stream of topo.hosts()[i]. Packet
   // src_host/dst_host fields in the streams are host *indices* (as produced
   // by traffic::make_uniform_flows); they are translated to topology node
-  // ids on injection. Runs the DES until `horizon` plus a drain period.
+  // ids on injection. Runs the DES until `horizon` (finite and > 0) plus a
+  // drain period.
   [[nodiscard]] run_result run(const std::vector<traffic::packet_stream>& host_streams,
                                double horizon);
 
@@ -82,10 +82,9 @@ class network : public estimator {
   network_config config_;
   simulator sim_;
   std::vector<device_state> devices_;  // indexed by node id (hosts included)
-  // pid -> send time, feeding the exported delivery records: a sorted keyed
-  // vector so the table is deterministic however it is consumed (filled and
-  // finalized during injection, read during the event loop).
-  util::keyed_vector<std::uint64_t, double> send_times_;
+  // Send time by injection index (traffic::packet::send_index), filled
+  // during injection and read per delivery.
+  std::vector<double> send_times_;
   run_result result_;
 };
 

@@ -4,15 +4,21 @@
 
 namespace dqn::des {
 
-std::uint64_t duplicate_pid(
+std::optional<std::uint64_t> duplicate_pid(
     const std::vector<traffic::packet_stream>& host_streams, double horizon) {
+  std::size_t packets = 0;
+  for (const auto& stream : host_streams) packets += stream.size();
   std::vector<std::uint64_t> pids;
+  pids.reserve(packets);
   for (const auto& stream : host_streams)
     for (std::size_t i = 0; i < stream.size() && stream[i].time <= horizon; ++i)
       pids.push_back(stream[i].pkt.pid);
-  std::sort(pids.begin(), pids.end());
+  // A merge sort: the rising pid runs of a host's flows make it cheaper
+  // here than std::sort.
+  std::stable_sort(pids.begin(), pids.end());
   const auto it = std::adjacent_find(pids.begin(), pids.end());
-  return it != pids.end() ? *it : 0;
+  if (it == pids.end()) return std::nullopt;
+  return *it;
 }
 
 std::map<std::uint32_t, std::vector<double>> per_flow_latencies(

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -50,11 +51,41 @@ struct run_result {
   double wall_seconds = 0;
 };
 
+// Whether a sequence of pids rises strictly, which proves them distinct
+// without a sort. Packet-level estimators feed each host's injected pids in
+// stream order with add() and join the hosts in host order with append().
+// Every in-repo traffic generator numbers pids in host order, so its pids
+// pass; other input falls back to duplicate_pid.
+struct rising_pids {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+  bool empty = true;
+  bool rising = true;
+
+  void add(std::uint64_t pid) noexcept {
+    if (empty)
+      first = pid;
+    else if (pid <= last)
+      rising = false;
+    last = pid;
+    empty = false;
+  }
+  // Continues this sequence with `next`'s.
+  void append(const rising_pids& next) noexcept {
+    if (next.empty) return;
+    if (empty) {
+      *this = next;
+      return;
+    }
+    rising = rising && next.rising && next.first > last;
+    last = next.last;
+  }
+};
+
 // The first pid, in pid order, that the packets sent by `horizon` carry
-// twice (0 when none does). Packet-level estimators reject such input; they
-// call this only to name the culprit once their send-time table has shown a
-// duplicate.
-[[nodiscard]] std::uint64_t duplicate_pid(
+// twice, or none. Packet-level estimators reject such input; they call this
+// when the pids they injected do not rise (rising_pids).
+[[nodiscard]] std::optional<std::uint64_t> duplicate_pid(
     const std::vector<traffic::packet_stream>& host_streams, double horizon);
 
 // Latency series per flow (delivery order) — the "path-wise" unit of the

@@ -8,7 +8,8 @@
 // A run_request is a non-owning view: `host_streams` must outlive the call
 // (stream i feeds topo.hosts()[i]; packet src/dst fields are host indices).
 // The packet-level estimators reject, with util::contract_violation, a
-// stream whose send times decrease and a pid sent twice.
+// horizon that is not finite and > 0, a stream whose send times decrease and
+// a pid sent twice.
 // `sink` is optional observability — when non-null it overrides any sink the
 // estimator's own config carries for the duration of the run.
 #pragma once

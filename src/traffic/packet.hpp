@@ -18,7 +18,13 @@ struct packet {
   std::uint16_t weight = 1;    // WFQ/WRR/DRR weight
   std::int32_t src_host = -1;
   std::int32_t dst_host = -1;
+  // The packet's injection index within one estimator run, set by the
+  // estimator when the packet enters the network: it indexes the run's
+  // send-time array. Input values are ignored. It fills what was tail
+  // padding, so a packet stays 32 bytes.
+  std::uint32_t send_index = 0;
 };
+static_assert(sizeof(packet) == 32, "a packet is 32 bytes on every hop");
 
 // A packet at a point in time — one element of a packet stream tau (Eq. 2).
 struct packet_event {

@@ -4,7 +4,8 @@
 // These tests guard the deterministic-container sweep (util::keyed_vector
 // replacing iterated unordered maps; see docs/STATIC_ANALYSIS.md) and are
 // part of the TSan matrix: under -DDQN_SANITIZE=thread the partitioned
-// comparison doubles as a race detector for the keyed tables.
+// comparisons double as a race detector for the engine's shared per-run
+// arrays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,12 +97,12 @@ bool same_bits(double a, double b) {
   return ba == bb;
 }
 
-void expect_bit_identical(const des::run_result& a, const des::run_result& b) {
-  ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
-  ASSERT_EQ(a.drops, b.drops);
-  for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
-    const auto& da = a.deliveries[i];
-    const auto& db = b.deliveries[i];
+void expect_same_deliveries(const std::vector<des::delivery_record>& a,
+                            const std::vector<des::delivery_record>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& da = a[i];
+    const auto& db = b[i];
     EXPECT_EQ(da.pid, db.pid) << "delivery " << i;
     EXPECT_EQ(da.flow_id, db.flow_id) << "delivery " << i;
     EXPECT_EQ(da.src, db.src) << "delivery " << i;
@@ -111,6 +112,65 @@ void expect_bit_identical(const des::run_result& a, const des::run_result& b) {
     EXPECT_TRUE(same_bits(da.delivery_time, db.delivery_time))
         << "delivery " << i << " delivery_time bits differ";
   }
+}
+
+void expect_bit_identical(const des::run_result& a, const des::run_result& b) {
+  ASSERT_EQ(a.drops, b.drops);
+  expect_same_deliveries(a.deliveries, b.deliveries);
+}
+
+// The deliveries that final egress streams give: each host's access link
+// applied to its peer's stream, egress(node, port), keeping the packets
+// addressed to the host, in one std::sort by (delivery_time, pid). The send
+// time, source and flow id of a record are those of its pid in the host
+// streams, which checks an estimator's send-time bookkeeping.
+template <typename Egress>
+std::vector<des::delivery_record> sorted_deliveries(
+    const topo::topology& topo,
+    const std::vector<traffic::packet_stream>& streams, double horizon,
+    Egress&& egress) {
+  struct send {
+    topo::node_id src;
+    std::uint32_t flow_id;
+    double time;
+  };
+  std::map<std::uint64_t, send> sends;
+  const auto hosts = topo.hosts();
+  for (std::size_t h = 0; h < hosts.size(); ++h)
+    for (const auto& ev : streams[h]) {
+      if (ev.time > horizon) break;
+      sends.emplace(ev.pkt.pid, send{hosts[h], ev.pkt.flow_id, ev.time});
+    }
+  std::vector<des::delivery_record> records;
+  for (const auto host : hosts) {
+    const auto peer = topo.peer_of(host, 0);
+    const auto& link = topo.link_at(peer.link_index);
+    for (const auto& ev : core::apply_link(egress(peer.node, peer.port),
+                                           link.bandwidth_bps,
+                                           link.propagation_delay)) {
+      if (ev.pkt.dst_host != host) continue;
+      const auto it = sends.find(ev.pkt.pid);
+      if (it == sends.end()) {
+        ADD_FAILURE() << "pid " << ev.pkt.pid << " was never sent";
+        continue;
+      }
+      des::delivery_record d;
+      d.pid = ev.pkt.pid;
+      d.flow_id = it->second.flow_id;
+      d.src = it->second.src;
+      d.dst = ev.pkt.dst_host;
+      d.send_time = it->second.time;
+      d.delivery_time = ev.time;
+      records.push_back(d);
+    }
+  }
+  std::sort(records.begin(), records.end(),
+            [](const des::delivery_record& a, const des::delivery_record& b) {
+              if (a.delivery_time != b.delivery_time)
+                return a.delivery_time < b.delivery_time;
+              return a.pid < b.pid;
+            });
+  return records;
 }
 
 // One tiny trained PTM shared by the engine tests (training dominates).
@@ -167,22 +227,85 @@ std::vector<traffic::packet_stream> descending_pid_streams(std::size_t hosts,
   return streams;
 }
 
+// Abilene's 11 hosts with skewed delivery runs: every host but host 5
+// sends three flows to host 5, and one flow to the next host unless that is
+// host 3, 7 or 5. Hosts 3 and 7 receive nothing, and host 5 most packets.
+std::vector<traffic::packet_stream> skewed_streams() {
+  constexpr std::int32_t hosts = 11;
+  constexpr std::int32_t hot = 5;
+  std::vector<traffic::flow_spec> flows;
+  for (std::int32_t src = 0; src < hosts; ++src) {
+    const auto add = [&](std::int32_t dst) {
+      traffic::flow_spec flow;
+      flow.flow_id = static_cast<std::uint32_t>(flows.size());
+      flow.src_host = src;
+      flow.dst_host = dst;
+      flows.push_back(flow);
+    };
+    if (src != hot)
+      for (int k = 0; k < 3; ++k) add(hot);
+    const std::int32_t next = (src + 1) % hosts;
+    if (next != 3 && next != 7 && next != hot) add(next);
+  }
+  traffic::tg_util_config tg;
+  tg.per_flow_rate = 20'000.0;
+  tg.seed = 17;
+  auto generators = traffic::make_generators(flows, tg);
+  util::rng rng{17};
+  return traffic::per_host_streams(generators, hosts, 0.005, rng);
+}
+
+// Deliveries are one std::sort by (delivery_time, pid) of every host's
+// records, bit for bit at every worker count. Collection merges the hosts'
+// runs level by level, each level cut into one piece per worker. The skewed
+// input gives it empty runs, an odd run count and one run of most records,
+// so pieces cut inside one pair of runs.
 TEST(determinism, engine_bit_identical_across_partition_counts) {
+  constexpr double horizon = 0.005;
   const auto ptm = tiny_ptm();
-  const auto topo = topo::make_fattree16();
-  const topo::routing routes{topo};
-  const auto streams = fattree_streams();
+  const auto check = [&](const topo::topology& topo,
+                         const std::vector<traffic::packet_stream>& streams)
+      -> des::run_result {
+    const topo::routing routes{topo};
+    des::run_result first;
+    for (const std::size_t workers : {1, 2, 3, 4}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers");
+      core::engine_config cfg;
+      cfg.partitions = workers;
+      core::dqn_network net{topo, routes, ptm, {}, cfg};
+      auto result = net.run(streams, horizon);
+      EXPECT_FALSE(result.deliveries.empty());
+      expect_same_deliveries(
+          result.deliveries,
+          sorted_deliveries(topo, streams, horizon,
+                            [&net](topo::node_id node, std::size_t port)
+                                -> const traffic::packet_stream& {
+                              return net.egress_stream(node, port);
+                            }));
+      if (workers == 1)
+        first = std::move(result);
+      else
+        expect_bit_identical(first, result);
+    }
+    return first;
+  };
 
-  core::engine_config serial_cfg;
-  serial_cfg.partitions = 1;
-  core::engine_config parallel_cfg;
-  parallel_cfg.partitions = 4;
-  core::dqn_network serial{topo, routes, ptm, {}, serial_cfg};
-  core::dqn_network parallel{topo, routes, ptm, {}, parallel_cfg};
-
-  const auto serial_result = serial.run(streams, 0.005);
-  const auto parallel_result = parallel.run(streams, 0.005);
-  expect_bit_identical(serial_result, parallel_result);
+  {
+    SCOPED_TRACE("fattree16, uniform");
+    (void)check(topo::make_fattree16(), fattree_streams());
+  }
+  {
+    SCOPED_TRACE("abilene, skewed");
+    const auto topo = topo::make_abilene();
+    const auto result = check(topo, skewed_streams());
+    std::map<topo::node_id, std::size_t> received;
+    for (const auto& d : result.deliveries) ++received[d.dst];
+    const auto hosts = topo.hosts();
+    EXPECT_EQ(received.size(), hosts.size() - 2);
+    EXPECT_EQ(received.count(hosts[3]), 0u);
+    EXPECT_EQ(received.count(hosts[7]), 0u);
+    EXPECT_GT(2 * received[hosts[5]], result.deliveries.size());
+  }
 }
 
 // The sharded engine's core promise: deliveries are a pure function of
@@ -505,7 +628,11 @@ egress_state layer_pipeline(
 // into one pass per device visit, and collects deliveries on its pool; it
 // sorts a stream only when a check finds it out of (time, pid) order. It
 // must give exactly what the public layer pipeline gives: every host and
-// device egress stream, every delivery and the drop count, bit for bit.
+// device egress stream, every delivery and the drop count, bit for bit. A
+// delivery's send time, source and flow id must be those its pid was sent
+// with: the engine looks send times up by injection index. The fat-tree
+// streams number pids in host order, so SInit proves them distinct without
+// a sort; the other inputs' pids do not rise and take the sort.
 // Acyclic topologies only: a cyclic stage stops at a 1e-9 tolerance, not
 // at a bitwise fixed point.
 TEST(determinism, engine_matches_layer_pipeline) {
@@ -544,36 +671,13 @@ TEST(determinism, engine_matches_layer_pipeline) {
                                 state[static_cast<std::size_t>(node)][port]))
             << "node " << node << " port " << port;
 
-    std::vector<des::delivery_record> expected;
-    for (const auto host : topo.hosts()) {
-      const auto peer = topo.peer_of(host, 0);
-      const auto& link = topo.link_at(peer.link_index);
-      const auto& stream =
-          state[static_cast<std::size_t>(peer.node)][peer.port];
-      for (const auto& ev : core::apply_link(stream, link.bandwidth_bps,
-                                             link.propagation_delay)) {
-        if (ev.pkt.dst_host != host) continue;
-        des::delivery_record d;
-        d.pid = ev.pkt.pid;
-        d.dst = ev.pkt.dst_host;
-        d.delivery_time = ev.time;
-        expected.push_back(d);
-      }
-    }
-    std::sort(expected.begin(), expected.end(),
-              [](const des::delivery_record& a, const des::delivery_record& b) {
-                if (a.delivery_time != b.delivery_time)
-                  return a.delivery_time < b.delivery_time;
-                return a.pid < b.pid;
-              });
-    ASSERT_EQ(result.deliveries.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(result.deliveries[i].pid, expected[i].pid) << "delivery " << i;
-      EXPECT_EQ(result.deliveries[i].dst, expected[i].dst) << "delivery " << i;
-      EXPECT_TRUE(same_bits(result.deliveries[i].delivery_time,
-                            expected[i].delivery_time))
-          << "delivery " << i << " delivery_time bits differ";
-    }
+    expect_same_deliveries(
+        result.deliveries,
+        sorted_deliveries(topo, streams, horizon,
+                          [&state](topo::node_id node, std::size_t port)
+                              -> const traffic::packet_stream& {
+                            return state[static_cast<std::size_t>(node)][port];
+                          }));
     EXPECT_EQ(result.drops, drops);
     if (ctx.buffer_bytes > 0) {
       EXPECT_GT(drops, 0u) << "the case must drop packets";

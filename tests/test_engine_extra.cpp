@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -256,14 +257,14 @@ TEST(engine_extra, zero_traffic_is_handled) {
 // stream that goes back in time, and a re-sent pid takes the first send's
 // time, so both estimators report negative latencies for it.
 void expect_both_reject(const std::vector<traffic::packet_stream>& streams,
-                        const std::string& culprit) {
+                        const std::string& culprit, double horizon = 0.02) {
   const auto topo = topo::make_line(3);
   const topo::routing routes{topo};
   des::network oracle{topo, routes, {}};
   core::dqn_network engine{topo, routes, shared_ptm(), {}, {}};
   des::run_request request;
   request.host_streams = &streams;
-  request.horizon = 0.02;
+  request.horizon = horizon;
   for (des::estimator* estimator :
        std::initializer_list<des::estimator*>{&oracle, &engine}) {
     SCOPED_TRACE(estimator->estimator_name());
@@ -286,16 +287,63 @@ TEST(engine_extra, estimators_reject_host_stream_going_back_in_time) {
                                   std::to_string(streams[1][1].pkt.pid));
 }
 
+// A horizon that is not a positive finite time would inject everything
+// (NaN, +inf) or nothing (<= 0) without a word.
+TEST(engine_extra, estimators_reject_bad_horizon) {
+  const auto streams = make_streams(3, 50'000.0, 0.02, 1);
+  const std::pair<double, const char*> horizons[] = {
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {-1.0, "-1"},
+      {0.0, "0"},
+      {std::numeric_limits<double>::infinity(), "inf"}};
+  for (const auto& [horizon, text] : horizons) {
+    SCOPED_TRACE(text);
+    expect_both_reject(
+        streams,
+        std::string{"horizon must be finite and > 0 (got "} + text + ")",
+        horizon);
+  }
+}
+
+// The estimators prove pids distinct without a sort when they rise in host
+// order, as every in-repo generator numbers them, and sort only otherwise.
+// Each duplicate below fails that proof at a different point.
 TEST(engine_extra, estimators_reject_pid_sent_twice) {
-  auto streams = make_streams(3, 50'000.0, 0.02, 1);
-  ASSERT_FALSE(streams[0].empty());
-  ASSERT_FALSE(streams[2].empty());
-  // Host 2 re-sends host 0's first pid after its own last packet.
-  auto duplicate = streams[0].front();
-  duplicate.time = streams[2].back().time;
-  streams[2].push_back(duplicate);
-  expect_both_reject(streams, "pid " + std::to_string(duplicate.pkt.pid) +
-                                  " injected twice");
+  const auto base = make_streams(3, 50'000.0, 0.02, 1);
+  for (const auto& stream : base) ASSERT_GE(stream.size(), 2u);
+  {
+    SCOPED_TRACE("host 2 re-sends host 0's first pid after its last packet");
+    auto streams = base;
+    auto duplicate = streams[0].front();
+    duplicate.time = streams[2].back().time;
+    streams[2].push_back(duplicate);
+    expect_both_reject(streams, "pid " + std::to_string(duplicate.pkt.pid) +
+                                    " injected twice");
+  }
+  {
+    SCOPED_TRACE("each host's pids rise; host 1 starts at host 0's last");
+    auto streams = base;
+    const std::uint64_t pid = streams[0].back().pkt.pid;
+    ASSERT_LT(pid, streams[1][1].pkt.pid);
+    streams[1].front().pkt.pid = pid;
+    expect_both_reject(streams,
+                       "pid " + std::to_string(pid) + " injected twice");
+  }
+  {
+    SCOPED_TRACE("host 1 sends one pid twice");
+    auto streams = base;
+    const std::uint64_t pid = streams[1].front().pkt.pid;
+    streams[1][1].pkt.pid = pid;
+    expect_both_reject(streams,
+                       "pid " + std::to_string(pid) + " injected twice");
+  }
+  {
+    SCOPED_TRACE("pid 0 sent twice");
+    auto streams = base;
+    streams[0].front().pkt.pid = 0;
+    streams[2].front().pkt.pid = 0;
+    expect_both_reject(streams, "pid 0 injected twice");
+  }
 }
 
 TEST(engine_extra, estimators_reject_destination_out_of_range) {
