@@ -269,8 +269,7 @@ inline des::estimator_context compare_context(
 inline scenario_result run_and_compare(
     const scenario& s, std::shared_ptr<const core::ptm_model> ptm,
     const des::tm_config& tm, double bucket_seconds, bool apply_sec = true,
-    std::size_t partitions = 4, bool record_truth_hops = false,
-    const des::delay_policy* delay = nullptr) {
+    std::size_t partitions = 4, bool record_truth_hops = false) {
   const auto context = compare_context(s, std::move(ptm), tm, apply_sec,
                                        partitions, record_truth_hops);
   const auto oracle = des::make_estimator("des", context);
@@ -281,7 +280,6 @@ inline scenario_result run_and_compare(
   request.horizon = s.horizon;
   scenario_result result;
   result.truth = oracle->run(request);
-  if (delay != nullptr) request.delay = *delay;
   result.prediction = net->run(request);
   // The engine_stats live on the concrete engine behind the contract; the
   // shared bench sink accumulates across runs, so read them directly.

@@ -23,8 +23,9 @@
 //                          (default), "analytical", or "tiered"
 //                          (core/delay_provider.hpp);
 //   --tiered-smoke         self-contained tiered-vs-PTM timing check: trains
-//                          a tiny model, runs the same scenario on both
-//                          backends, prints a one-line JSON summary;
+//                          a tiny model, runs the same scenario on an
+//                          engine per backend, prints a one-line JSON
+//                          summary;
 //   --threads N            engine worker count (sharded work-stealing
 //                          scheduler; default 2). With --json the snapshot
 //                          also carries quickstart.measured_* gauges:
@@ -33,8 +34,7 @@
 // Observability check:
 //   --strict-obs           run the default workflow through one obs::sink,
 //                          then fail (exit 3) if it reported data loss —
-//                          dropped trace events or logged contract
-//                          violations. CI's verify job runs it.
+//                          dropped trace events. CI's verify job runs it.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -64,13 +64,13 @@ struct estimator_options {
   std::string estimator = "deepqueuenet";
   std::string delay_backend;  // empty = the engine default (ptm)
   bool tiered_smoke = false;
-  // --threads N: engine worker count (engine_config::with_partitions over
-  // the sharded work-stealing scheduler). 0 = the quickstart default (2).
+  // --threads N: engine worker count (engine_config::partitions over the
+  // sharded work-stealing scheduler). 0 = the quickstart default (2).
   std::size_t threads = 0;
 };
 
 // --strict-obs: non-zero exit when the summary carries a data-loss WARNING
-// footer (dropped trace events / contract violations).
+// footer (dropped trace events).
 int strict_obs_verdict(const obs::sink& sink) {
   const auto table = sink.summary_table();
   if (table.footer().empty()) return 0;
@@ -87,12 +87,11 @@ bool parse_backend(std::string_view name, des::delay_backend* out) {
   return true;
 }
 
-// --tiered-smoke: train a tiny model, run one scenario through the pure-PTM
-// and the tiered backend (best of two runs each, same engine, same sink),
-// and print a machine-readable one-line JSON summary. CI's perf-smoke job
-// gates on analytical_fraction > 0, shadow_samples > 0 (packets the tiered
-// backend's error-budget shadow check compared) and
-// tiered_wall <= ptm_wall * 1.10.
+// --tiered-smoke: train a tiny model, run one scenario through a pure-PTM
+// and a tiered engine (best of two runs each, same sink), and print a
+// machine-readable one-line JSON summary. CI's perf-smoke job gates on
+// analytical_fraction > 0, shadow_samples > 0 (packets the tiered backend's
+// error-budget shadow check compared) and tiered_wall <= ptm_wall * 1.10.
 int run_tiered_smoke() {
   core::dutil_config dutil_cfg;
   dutil_cfg.ports = 4;
@@ -126,21 +125,18 @@ int run_tiered_smoke() {
   context.ptm = ptm;
   context.scheduler.kind = des::scheduler_kind::sp;
   context.engine.partitions = 2;
-  const auto net = des::make_estimator("deepqueuenet", context);
 
   obs::sink sink;
-  des::run_request request;
-  request.host_streams = &traffic_setup.streams;
-  request.horizon = horizon;
-  request.sink = &sink;
+  const des::run_request request{.host_streams = &traffic_setup.streams,
+                                 .horizon = horizon,
+                                 .sink = &sink};
 
   std::size_t ptm_deliveries = 0;
   std::size_t tiered_deliveries = 0;
   const auto best_wall = [&](des::delay_backend backend,
                              std::size_t* deliveries) {
-    des::delay_policy policy;
-    policy.backend = backend;
-    request.delay = policy;
+    context.engine.delay.backend = backend;
+    const auto net = des::make_estimator("deepqueuenet", context);
     double best = 0;
     for (int rep = 0; rep < 2; ++rep) {
       const auto result = net->run(request);
@@ -175,7 +171,8 @@ int run_tiered_smoke() {
 // metrics are always present in the snapshot, then profiles a DeepQueueNet
 // run and the DES oracle on the same scenario through the same sink, and
 // finally measures the sharded engine's wall-clock speedup at `threads`
-// workers versus 1 (quickstart.measured_* gauges in the JSON snapshot).
+// workers versus a 1-worker engine (quickstart.measured_* gauges in the JSON
+// snapshot).
 // Only the requested documents go to stdout.
 int run_profiled(const profile_options& options, std::size_t threads) {
   obs::sink sink;
@@ -202,17 +199,18 @@ int run_profiled(const profile_options& options, std::size_t threads) {
       topo, routes, traffic::traffic_model::poisson, /*max link load=*/0.4,
       horizon, 7);
 
-  des::run_request request;
-  request.host_streams = &traffic_setup.streams;
-  request.horizon = horizon;
-  request.sink = &sink;
+  const des::run_request request{.host_streams = &traffic_setup.streams,
+                                 .horizon = horizon,
+                                 .sink = &sink};
 
   std::fprintf(stderr, "[profile] running DeepQueueNet inference...\n");
+  const std::size_t workers = threads > 0 ? threads : 2;
   des::estimator_context context;
   context.topo = &topo;
   context.routes = &routes;
   context.ptm = ptm;
-  context.engine.with_partitions(2).with_sink(&sink);
+  context.engine.partitions = workers;
+  context.engine.sink = &sink;
   context.des.sink = &sink;
   const auto net = des::make_estimator("deepqueuenet", context);
   (void)net->run(request);
@@ -222,16 +220,16 @@ int run_profiled(const profile_options& options, std::size_t threads) {
   (void)oracle->run(request);
 
   // Measured multi-worker speedup (wall clock, not projected): the same
-  // engine and scenario at 1 worker and at `threads` workers, best of 2
-  // each, through run_request::threads. On a single-core machine the ratio
-  // is ~1; CI's perf gate runs the Table-7 bench on a multi-core runner.
+  // scenario on a 1-worker engine and on the `threads`-worker one, best of 2
+  // each. On a single-core machine the ratio is ~1; CI's perf gate runs the
+  // Table-7 bench on a multi-core runner.
   {
-    const std::size_t workers = threads > 0 ? threads : 2;
-    const auto best_wall = [&](std::size_t n) {
-      request.threads = n;
+    context.engine.partitions = 1;
+    const auto single = des::make_estimator("deepqueuenet", context);
+    const auto best_wall = [&](des::estimator& engine) {
       double best = 0;
       for (int rep = 0; rep < 2; ++rep) {
-        const auto result = net->run(request);
+        const auto result = engine.run(request);
         best = rep == 0 ? result.wall_seconds
                         : std::min(best, result.wall_seconds);
       }
@@ -240,9 +238,8 @@ int run_profiled(const profile_options& options, std::size_t threads) {
     std::fprintf(stderr,
                  "[profile] measuring wall-clock speedup at %zu workers...\n",
                  workers);
-    const double single_wall = best_wall(1);
-    const double multi_wall = best_wall(workers);
-    request.threads = 0;
+    const double single_wall = best_wall(*single);
+    const double multi_wall = best_wall(*net);
     sink.gauge("quickstart.threads", static_cast<double>(workers));
     sink.gauge("quickstart.measured_wall_w1_seconds", single_wall);
     sink.gauge("quickstart.measured_wall_seconds", multi_wall);

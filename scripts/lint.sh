@@ -156,9 +156,8 @@ fi
 # the sink's own export as counters["..."] (comments skipped, through
 # ast_lint.py's masking lexer), must be listed in
 # docs/OBSERVABILITY.md's "Metric catalog" table, and every name listed there
-# must have such a call site. Names built at run time are catalogued as one
-# of two patterns: <stage>.<name>.seconds (obs::scoped_timer) and
-# contracts.violations.<kind> (obs/contracts.cpp).
+# must have such a call site. Names built at run time are catalogued as the
+# pattern <stage>.<name>.seconds (obs::scoped_timer).
 # ---------------------------------------------------------------------------
 if command -v python3 >/dev/null 2>&1; then
   if ! python3 - <<'PY'
@@ -169,7 +168,7 @@ import sys
 sys.path.insert(0, "scripts")
 from ast_lint import line_of, mask_source
 
-PATTERNS = {"<stage>.<name>.seconds", "contracts.violations.<kind>"}
+PATTERNS = {"<stage>.<name>.seconds"}
 DOC = "docs/OBSERVABILITY.md"
 # Masking blanks string contents but keeps the quotes and every offset, so
 # the name is read back from the original text at the masked match. The

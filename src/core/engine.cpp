@@ -18,6 +18,7 @@
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "topo/queue_graph.hpp"
+#include "topo/sharding.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -185,27 +186,6 @@ void engine_stats::publish(obs::sink& sink) const {
   sink.gauge("engine.shard_imbalance", shard_imbalance);
 }
 
-engine_stats engine_stats::from_registry(const obs::metric_registry& registry) {
-  engine_stats stats;
-  stats.iterations = static_cast<std::size_t>(registry.counter("engine.iterations"));
-  stats.converged = registry.gauge("engine.converged") != 0.0;
-  stats.final_changed_devices =
-      static_cast<std::size_t>(registry.gauge("engine.final_changed_devices"));
-  stats.device_inferences =
-      static_cast<std::size_t>(registry.counter("engine.device_inferences"));
-  stats.devices_skipped =
-      static_cast<std::size_t>(registry.counter("engine.devices_skipped"));
-  stats.steals = static_cast<std::uint64_t>(registry.counter("engine.steals"));
-  stats.workers = static_cast<std::size_t>(registry.gauge("engine.workers"));
-  stats.cross_shard_links =
-      static_cast<std::size_t>(registry.gauge("engine.cross_shard_links"));
-  stats.wall_seconds = registry.gauge("engine.wall_seconds");
-  stats.busy_seconds = registry.gauge("engine.busy_seconds");
-  stats.critical_path_seconds = registry.gauge("engine.critical_path_seconds");
-  stats.shard_imbalance = registry.gauge("engine.shard_imbalance");
-  return stats;
-}
-
 dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes,
                          std::shared_ptr<const ptm_model> ptm, scheduler_context ctx,
                          engine_config config)
@@ -220,27 +200,75 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
       config_{config},
       queue_stage_(topo.node_count()) {
   DQN_ENSURE(config_.partitions > 0, "dqn_network: partitions >= 1");
-  if (!config_.irsa_skip_unchanged) {
+  const auto hosts = topo.hosts();
+  for (const topo::node_id host : hosts)
+    DQN_ENSURE(topo.port_count(host) == 1, "dqn_network: host ",
+               topo.at(host).name, " has ", topo.port_count(host),
+               " links; every host needs exactly one");
+  const auto devices = topo.devices();
+  std::size_t stage_count = 1;
+  if (config_.irsa_skip_unchanged) {
+    // One stage per level of the egress-queue dependency graph.
+    const topo::queue_graph graph{topo, routes};
+    for (const topo::node_id node : devices)
+      for (std::size_t p = 0; p < topo.port_count(node); ++p)
+        queue_stage_[static_cast<std::size_t>(node)].push_back(
+            static_cast<std::uint32_t>(graph.level_of(node, p)));
+    stage_count = graph.level_count();
+    last_stage_cyclic_ = graph.cyclic();
+  } else {
     // Algorithm 1: every queue in one cyclic stage, iterated to the fixed
     // point.
-    for (const topo::node_id node : topo.devices())
+    for (const topo::node_id node : devices)
       queue_stage_[static_cast<std::size_t>(node)].assign(topo.port_count(node), 0);
-    return;
   }
-  // One stage per level of the egress-queue dependency graph.
-  const topo::queue_graph graph{topo, routes};
-  for (const topo::node_id node : topo.devices())
-    for (std::size_t p = 0; p < topo.port_count(node); ++p)
-      queue_stage_[static_cast<std::size_t>(node)].push_back(
-          static_cast<std::uint32_t>(graph.level_of(node, p)));
-  stage_count_ = graph.level_count();
-  last_stage_cyclic_ = graph.cyclic();
-}
 
-util::work_stealing_pool& dqn_network::ensure_pool(std::size_t workers) {
-  if (pool_ == nullptr || pool_->size() != workers)
-    pool_ = std::make_unique<util::work_stealing_pool>(workers);
-  return *pool_;
+  // Shard the devices across the workers: BFS-grown connected shards keep
+  // boundary windows mostly worker-local. The shard only decides where a
+  // device runs, never a result.
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min(config_.partitions, devices.size()));
+  const topo::shard_plan plan = topo::shard_devices(
+      topo, devices, workers, topo::shard_strategy::topology);
+  cross_shard_links_ = plan.cross_shard_links;
+  // Per stage, chop each shard's devices that own a queue of the stage into
+  // contiguous batches; ~4 batches per worker keeps rebalancing possible
+  // without measurable deque traffic.
+  stages_.resize(stage_count);
+  for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
+    stage_plan& sp = stages_[stage];
+    std::vector<std::vector<std::size_t>> members(plan.shards.size());
+    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+      for (const std::size_t d : plan.shards[s]) {
+        for (std::size_t p = 0; p < topo.port_count(devices[d]); ++p) {
+          if (stage_of(devices[d], p) != stage) continue;
+          members[s].push_back(d);
+          sp.nodes.push_back(devices[d]);
+          break;
+        }
+      }
+    }
+    const std::size_t batch_size =
+        std::max<std::size_t>(1, sp.nodes.size() / (workers * 4));
+    max_batch_ = std::max(max_batch_, batch_size);
+    sp.seeds.resize(workers);
+    for (std::size_t s = 0; s < members.size(); ++s) {
+      const auto& shard = members[s];
+      for (std::size_t start = 0; start < shard.size(); start += batch_size) {
+        const auto end = std::min(shard.size(), start + batch_size);
+        sp.seeds[s].push_back(sp.batches.size());
+        sp.batches.emplace_back(
+            shard.begin() + static_cast<std::ptrdiff_t>(start),
+            shard.begin() + static_cast<std::ptrdiff_t>(end));
+      }
+    }
+  }
+  host_seeds_ = spread(hosts.size(), workers);
+  shard_labels_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
+    shard_labels_.push_back("shard_" + std::to_string(w));
+  pool_ = std::make_unique<util::work_stealing_pool>(workers);
+  merge_spares_.resize(workers);
 }
 
 void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) {
@@ -255,14 +283,17 @@ void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) 
 
 des::run_result dqn_network::run(
     const std::vector<traffic::packet_stream>& host_streams, double horizon) {
-  return run_core(host_streams, horizon, config_.sink, *provider_,
-                  config_.partitions);
+  return run(
+      des::run_request{.host_streams = &host_streams, .horizon = horizon});
 }
 
-des::run_result dqn_network::run_core(
-    const std::vector<traffic::packet_stream>& host_streams, double horizon,
-    obs::sink* const sink, delay_provider& provider,
-    const std::size_t partitions) {
+des::run_result dqn_network::run(const des::run_request& request) {
+  DQN_ENSURE(request.host_streams != nullptr,
+             "dqn_network::run: request.host_streams is null");
+  const auto& host_streams = *request.host_streams;
+  const double horizon = request.horizon;
+  obs::sink* const sink = request.sink != nullptr ? request.sink : config_.sink;
+  delay_provider& provider = *provider_;
   const auto hosts = topo_->hosts();
   const auto devices = topo_->devices();
   DQN_ENSURE(host_streams.size() == hosts.size(),
@@ -308,9 +339,8 @@ des::run_result dqn_network::run_core(
   // arenas have grown to their high-water shapes and the PTM forward path
   // stops allocating entirely. Stealing moves a task to another worker's
   // workspace, which only affects arena warmth, never numerics.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(partitions, devices.size()));
-  util::work_stealing_pool& pool = ensure_pool(workers);
+  util::work_stealing_pool& pool = *pool_;
+  const std::size_t workers = pool.size();
   std::vector<nn::workspace> worker_workspaces(workers);
 
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
@@ -322,9 +352,6 @@ des::run_result dqn_network::run_core(
   std::vector<std::vector<traffic::packet_stream>> egress(topo_->node_count());
   for (std::size_t i = 0; i < topo_->node_count(); ++i)
     egress[i].resize(topo_->port_count(static_cast<topo::node_id>(i)));
-  // One task per host, in contiguous blocks per worker; collection reuses
-  // the seeds.
-  const auto host_seeds = spread(hosts.size(), workers);
   // Send time by injection index (traffic::packet::send_index): host i's
   // packets take the indices from slice[i] on, in stream order.
   std::vector<std::size_t> slice(hosts.size() + 1, 0);
@@ -335,7 +362,7 @@ des::run_result dqn_network::run_core(
              " packets in the host streams overflow the 32-bit send index");
   std::vector<double> send_times(slice.back());
   std::vector<des::rising_pids> host_pids(hosts.size());
-  (void)pool.run_round(host_seeds, [&](std::size_t i, std::size_t worker) {
+  (void)pool.run_round(host_seeds_, [&](std::size_t i, std::size_t worker) {
     auto& out = egress[static_cast<std::size_t>(hosts[i])][0];
     out.reserve(host_streams[i].size());
     double previous_send = -std::numeric_limits<double>::infinity();
@@ -405,73 +432,16 @@ des::run_result dqn_network::run_core(
   const std::size_t max_iterations =
       config_.max_iterations > 0 ? config_.max_iterations : 1 + topo_->diameter();
 
-  // Shard the devices across the worker pool. The topology strategy
-  // (default) BFS-grows connected shards so boundary windows mostly stay
-  // worker-local; round_robin remains the legacy interleaving. Results are
-  // identical either way — the shard only decides where a device runs.
-  const topo::shard_plan plan =
-      topo::shard_devices(*topo_, devices, workers, config_.sharding);
   stats_.workers = workers;
-  stats_.cross_shard_links = plan.cross_shard_links;
-
-  // Per stage, chop each shard's devices that own a queue of the stage into
-  // contiguous batches — the stealable unit. A worker drains its own shard
-  // in BFS order (cache-warm neighbourhoods) and steals batches from
-  // stragglers; ~4 batches per worker by default keeps rebalancing possible
-  // without measurable deque traffic.
-  struct stage_plan {
-    std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
-    std::vector<std::vector<std::size_t>> seeds;    // worker -> batches
-    std::vector<topo::node_id> nodes;               // the stage's devices
-  };
-  std::vector<stage_plan> stages(stage_count_);
-  std::size_t max_batch = 0;
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    stage_plan& sp = stages[stage];
-    std::vector<std::vector<std::size_t>> members(plan.shards.size());
-    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-      for (const std::size_t d : plan.shards[s]) {
-        for (std::size_t p = 0; p < topo_->port_count(devices[d]); ++p) {
-          if (stage_of(devices[d], p) != stage) continue;
-          members[s].push_back(d);
-          sp.nodes.push_back(devices[d]);
-          break;
-        }
-      }
-    }
-    const std::size_t batch_size =
-        config_.steal_batch > 0
-            ? config_.steal_batch
-            : std::max<std::size_t>(1, sp.nodes.size() / (workers * 4));
-    max_batch = std::max(max_batch, batch_size);
-    sp.seeds.resize(workers);
-    for (std::size_t s = 0; s < members.size(); ++s) {
-      const auto& shard = members[s];
-      for (std::size_t start = 0; start < shard.size(); start += batch_size) {
-        const auto end = std::min(shard.size(), start + batch_size);
-        sp.seeds[s].push_back(sp.batches.size());
-        sp.batches.emplace_back(
-            shard.begin() + static_cast<std::ptrdiff_t>(start),
-            shard.begin() + static_cast<std::ptrdiff_t>(end));
-      }
-    }
-  }
+  stats_.cross_shard_links = cross_shard_links_;
 
   std::vector<std::size_t> worker_inferences(workers, 0);
   std::vector<std::size_t> worker_skips(workers, 0);
   std::vector<visit_buffers> worker_buffers(workers);
-  merge_spares_.resize(workers);
   std::vector<double> worker_busy(workers, 0.0);
   std::vector<std::size_t> iteration_inferences(workers, 0);
-  // Shard event labels, built once per run (the event path is per
-  // round x worker — allocating labels there is measurable on large
-  // topologies).
-  std::vector<std::string> shard_labels;
-  shard_labels.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    shard_labels.push_back("shard_" + std::to_string(w));
   if (sink != nullptr)
-    sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch));
+    sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch_));
 
   // One egress state. During a round every worker reads its devices' feeds
   // in place from `egress` — the previous round's state (Algorithm 1 "pull
@@ -491,9 +461,9 @@ des::run_result dqn_network::run_core(
   std::vector<staged_slot> next(topo_->node_count());
   std::vector<std::uint8_t> dirty(topo_->node_count(), 0);
 
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    const stage_plan& sp = stages[stage];
-    const bool cyclic = last_stage_cyclic_ && stage + 1 == stages.size();
+  for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
+    const stage_plan& sp = stages_[stage];
+    const bool cyclic = last_stage_cyclic_ && stage + 1 == stages_.size();
     for (const topo::node_id node : sp.nodes) dirty[static_cast<std::size_t>(node)] = 1;
     for (std::size_t pass = 0; pass < max_iterations; ++pass) {
       // Rounds are numbered across stages.
@@ -609,7 +579,7 @@ des::run_result dqn_network::run_core(
         if (sink != nullptr) {
           // Per-worker device-inference timing: one event per (round,
           // worker), duration = CPU busy time, value = devices inferred.
-          sink->event("engine", shard_labels[w], iteration, sink->now() - busy,
+          sink->event("engine", shard_labels_[w], iteration, sink->now() - busy,
                       busy, static_cast<double>(iteration_inferences[w]));
           partition_busy_handle.observe(busy);
         }
@@ -682,7 +652,7 @@ des::run_result dqn_network::run_core(
     run_starts[h + 1] = run_starts[h] + inbound_of(h).size();
   std::vector<std::size_t> run_ends(hosts.size());
   std::vector<des::delivery_record> deliveries(run_starts.back());
-  (void)pool.run_round(host_seeds, [&](std::size_t h, std::size_t) {
+  (void)pool.run_round(host_seeds_, [&](std::size_t h, std::size_t) {
     const topo::node_id host = hosts[h];
     const auto& link = topo_->link_at(topo_->peer_of(host, 0).link_index);
     const auto run =
@@ -765,20 +735,6 @@ des::run_result dqn_network::run_core(
     sink->count("engine.drops", static_cast<double>(result.drops));
   }
   return result;
-}
-
-des::run_result dqn_network::run(const des::run_request& request) {
-  DQN_ENSURE(request.host_streams != nullptr,
-             "dqn_network::run: request.host_streams is null");
-  obs::sink* const sink = request.sink != nullptr ? request.sink : config_.sink;
-  // A per-run delay policy rides on a fresh provider for this run only; a
-  // per-run worker count rebuilds the persistent pool lazily (ensure_pool).
-  const std::unique_ptr<delay_provider> per_run_provider =
-      request.delay.has_value() ? make_delay_provider(ptm_, *request.delay)
-                                : nullptr;
-  return run_core(*request.host_streams, request.horizon, sink,
-                  per_run_provider != nullptr ? *per_run_provider : *provider_,
-                  request.threads > 0 ? request.threads : config_.partitions);
 }
 
 const traffic::packet_stream& dqn_network::egress_stream(topo::node_id node,

@@ -16,9 +16,10 @@
 //
 // Parallelism: the device set is sharded across `partitions` persistent
 // worker threads — the CPU analogue of the paper's model-parallel multi-GPU
-// inference (Figure 11; DESIGN.md §2). Shards are built topology-aware by
-// default (topo/sharding.hpp: BFS-grown clusters minimizing cross-shard
-// links, MimicNet-style), device batches are the stealable unit
+// inference (Figure 11; DESIGN.md §2). Shards are built topology-aware once,
+// at construction (topo/sharding.hpp: BFS-grown clusters minimizing
+// cross-shard links, MimicNet-style); batches of about a quarter of a
+// worker's share of a stage are the stealable unit
 // (util/work_stealing_pool.hpp rebalances stragglers within an IRSA
 // iteration), and the egress state workers read only changes between
 // iterations, so the per-packet path takes no locks. A device visit reads
@@ -28,11 +29,12 @@
 // (determinism.engine_matches_layer_pipeline holds the engine to them bit
 // for bit). SInit and delivery collection run on the same pool: SInit as
 // one task per host, collection as per-host runs, then a pairwise merge
-// tree. Delivery records are bit-identical across shard counts and
-// strategies (tests/test_determinism.cpp).
+// tree. Delivery records are bit-identical across shard counts
+// (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -41,24 +43,19 @@
 #include "des/run_api.hpp"
 #include "topo/graph.hpp"
 #include "topo/routing.hpp"
-#include "topo/sharding.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace dqn::obs {
-class metric_registry;
 class sink;
 }  // namespace dqn::obs
 
 namespace dqn::core {
 
-// Engine configuration. Remains an aggregate — brace/designated init keeps
-// working — but the preferred construction style is the documented builder
-// chain:
+// Engine configuration, fixed when the engine is built. An aggregate: set
+// it by field or designated initializer,
 //
-//   auto cfg = core::engine_config{}
-//                  .with_partitions(4)
-//                  .with_sec(false)
-//                  .with_sink(&sink);
+//   const core::engine_config cfg{.partitions = 4, .apply_sec = false,
+//                                 .sink = &sink};
 struct engine_config {
   std::size_t partitions = 1;      // "number of GPUs"
   std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
@@ -75,72 +72,10 @@ struct engine_config {
   // convergence deltas, per-partition busy time, skip counts, and the full
   // engine_stats re-expressed as registry metrics. Null = zero-overhead.
   obs::sink* sink = nullptr;
-  // Which sojourn backend the run rides on (core/delay_provider.hpp): the
+  // Which sojourn backend every run rides on (core/delay_provider.hpp): the
   // paper's PTM (default), the queueing-theoretic closed forms, or the
-  // tiered policy that routes each device by utilization. A run_request may
-  // override this per run (des::run_request::delay).
-  des::delay_policy delay;
-  // How devices are assigned to workers (topo/sharding.hpp). `topology`
-  // (default) BFS-grows connected shards that minimize cross-shard links;
-  // `round_robin` is the legacy interleaving, kept as the determinism
-  // reference. Either way results are bit-identical — the strategy only
-  // decides where a device is computed.
-  topo::shard_strategy sharding = topo::shard_strategy::topology;
-  // Devices per stealable batch. 0 = auto: shards split into ~4 batches per
-  // worker, small enough that a straggling shard rebalances within an IRSA
-  // iteration, large enough that deque traffic stays off the profile.
-  std::size_t steal_batch = 0;
-
-  // Number of parallel inference partitions ("GPUs"); must be >= 1.
-  engine_config& with_partitions(std::size_t n) noexcept {
-    partitions = n;
-    return *this;
-  }
-  // Iteration cap; 0 restores the 1 + diameter(G) bound of Theorem 3.1.
-  engine_config& with_max_iterations(std::size_t n) noexcept {
-    max_iterations = n;
-    return *this;
-  }
-  // Enable/disable statistical error correction (§6.1 ablation).
-  engine_config& with_sec(bool enabled) noexcept {
-    apply_sec = enabled;
-    return *this;
-  }
-  // Record per-device predicted hops into the run_result (visibility).
-  engine_config& with_hop_records(bool enabled) noexcept {
-    record_hops = enabled;
-    return *this;
-  }
-  // Dependency-ordered IRSA (true) or the paper's Algorithm 1 (false).
-  engine_config& with_irsa_skip(bool enabled) noexcept {
-    irsa_skip_unchanged = enabled;
-    return *this;
-  }
-  // Attach an observability sink (nullptr detaches).
-  engine_config& with_sink(obs::sink* s) noexcept {
-    sink = s;
-    return *this;
-  }
-  // Install a full delay policy (backend + tiering knobs).
-  engine_config& with_delay_policy(des::delay_policy policy) noexcept {
-    delay = policy;
-    return *this;
-  }
-  // Select the sojourn backend, keeping the policy's other knobs.
-  engine_config& with_delay_backend(des::delay_backend backend) noexcept {
-    delay.backend = backend;
-    return *this;
-  }
-  // Select the device-to-worker sharding strategy.
-  engine_config& with_sharding(topo::shard_strategy strategy) noexcept {
-    sharding = strategy;
-    return *this;
-  }
-  // Devices per stealable batch (0 = auto).
-  engine_config& with_steal_batch(std::size_t devices) noexcept {
-    steal_batch = devices;
-    return *this;
-  }
+  // tiered policy that routes each device by utilization.
+  des::delay_policy delay{};
 };
 
 struct engine_stats {
@@ -169,18 +104,19 @@ struct engine_stats {
   // (critical_path * workers / busy - 1, clamped at 0).
   double shard_imbalance = 0;
 
-  // engine_stats is re-expressed on top of the obs registry: publish writes
-  // every field as an "engine.*" counter/gauge, and from_registry
-  // reconstructs an identical struct from those metrics (the struct is a
-  // cached view; the registry is the source of truth when a sink is wired).
+  // Writes every field as an "engine.*" counter or gauge; a run with a sink
+  // publishes its stats there.
   void publish(obs::sink& sink) const;
-  [[nodiscard]] static engine_stats from_registry(const obs::metric_registry& registry);
 };
 
 // Lifecycle: construct -> [set_device_context]* -> run() -> {stats(),
 // egress_stream()}; run() may be called again with new streams (each run
-// resets stats and egress state). Misuse is rejected loudly rather than
-// silently degraded:
+// resets stats and egress state). The constructor fixes everything that
+// depends only on (topology, routing, config): the IRSA schedule, the shard
+// plan and each stage's stealable batches, and the worker pool. Misuse is
+// rejected loudly rather than silently degraded:
+//  * a host that does not have exactly one link throws
+//    util::contract_violation at construction;
 //  * set_device_context after the first run() throws std::logic_error
 //    (overrides would not apply retroactively to completed runs);
 //  * egress_stream before any run() throws std::logic_error;
@@ -212,8 +148,8 @@ class dqn_network : public des::estimator {
 
   [[nodiscard]] const engine_stats& stats() const noexcept { return stats_; }
 
-  // The sojourn backend the next run() will dispatch through (selected by
-  // engine_config::delay, or per run by run_request::delay_policy).
+  // The sojourn backend every run() dispatches through, selected by
+  // engine_config::delay.
   [[nodiscard]] const delay_provider& provider() const noexcept {
     return *provider_;
   }
@@ -224,21 +160,20 @@ class dqn_network : public des::estimator {
                                                             std::size_t port) const;
 
  private:
-  // The run both public overloads share: they differ only in where this
-  // run's sink, sojourn backend and worker count come from.
-  [[nodiscard]] des::run_result run_core(
-      const std::vector<traffic::packet_stream>& host_streams, double horizon,
-      obs::sink* sink, delay_provider& provider, std::size_t partitions);
-
   // The IRSA stage of the egress queue behind `port` of device `node`.
   [[nodiscard]] std::size_t stage_of(topo::node_id node, std::size_t port) const {
     return queue_stage_[static_cast<std::size_t>(node)][port];
   }
 
-  // Reuse pool_ when its size matches; (re)build it otherwise. The pool —
-  // and its parked worker threads — survives across run() calls, so repeated
-  // runs and all IRSA iterations share one thread-creation cost.
-  util::work_stealing_pool& ensure_pool(std::size_t workers);
+  // One IRSA stage's share of the shard plan. Each shard's devices that own
+  // a queue of the stage are chopped into contiguous batches, the stealable
+  // unit: a worker drains its own shard in BFS order (cache-warm
+  // neighbourhoods) and steals batches from stragglers.
+  struct stage_plan {
+    std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
+    std::vector<std::vector<std::size_t>> seeds;    // worker -> batches
+    std::vector<topo::node_id> nodes;               // the stage's devices
+  };
 
   const topo::topology* topo_;
   const topo::routing* routes_;
@@ -253,16 +188,26 @@ class dqn_network : public des::estimator {
   // last stage is cyclic (only the last can be). Algorithm 1 is one cyclic
   // stage.
   std::vector<std::vector<std::uint32_t>> queue_stage_;
-  std::size_t stage_count_ = 1;
   bool last_stage_cyclic_ = true;
+  std::vector<stage_plan> stages_;
+  std::size_t cross_shard_links_ = 0;
+  std::size_t max_batch_ = 0;  // the largest batch of any stage
+  // SInit and collection take one task per host, in contiguous blocks per
+  // worker.
+  std::vector<std::vector<std::size_t>> host_seeds_;
+  // Shard event labels: the event path is per round x worker, and allocating
+  // labels there is measurable on large topologies.
+  std::vector<std::string> shard_labels_;
+  // The second buffer of each pool worker's run merges in a device visit;
+  // it survives across run() calls, so a repeated run does not grow it again.
+  std::vector<traffic::packet_stream> merge_spares_;
   engine_stats stats_;
   bool ran_ = false;
-  std::unique_ptr<util::work_stealing_pool> pool_;
-  // The second buffer of each pool worker's run merges in a device visit.
-  // Like the pool it survives across run() calls, so a repeated run does not
-  // grow it again.
-  std::vector<traffic::packet_stream> merge_spares_;
   std::vector<std::vector<traffic::packet_stream>> final_egress_;
+  // The pool's parked worker threads serve every run and every IRSA round.
+  // Declared last, so its threads are joined before any member they use is
+  // destroyed.
+  std::unique_ptr<util::work_stealing_pool> pool_;
 };
 
 }  // namespace dqn::core

@@ -29,7 +29,12 @@ tm_config host_tm(const tm_config& base) {
 
 network::network(const topo::topology& topo, const topo::routing& routes,
                  network_config config)
-    : topo_{&topo}, routes_{&routes}, config_{std::move(config)} {}
+    : topo_{&topo}, routes_{&routes}, config_{std::move(config)} {
+  for (const topo::node_id host : topo.hosts())
+    DQN_ENSURE(topo.port_count(host) == 1, "network: host ",
+               topo.at(host).name, " has ", topo.port_count(host),
+               " links; every host needs exactly one");
+}
 
 void network::reset() {
   sim_ = simulator{};

@@ -36,6 +36,8 @@ struct network_config {
 
 class network : public estimator {
  public:
+  // Every host must have exactly one link, its NIC's uplink; anything else
+  // throws util::contract_violation naming the host.
   network(const topo::topology& topo, const topo::routing& routes,
           network_config config);
 

@@ -11,11 +11,12 @@
 // horizon that is not finite and > 0, a stream whose send times decrease and
 // a pid sent twice.
 // `sink` is optional observability — when non-null it overrides any sink the
-// estimator's own config carries for the duration of the run.
+// estimator's own config carries for the duration of the run. Everything
+// else an estimator needs (for the engine: its sojourn backend and worker
+// count) is fixed when the estimator is built.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "des/records.hpp"
@@ -27,12 +28,10 @@ class sink;
 
 namespace dqn::des {
 
-// Which sojourn-estimation backend a DeepQueueNet run rides on (see
-// core/delay_provider.hpp). `ptm` is the paper's per-device DNN; `analytical`
-// the queueing-theoretic closed forms; `tiered` routes each device by the
-// runtime policy below. Estimators without a learned device model (the DES
-// oracle, the baselines) ignore the whole policy — the one-contract promise
-// of this header is that every estimator accepts the same run_request.
+// Which sojourn-estimation backend a DeepQueueNet engine rides on (see
+// core/delay_provider.hpp), chosen by core::engine_config::delay. `ptm` is
+// the paper's per-device DNN; `analytical` the queueing-theoretic closed
+// forms; `tiered` routes each device by the runtime policy below.
 enum class delay_backend : std::uint8_t { ptm, analytical, tiered };
 
 [[nodiscard]] inline const char* to_string(delay_backend backend) noexcept {
@@ -64,38 +63,12 @@ struct delay_policy {
   double utilization_threshold = 0.35;
   double hysteresis = 0.05;
   double error_budget = 0.25;
-
-  delay_policy& with_backend(delay_backend b) noexcept {
-    backend = b;
-    return *this;
-  }
-  delay_policy& with_threshold(double t) noexcept {
-    utilization_threshold = t;
-    return *this;
-  }
-  delay_policy& with_hysteresis(double h) noexcept {
-    hysteresis = h;
-    return *this;
-  }
-  delay_policy& with_error_budget(double budget) noexcept {
-    error_budget = budget;
-    return *this;
-  }
 };
 
 struct run_request {
   const std::vector<traffic::packet_stream>* host_streams = nullptr;
   double horizon = 0;
   obs::sink* sink = nullptr;
-  // Optional per-run delay-backend override, honored by core::dqn_network
-  // (replacing its configured policy for this run only) and ignored
-  // gracefully by the DES and the baselines.
-  std::optional<delay_policy> delay;
-  // Worker-thread override for this run: > 0 replaces the engine's
-  // configured partition count (core::engine_config::partitions) for the
-  // duration of the run; 0 keeps the configured value. Single-threaded
-  // estimators (the DES, the baselines) ignore it.
-  std::size_t threads = 0;
 };
 
 // Polymorphic face of the contract for code that selects estimators at

@@ -115,22 +115,13 @@ util::text_table sink::summary_table() const {
                    util::fmt(h.max, 6), util::fmt(h.p50(), 6),
                    util::fmt(h.p99(), 6)});
 
-  const auto counter_value = [&snap](const char* name) {
-    const auto it = snap.counters.find(name);
-    return it != snap.counters.end() ? it->second : 0.0;
-  };
-  const double dropped =
-      counter_value("trace.dropped") + static_cast<double>(trace_.dropped());
+  const auto it = snap.counters.find("trace.dropped");
+  const double dropped = (it != snap.counters.end() ? it->second : 0.0) +
+                         static_cast<double>(trace_.dropped());
   if (dropped > 0)
     table.add_footer("WARNING: trace.dropped = " + util::fmt(dropped, 0) +
                      " — the event ring overflowed; raise trace_log capacity "
                      "or lower event volume.");
-  const double violations = counter_value("contracts.violations");
-  if (violations > 0)
-    table.add_footer("WARNING: contracts.violations = " +
-                     util::fmt(violations, 0) +
-                     " — contract failures were logged-and-continued; this "
-                     "run's numbers are suspect.");
   return table;
 }
 

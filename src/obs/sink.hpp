@@ -92,8 +92,7 @@ class sink {
   [[nodiscard]] std::string to_chrome_trace() const;
 
   // Aggregate metrics (no events) as a rendered table. When events were
-  // dropped (trace.dropped > 0) or contracts were violated
-  // (contracts.violations > 0) the table carries a WARNING footer — a
+  // dropped (trace.dropped > 0) the table carries a WARNING footer — a
   // summary that silently hides data loss is worse than none.
   [[nodiscard]] util::text_table summary_table() const;
 

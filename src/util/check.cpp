@@ -1,112 +1,13 @@
 #include "util/check.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
 namespace dqn::util {
-
-namespace {
-
-std::atomic<contract_mode> g_mode{contract_mode::throw_exception};
-std::atomic<contract_observer> g_observer{nullptr};
-std::atomic<std::uint64_t> g_violations{0};
-
-void report_to_stderr(const contract_failure_info& info) {
-  const std::string report = info.to_string();
-  std::fprintf(stderr, "[dqn contract] %s\n", report.c_str());
-  std::fflush(stderr);
-}
-
-void notify(const contract_failure_info& info) noexcept {
-  g_violations.fetch_add(1, std::memory_order_relaxed);
-  if (const contract_observer observer =
-          g_observer.load(std::memory_order_acquire);
-      observer != nullptr) {
-    try {
-      observer(info);
-    } catch (...) {
-      // Observers are telemetry; a throwing observer must not change the
-      // failure semantics at the contract site.
-    }
-  }
-}
-
-}  // namespace
-
-std::string contract_failure_info::to_string() const {
-  std::string out;
-  out += file;
-  out += ':';
-  out += std::to_string(line);
-  out += ": ";
-  out += kind;
-  out += " failed: ";
-  out += expression;
-  if (!message.empty()) {
-    out += " (";
-    out += message;
-    out += ')';
-  }
-  return out;
-}
-
-contract_mode get_contract_mode() noexcept {
-  return g_mode.load(std::memory_order_acquire);
-}
-
-void set_contract_mode(contract_mode mode) noexcept {
-  g_mode.store(mode, std::memory_order_release);
-}
-
-contract_observer set_contract_observer(contract_observer observer) noexcept {
-  return g_observer.exchange(observer, std::memory_order_acq_rel);
-}
-
-std::uint64_t contract_violation_count() noexcept {
-  return g_violations.load(std::memory_order_relaxed);
-}
-
-void reset_contract_violation_count() noexcept {
-  g_violations.store(0, std::memory_order_relaxed);
-}
 
 void handle_contract_failure(const char* file, int line, const char* kind,
                              const char* expression, std::string message) {
-  contract_failure_info info;
-  info.file = file;
-  info.line = line;
-  info.kind = kind;
-  info.expression = expression;
-  info.message = std::move(message);
-  notify(info);
-  switch (get_contract_mode()) {
-    case contract_mode::throw_exception:
-      throw contract_violation{info.to_string()};
-    case contract_mode::abort_process:
-      report_to_stderr(info);
-      std::abort();
-    case contract_mode::log_and_continue:
-      report_to_stderr(info);
-      return;
-  }
-  DQN_UNREACHABLE("invalid contract_mode ",
-                  static_cast<int>(get_contract_mode()));
-}
-
-void handle_unreachable(const char* file, int line, std::string message) {
-  contract_failure_info info;
-  info.file = file;
-  info.line = line;
-  info.kind = "unreachable";
-  info.expression = "control flow reached a DQN_UNREACHABLE site";
-  info.message = std::move(message);
-  notify(info);
-  if (get_contract_mode() == contract_mode::throw_exception)
-    throw contract_violation{info.to_string()};
-  // log_and_continue cannot continue past an unreachable site: abort.
-  report_to_stderr(info);
-  std::abort();
+  std::string report = std::string{file} + ':' + std::to_string(line) + ": " +
+                       kind + " failed: " + expression;
+  if (!message.empty()) report += " (" + message + ')';
+  throw contract_violation{report};
 }
 
 }  // namespace dqn::util

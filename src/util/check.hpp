@@ -18,18 +18,9 @@
 // warning-clean. ENSURE and UNREACHABLE are always live: malformed input and
 // impossible control flow must not become silent UB in Release.
 //
-// Every live violation funnels through handle_contract_failure(), whose
-// behaviour is pluggable per-process:
-//
-//   contract_mode::throw_exception  (default) throw dqn::util::contract_violation
-//   contract_mode::abort_process    print the report to stderr, std::abort()
-//   contract_mode::log_and_continue print to stderr, bump the global counter,
-//                                   return to the caller (soak-run mode; the
-//                                   obs layer can count these — see
-//                                   obs::install_contract_counter)
-//
-// An optional observer callback fires on every violation regardless of mode;
-// that is the hook the obs layer uses to export `contracts.violations`.
+// Every live violation funnels through handle_contract_failure(), which
+// throws dqn::util::contract_violation carrying the canonical report
+// "file:line: <kind> failed: <expression> (<message>)".
 #pragma once
 
 #include <cstdint>
@@ -40,7 +31,7 @@
 
 namespace dqn::util {
 
-// Thrown by the default failure mode. Derives from std::logic_error so call
+// Thrown by every failed contract. Derives from std::logic_error so call
 // sites that used to throw invalid_argument/out_of_range style errors keep a
 // catchable common base.
 class contract_violation : public std::logic_error {
@@ -48,66 +39,11 @@ class contract_violation : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-// What a handler / observer sees about one failed contract.
-struct contract_failure_info {
-  const char* file = "";
-  int line = 0;
-  const char* kind = "";        // "check", "range", "invariant", ...
-  const char* expression = "";  // stringified condition
-  std::string message;          // formatted call-site message (may be empty)
-
-  // "file:line: check failed: expr (message)" — the canonical report.
-  [[nodiscard]] std::string to_string() const;
-};
-
-enum class contract_mode : int {
-  throw_exception,
-  abort_process,
-  log_and_continue,
-};
-
-// Observer invoked on every violation, before the mode-specific action. Must
-// not throw; exceptions escaping the observer are swallowed.
-using contract_observer = void (*)(const contract_failure_info&);
-
-[[nodiscard]] contract_mode get_contract_mode() noexcept;
-void set_contract_mode(contract_mode mode) noexcept;
-
-// Install (or, with nullptr, remove) the global observer. Returns the
-// previous observer so scoped installs can restore it.
-contract_observer set_contract_observer(contract_observer observer) noexcept;
-
-// Process-wide count of violations seen by the log_and_continue handler and
-// the observer path; reset between soak-run phases.
-[[nodiscard]] std::uint64_t contract_violation_count() noexcept;
-void reset_contract_violation_count() noexcept;
-
-// RAII guard: switch mode (and optionally observer) for a scope — used by
-// tests and soak harnesses.
-class scoped_contract_mode {
- public:
-  explicit scoped_contract_mode(contract_mode mode)
-      : saved_mode_{get_contract_mode()} {
-    set_contract_mode(mode);
-  }
-  scoped_contract_mode(const scoped_contract_mode&) = delete;
-  scoped_contract_mode& operator=(const scoped_contract_mode&) = delete;
-  ~scoped_contract_mode() { set_contract_mode(saved_mode_); }
-
- private:
-  contract_mode saved_mode_;
-};
-
-// The single failure funnel. Applies the observer, then the configured mode.
-// Returns only in log_and_continue mode.
-void handle_contract_failure(const char* file, int line, const char* kind,
-                             const char* expression, std::string message);
-
-// handle_contract_failure + guaranteed no return: if the configured mode
-// returns (log_and_continue), aborts anyway — an unreachable site cannot
-// meaningfully continue.
-[[noreturn]] void handle_unreachable(const char* file, int line,
-                                     std::string message);
+// The single failure funnel: throws contract_violation with the report.
+[[noreturn]] void handle_contract_failure(const char* file, int line,
+                                          const char* kind,
+                                          const char* expression,
+                                          std::string message);
 
 namespace detail {
 
@@ -175,8 +111,10 @@ inline constexpr bool contracts_enabled = true;
 
 // Always-on impossible-control-flow marker; never returns.
 #define DQN_UNREACHABLE(...)                                               \
-  ::dqn::util::handle_unreachable(                                         \
-      __FILE__, __LINE__, ::dqn::util::detail::format_message(__VA_ARGS__))
+  ::dqn::util::handle_contract_failure(                                    \
+      __FILE__, __LINE__, "unreachable",                                   \
+      "control flow reached a DQN_UNREACHABLE site",                       \
+      ::dqn::util::detail::format_message(__VA_ARGS__))
 
 #if !defined(DQN_CONTRACTS_DISABLED)
 

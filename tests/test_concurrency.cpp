@@ -1,8 +1,8 @@
 // Concurrency stress tests: exact-count checks over the mutex-protected obs
-// primitives, the work-stealing pool, the contracts counter, and the
-// partitioned IRSA engine path. These are the workloads the TSan CI job
-// (-DDQN_SANITIZE=thread) drives; under the plain build they still verify
-// that no updates are lost under contention.
+// primitives, the work-stealing pool, and the partitioned IRSA engine path.
+// These are the workloads the TSan CI job (-DDQN_SANITIZE=thread) drives;
+// under the plain build they still verify that no updates are lost under
+// contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include "core/engine.hpp"
 #include "core/features.hpp"
 #include "des/run_api.hpp"
-#include "obs/contracts.hpp"
 #include "obs/handles.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -31,7 +30,6 @@
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
 #include "util/annotations.hpp"
-#include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/work_stealing_pool.hpp"
@@ -180,27 +178,6 @@ TEST(concurrency, sink_accepts_concurrent_mixed_traffic) {
   EXPECT_EQ(sink.trace().size(), 6u * 200u);
 }
 
-TEST(concurrency, contract_violations_count_exactly_across_threads) {
-  util::reset_contract_violation_count();
-  obs::sink sink;
-  obs::install_contract_counter(sink);
-  constexpr std::size_t threads = 8;
-  constexpr std::size_t violations = 250;
-  run_threads(threads, [](std::size_t) {
-    for (std::size_t i = 0; i < violations; ++i) {
-      try {
-        DQN_ENSURE(false, "stress");
-      } catch (const util::contract_violation&) {
-      }
-    }
-  });
-  obs::remove_contract_counter();
-  EXPECT_EQ(util::contract_violation_count(), threads * violations);
-  EXPECT_EQ(sink.metrics().counter("contracts.violations"),
-            static_cast<double>(threads * violations));
-  util::reset_contract_violation_count();
-}
-
 // One tiny trained PTM shared by the engine/provider tests below (training
 // dominates their runtime).
 std::shared_ptr<const core::ptm_model> tiny_ptm() {
@@ -323,11 +300,10 @@ TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
   auto generators = traffic::make_generators(flows, tg);
   const auto streams = traffic::per_host_streams(generators, 16, 0.005, rng);
 
-  const auto policy = des::delay_policy{}
-                          .with_backend(des::delay_backend::tiered)
-                          .with_threshold(0.35)
-                          .with_hysteresis(0.05)
-                          .with_error_budget(0.25);
+  const des::delay_policy policy{.backend = des::delay_backend::tiered,
+                                 .utilization_threshold = 0.35,
+                                 .hysteresis = 0.05,
+                                 .error_budget = 0.25};
   core::scheduler_context switches;
   switches.kind = des::scheduler_kind::sp;
   core::engine_config serial_cfg;
@@ -592,11 +568,10 @@ TEST(concurrency, work_stealing_pool_rounds_accumulate_exactly) {
                std::invalid_argument);
 }
 
-// Acceptance workload for the engine.steals / engine.shard_imbalance
-// exports: a single hot flow concentrates essentially all inference work in
-// one topology shard. With one unstealable batch per shard the slowest
-// worker carries the run (imbalance >> 0); with single-device batches the
-// idle workers steal it back.
+// Acceptance workload for the engine.steals export: a single hot flow
+// concentrates essentially all inference work in one topology shard, and
+// with the automatic batch (one device per batch at four workers here) the
+// idle workers steal it back. Work placement must not change a result.
 TEST(concurrency, sharded_engine_exports_steals_and_imbalance) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
@@ -616,24 +591,15 @@ TEST(concurrency, sharded_engine_exports_steals_and_imbalance) {
     streams[0].push_back({p, t});
   }
 
-  // Imbalance: one batch per shard (nothing to steal after the first pop),
-  // so the hot shard's worker is the critical path of every iteration.
-  core::engine_config lumped_cfg;
-  lumped_cfg.partitions = 4;
-  lumped_cfg.sharding = topo::shard_strategy::topology;
-  lumped_cfg.steal_batch = topo.devices().size();
-  lumped_cfg.irsa_skip_unchanged = false;
-  core::dqn_network lumped{topo, routes, ptm, {}, lumped_cfg};
-  const auto lumped_result = lumped.run(streams, 0.005);
-  EXPECT_EQ(lumped.stats().workers, 4u);
-  EXPECT_GT(lumped.stats().cross_shard_links, 0u);
-  EXPECT_GT(lumped.stats().shard_imbalance, 0.0);
+  core::engine_config single_cfg;
+  single_cfg.irsa_skip_unchanged = false;
+  core::dqn_network single{topo, routes, ptm, {}, single_cfg};
+  const auto single_result = single.run(streams, 0.005);
 
-  // Stealing: single-device batches; the idle workers drain the hot shard.
   // Steal counts are timing-dependent (never results), so accumulate runs
   // until observed rather than asserting one race resolution.
-  core::engine_config stealing_cfg = lumped_cfg;
-  stealing_cfg.steal_batch = 1;
+  core::engine_config stealing_cfg = single_cfg;
+  stealing_cfg.partitions = 4;
   core::dqn_network stealing{topo, routes, ptm, {}, stealing_cfg};
   std::uint64_t steals = 0;
   des::run_result stealing_result;
@@ -641,29 +607,36 @@ TEST(concurrency, sharded_engine_exports_steals_and_imbalance) {
     stealing_result = stealing.run(streams, 0.005);
     steals += stealing.stats().steals;
   }
+  EXPECT_EQ(stealing.stats().workers, 4u);
+  EXPECT_GT(stealing.stats().cross_shard_links, 0u);
   EXPECT_GT(steals, 0u);
 
-  // Work placement must not change results: lumped and stealing runs agree
-  // bit for bit.
-  ASSERT_EQ(lumped_result.deliveries.size(), stealing_result.deliveries.size());
-  for (std::size_t i = 0; i < lumped_result.deliveries.size(); ++i) {
-    EXPECT_EQ(lumped_result.deliveries[i].pid,
+  // Work placement must not change results: the 4-worker and 1-worker runs
+  // agree bit for bit.
+  ASSERT_EQ(single_result.deliveries.size(), stealing_result.deliveries.size());
+  for (std::size_t i = 0; i < single_result.deliveries.size(); ++i) {
+    EXPECT_EQ(single_result.deliveries[i].pid,
               stealing_result.deliveries[i].pid);
-    EXPECT_DOUBLE_EQ(lumped_result.deliveries[i].delivery_time,
+    EXPECT_DOUBLE_EQ(single_result.deliveries[i].delivery_time,
                      stealing_result.deliveries[i].delivery_time);
   }
 
-  // The stats round-trip through the registry (engine_stats contract).
+  // publish() writes the stats as engine.* metrics.
   obs::sink sink;
-  lumped.stats().publish(sink);
-  const auto rebuilt = core::engine_stats::from_registry(sink.metrics());
-  EXPECT_EQ(rebuilt.steals, lumped.stats().steals);
-  EXPECT_EQ(rebuilt.converged, lumped.stats().converged);
-  EXPECT_EQ(rebuilt.final_changed_devices,
-            lumped.stats().final_changed_devices);
-  EXPECT_EQ(rebuilt.workers, lumped.stats().workers);
-  EXPECT_EQ(rebuilt.cross_shard_links, lumped.stats().cross_shard_links);
-  EXPECT_DOUBLE_EQ(rebuilt.shard_imbalance, lumped.stats().shard_imbalance);
+  const core::engine_stats& stats = stealing.stats();
+  stats.publish(sink);
+  const auto& metrics = sink.metrics();
+  EXPECT_EQ(metrics.counter("engine.steals"),
+            static_cast<double>(stats.steals));
+  EXPECT_EQ(metrics.gauge("engine.converged"), stats.converged ? 1.0 : 0.0);
+  EXPECT_EQ(metrics.gauge("engine.final_changed_devices"),
+            static_cast<double>(stats.final_changed_devices));
+  EXPECT_EQ(metrics.gauge("engine.workers"),
+            static_cast<double>(stats.workers));
+  EXPECT_EQ(metrics.gauge("engine.cross_shard_links"),
+            static_cast<double>(stats.cross_shard_links));
+  EXPECT_DOUBLE_EQ(metrics.gauge("engine.shard_imbalance"),
+                   stats.shard_imbalance);
 }
 
 }  // namespace

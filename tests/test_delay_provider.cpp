@@ -463,9 +463,8 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
 
 // ---------------------------------------------------------------------------
 // Engine-level parity: on a FIFO network the tiered backend must reproduce
-// the analytical one bit-for-bit at every threshold, threshold 0 must send
-// every non-FIFO queue to the PTM, and run_request.delay must override per
-// run only.
+// the analytical one bit-for-bit at every threshold, and threshold 0 must
+// send every non-FIFO queue to the PTM.
 // ---------------------------------------------------------------------------
 
 struct engine_scenario {
@@ -514,15 +513,13 @@ void expect_identical_deliveries(const des::run_result& a,
 TEST(delay_provider, tiered_on_fifo_network_equals_analytical_through_engine) {
   const engine_scenario sc;
   const auto analytical_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::analytical));
+      sc.run({.backend = des::delay_backend::analytical});
   ASSERT_FALSE(analytical_result.deliveries.empty());
   for (const double threshold : {0.0, 0.35, 1e9}) {
     SCOPED_TRACE(threshold);
     expect_identical_deliveries(
-        analytical_result,
-        sc.run(des::delay_policy{}
-                   .with_backend(des::delay_backend::tiered)
-                   .with_threshold(threshold)));
+        analytical_result, sc.run({.backend = des::delay_backend::tiered,
+                                   .utilization_threshold = threshold}));
   }
 }
 
@@ -534,10 +531,9 @@ TEST(delay_provider,
   core::scheduler_context switches;
   switches.kind = sp;
   obs::sink sink;
-  const auto result = sc.run(des::delay_policy{}
-                                 .with_backend(des::delay_backend::tiered)
-                                 .with_threshold(0)
-                                 .with_hysteresis(0),
+  const auto result = sc.run({.backend = des::delay_backend::tiered,
+                              .utilization_threshold = 0,
+                              .hysteresis = 0},
                              &sink, switches);
   ASSERT_FALSE(result.deliveries.empty());
   ASSERT_EQ(result.drops, 0u);
@@ -560,44 +556,15 @@ TEST(delay_provider, tiered_huge_threshold_is_pure_analytical_through_engine) {
   const engine_scenario sc;
   core::scheduler_context switches;
   switches.kind = sp;
-  const auto analytical_result = sc.run(
-      des::delay_policy{}.with_backend(des::delay_backend::analytical),
-      nullptr, switches);
-  const auto tiered_result =
-      sc.run(des::delay_policy{}
-                 .with_backend(des::delay_backend::tiered)
-                 .with_threshold(1e9)
-                 .with_hysteresis(0)
-                 .with_error_budget(0),
-             nullptr, switches);
+  const auto analytical_result =
+      sc.run({.backend = des::delay_backend::analytical}, nullptr, switches);
+  const auto tiered_result = sc.run({.backend = des::delay_backend::tiered,
+                                     .utilization_threshold = 1e9,
+                                     .hysteresis = 0,
+                                     .error_budget = 0},
+                                    nullptr, switches);
   ASSERT_FALSE(analytical_result.deliveries.empty());
   expect_identical_deliveries(analytical_result, tiered_result);
-}
-
-TEST(delay_provider, run_request_delay_override_lasts_one_run) {
-  const engine_scenario sc;
-  core::engine_config cfg;
-  cfg.partitions = 2;
-  core::dqn_network net{sc.topo, sc.routes, tiny_ptm(), {}, cfg};
-  EXPECT_STREQ(net.provider().name(), "ptm");
-
-  des::run_request request;
-  request.host_streams = &sc.streams;
-  request.horizon = sc.horizon;
-  request.delay =
-      des::delay_policy{}.with_backend(des::delay_backend::analytical);
-  const auto overridden = net.run(request);
-  const auto analytical_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::analytical));
-  expect_identical_deliveries(overridden, analytical_result);
-
-  // The override does not stick: the configured provider is restored.
-  EXPECT_STREQ(net.provider().name(), "ptm");
-  request.delay.reset();
-  const auto plain = net.run(request);
-  const auto ptm_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::ptm));
-  expect_identical_deliveries(plain, ptm_result);
 }
 
 // ---------------------------------------------------------------------------

@@ -310,58 +310,28 @@ TEST(determinism, engine_bit_identical_across_partition_counts) {
 
 // The sharded engine's core promise: deliveries are a pure function of
 // (topology, streams, seed, model) — 1/2/8 shards with topology-aware
-// sharding and work stealing (single-device batches maximize steal traffic)
-// all reproduce the 1-shard run bit for bit. The shard plan only decides
-// WHERE a device is computed; every device stages its output in its own slot
-// while reading t-1 egress state that no worker writes during the round.
+// sharding and work stealing (the automatic batch is one device on every
+// FatTree16 stage here, which maximizes steal traffic) all reproduce the
+// 1-shard run bit for bit. The shard plan only decides WHERE a device is
+// computed; every device stages its output in its own slot while reading
+// t-1 egress state that no worker writes during the round.
 TEST(determinism, engine_bit_identical_across_shard_counts_with_stealing) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
   const topo::routing routes{topo};
   const auto streams = fattree_streams();
 
-  core::engine_config base_cfg;
-  base_cfg.sharding = topo::shard_strategy::topology;
-  base_cfg.steal_batch = 1;
-  core::engine_config one_cfg = base_cfg;
-  one_cfg.partitions = 1;
-  core::dqn_network one{topo, routes, ptm, {}, one_cfg};
+  core::dqn_network one{topo, routes, ptm, {}, {}};
   const auto one_result = one.run(streams, 0.005);
 
   for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    core::engine_config cfg = base_cfg;
+    core::engine_config cfg;
     cfg.partitions = shards;
     core::dqn_network net{topo, routes, ptm, {}, cfg};
     const auto result = net.run(streams, 0.005);
     EXPECT_EQ(net.stats().workers, shards);
     expect_bit_identical(one_result, result);
   }
-}
-
-// Shard strategy is equally irrelevant to results: topology-aware BFS
-// clusters and the round-robin reference produce identical deliveries.
-TEST(determinism, engine_bit_identical_across_shard_strategies) {
-  const auto ptm = tiny_ptm();
-  const auto topo = topo::make_fattree16();
-  const topo::routing routes{topo};
-  const auto streams = fattree_streams();
-
-  core::engine_config topo_cfg;
-  topo_cfg.partitions = 4;
-  topo_cfg.sharding = topo::shard_strategy::topology;
-  core::engine_config rr_cfg;
-  rr_cfg.partitions = 4;
-  rr_cfg.sharding = topo::shard_strategy::round_robin;
-  core::dqn_network topo_net{topo, routes, ptm, {}, topo_cfg};
-  core::dqn_network rr_net{topo, routes, ptm, {}, rr_cfg};
-
-  const auto topo_result = topo_net.run(streams, 0.005);
-  const auto rr_result = rr_net.run(streams, 0.005);
-  expect_bit_identical(topo_result, rr_result);
-  // The BFS-grown plan's raison d'être: fewer worker-crossing links than
-  // the round-robin shuffle on a clustered topology.
-  EXPECT_LT(topo_net.stats().cross_shard_links,
-            rr_net.stats().cross_shard_links);
 }
 
 TEST(determinism, engine_bit_identical_across_consecutive_runs) {

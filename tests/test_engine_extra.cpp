@@ -384,4 +384,74 @@ TEST(engine_extra, bad_host_streams_name_the_same_host_at_every_worker_count) {
   }
 }
 
+// Both estimators model a host as one NIC on one uplink, so they reject, at
+// construction and naming the host, a host that does not have exactly one
+// link. The engine reads a host's port 0 alone: without the check an
+// unlinked host would crash its run, and a multihomed host would lose its
+// deliveries without a drop.
+TEST(engine_extra, estimators_reject_hosts_without_exactly_one_link) {
+  // Switches s0 - s1; 100 packets from host 0 to host 1 on the analytical
+  // backend.
+  const auto expect_rejected = [](const topo::topology& topo,
+                                  const std::string& culprit) {
+    const topo::routing routes{topo};
+    std::vector<traffic::packet_stream> streams(topo.hosts().size());
+    for (std::uint64_t pid = 0; pid < 100; ++pid) {
+      traffic::packet p;
+      p.pid = pid;
+      p.dst_host = 1;
+      p.size_bytes = 1000;
+      streams[0].push_back({p, 1e-5 * static_cast<double>(pid + 1)});
+    }
+    const auto outcome = [&](const auto& make) -> std::string {
+      try {
+        const auto result = make()->run(streams, 0.01);
+        return "accepted; delivered " +
+               std::to_string(result.deliveries.size()) + " of 100";
+      } catch (const util::contract_violation& e) {
+        return e.what();
+      }
+    };
+    const std::string des_outcome = outcome([&] {
+      return std::make_unique<des::network>(topo, routes,
+                                            des::network_config{});
+    });
+    EXPECT_NE(des_outcome.find(culprit), std::string::npos) << des_outcome;
+    core::engine_config cfg;
+    cfg.delay.backend = des::delay_backend::analytical;
+    const std::string engine_outcome = outcome([&] {
+      return std::make_unique<core::dqn_network>(
+          topo, routes, shared_ptm(), core::scheduler_context{}, cfg);
+    });
+    EXPECT_NE(engine_outcome.find(culprit), std::string::npos)
+        << engine_outcome;
+  };
+  {
+    SCOPED_TRACE("a third host with no link");
+    topo::topology topo;
+    const auto s0 = topo.add_device("s0");
+    const auto s1 = topo.add_device("s1");
+    const auto h0 = topo.add_host("h0");
+    const auto h1 = topo.add_host("h1");
+    (void)topo.add_host("h2");
+    topo.connect(h0, s0);
+    topo.connect(s0, s1);
+    topo.connect(h1, s1);
+    expect_rejected(topo, "host h2 has 0 links");
+  }
+  {
+    SCOPED_TRACE("host 1 on both switches, host 0 on the second");
+    topo::topology topo;
+    const auto s0 = topo.add_device("s0");
+    const auto s1 = topo.add_device("s1");
+    const auto h0 = topo.add_host("h0");
+    const auto h1 = topo.add_host("h1");
+    topo.connect(h0, s1);
+    topo.connect(s0, s1);
+    topo.connect(h1, s0);
+    topo.connect(h1, s1);
+    expect_rejected(topo, "host h1 has 2 links");
+  }
+}
+
 }  // namespace

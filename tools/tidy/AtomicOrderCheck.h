@@ -1,8 +1,8 @@
 // dqn-atomic-order: every std::atomic access must state its memory order
 // explicitly. Defaulted seq_cst hides the synchronization design decision —
-// the repo's lock-free paths (obs shards, gemm backend slot, contract
-// counters) are all deliberately relaxed or acquire/release, so an implicit
-// order is either an unreviewed fence or an accidental one.
+// the repo's lock-free paths (obs shards, gemm backend slot, the
+// work-stealing pool) are all deliberately relaxed or acquire/release, so an
+// implicit order is either an unreviewed fence or an accidental one.
 //
 // Semantic upgrades over the ast_lint.py textual floor:
 //   * member calls whose memory_order argument is a CXXDefaultArgExpr are
