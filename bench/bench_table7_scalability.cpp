@@ -215,11 +215,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Tiered delay backend (core/delay_provider.hpp): pure-PTM versus the
-    // tiered analytical/PTM policy on the identical scenario and engine
-    // configuration. These rows report MEASURED wall time — the tiered win
-    // is devices skipping DNN inference entirely, which shows up on any
-    // machine regardless of core count.
+    // Tiered delay backend (core/delay_provider.hpp): pure-PTM versus tiered
+    // on the identical scenario and engine configuration. The network is
+    // FIFO, so under tiered every queue takes the exact closed form
+    // (analytical fraction 1). These rows report MEASURED wall time — the
+    // tiered win is queues skipping DNN inference entirely, which shows up
+    // on any machine regardless of core count.
     {
       auto context = bench::compare_context(s, ptm, fifo_tm,
                                             /*apply_sec=*/true,

@@ -51,8 +51,7 @@ keys = ["engine.iterations", "engine.device_inferences", "engine.deliveries",
         "engine.steals",
         "des.events", "des.deliveries", "ptm.epochs", "ptm.batches",
         "sec.corrections", "trace.dropped",
-        "tiered.analytical_packets", "tiered.ptm_packets",
-        "tiered.promotions", "tiered.demotions", "tiered.budget_promotions"]
+        "tiered.analytical_packets", "tiered.ptm_packets"]
 gauges = snap.get("gauges", {})
 gauge_keys = ["tiered.analytical_fraction", "table7.tiered_speedup",
               "table7.ptm_wall_seconds", "table7.tiered_wall_seconds",

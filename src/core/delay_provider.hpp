@@ -1,8 +1,8 @@
-// Device-level delay providers: the tiered-estimation layer between the
-// engine's per-device inference loop and the sojourn models it can ride on
-// (ROADMAP "tiered estimation"; the interface mirrors Sniper's QueueModel
-// hierarchy — one computeQueueDelay-style virtual, interchangeable backends,
-// and a counter for the fraction served analytically).
+// Device-level delay providers: the layer between the engine's per-queue
+// inference loop and the sojourn models it can ride on (the interface mirrors
+// Sniper's QueueModel hierarchy — one computeQueueDelay-style virtual,
+// interchangeable backends, and a counter for the fraction served
+// analytically).
 //
 // Three backends implement the interface:
 //  * ptm_delay_provider       — the paper's learned PTM (+ SEC correction),
@@ -13,23 +13,15 @@
 //                               waits; SP/GPS priors for the rest), with the
 //                               LDQBD/MAP machinery of src/queueing as the
 //                               stationary reference (queueing/sojourn.hpp);
-//  * tiered_delay_provider    — a FIFO queue, host NICs included, always
-//                               takes the exact closed form; every other
-//                               queue is routed per device and iteration by
-//                               a utilization threshold with hysteresis plus
-//                               a bounded error-budget shadow check: both
-//                               backends on the last 128 packets of a
-//                               device's first analytical window, each
-//                               packet's gap recorded in
-//                               tiered.shadow_abs_error_seconds
-//                               (des::delay_policy). Threshold 0 sends every
-//                               non-FIFO queue to the PTM; cold devices skip
-//                               DNN inference entirely.
+//  * tiered_delay_provider    — one stateless rule: a FIFO queue, host NICs
+//                               included, takes the analytical backend,
+//                               whose Lindley wait is exact for it; every
+//                               other queue takes the PTM.
 //
 // Threading contract (matches the engine's partition loop): estimate_sojourn
-// may be called concurrently for *different* devices; two concurrent calls
-// for the same device id are a data race. bind_sink/prepare/publish are
-// run-boundary calls made by a single thread.
+// may be called concurrently, each call with its own workspace (or none); no
+// backend keeps per-device state. bind_sink/prepare/publish are run-boundary
+// calls made by a single thread.
 #pragma once
 
 #include <atomic>
@@ -61,9 +53,9 @@ struct device_state {
   const traffic::packet_stream* arrivals = nullptr;  // time-ordered series
   std::span<const double> feature_rows;  // (n, feature_count) raw features
   const scheduler_context* ctx = nullptr;  // port-resolved line rate
-  // Offered load of the egress line over the arrival window: byte-work
-  // brought by the series divided by the span it arrives in (0 for a
-  // single-packet window; may exceed 1 under overload).
+  // Offered load of the egress line over the arrival window. No backend
+  // reads it and the engine leaves it 0; the bench/e2e layer replay still
+  // writes it.
   double utilization = 0;
   bool apply_sec = true;            // §6.1 ablation flag (PTM backend only)
   nn::workspace* workspace = nullptr;  // caller-owned inference arena
@@ -88,9 +80,9 @@ class delay_provider {
   // detaches). The engine calls this once per run, before any estimates.
   virtual void bind_sink(obs::sink* sink);
 
-  // Run boundary: size per-device state for ids in [0, device_slots). Calls
-  // for any other id (the host NIC's -1) keep no state. Stateless backends
-  // ignore it.
+  // Run boundary: a no-op. No backend keeps per-device state, so none
+  // overrides it; the hook stays because bench/e2e calls it, and the engine
+  // still calls it once per run.
   virtual void prepare(std::size_t device_slots);
 
   // Run boundary: export counters/gauges accumulated since the last publish
@@ -98,15 +90,16 @@ class delay_provider {
   virtual void publish(obs::sink& sink);
 };
 
-// Construct the backend selected by `policy` over a shared trained PTM.
+// Construct the backend selected by `policy` over a shared trained PTM; the
+// analytical backend needs none, so `ptm` may then be null.
 [[nodiscard]] std::unique_ptr<delay_provider> make_delay_provider(
     std::shared_ptr<const ptm_model> ptm, const des::delay_policy& policy);
 
 // ---------------------------------------------------------------------------
 // Learned backend: runs ptm_model::predict_rows over the feature rows
-// (+ SEC). This class and the tiered backend's shadow check are the only
-// first-party predict call sites outside the PTM itself — scripts/lint.sh
-// enforces that everything else goes through a provider.
+// (+ SEC). This class is the only first-party predict call site outside the
+// PTM itself — scripts/lint.sh enforces that everything else goes through a
+// provider.
 // ---------------------------------------------------------------------------
 class ptm_delay_provider final : public delay_provider {
  public:
@@ -165,8 +158,9 @@ class analytical_delay_provider final : public delay_provider {
 };
 
 // ---------------------------------------------------------------------------
-// Tiered backend: FIFO queues take the analytical backend, whose Lindley wait
-// is exact for them; other queues dispatch per device between the two above.
+// Tiered backend: a FIFO queue takes the analytical backend, whose Lindley
+// wait is exact for it; every other queue takes the PTM. The rule reads only
+// the queue's scheduler, so an answer never depends on call order or thread.
 // ---------------------------------------------------------------------------
 class tiered_delay_provider final : public delay_provider {
  public:
@@ -175,9 +169,6 @@ class tiered_delay_provider final : public delay_provider {
     std::uint64_t ptm_packets = 0;
     std::uint64_t analytical_calls = 0;
     std::uint64_t ptm_calls = 0;
-    std::uint64_t promotions = 0;         // analytical -> ptm (threshold)
-    std::uint64_t demotions = 0;          // ptm -> analytical (threshold)
-    std::uint64_t budget_promotions = 0;  // analytical -> ptm (error budget)
 
     [[nodiscard]] double analytical_fraction() const noexcept {
       const std::uint64_t total = analytical_packets + ptm_packets;
@@ -188,48 +179,24 @@ class tiered_delay_provider final : public delay_provider {
     }
   };
 
-  tiered_delay_provider(std::shared_ptr<const ptm_model> ptm,
-                        des::delay_policy policy);
+  explicit tiered_delay_provider(std::shared_ptr<const ptm_model> ptm);
 
   [[nodiscard]] std::vector<double> estimate_sojourn(
       const device_state& state, double window_seconds) override;
   [[nodiscard]] const char* name() const noexcept override { return "tiered"; }
   void bind_sink(obs::sink* sink) override;
-  void prepare(std::size_t device_slots) override;
   void publish(obs::sink& sink) override;
 
-  [[nodiscard]] const des::delay_policy& policy() const noexcept {
-    return policy_;
-  }
   [[nodiscard]] tier_stats stats() const noexcept;
 
  private:
-  enum class tier : std::uint8_t { unset, analytical, ptm };
-
-  struct device_tier {
-    tier current = tier::unset;
-    bool budget_checked = false;  // the shadow check ran on this device
-    bool pinned_ptm = false;      // error-budget promotion is permanent
-  };
-
-  // Resolve the tier of a non-FIFO queue for (slot, utilization), applying
-  // the hysteresis band and counting transitions. Slots beyond the prepared
-  // range fall back to a stateless threshold decision (no hysteresis memory).
-  tier decide(std::size_t slot, double utilization);
-
   ptm_delay_provider ptm_;
   analytical_delay_provider analytical_;
-  des::delay_policy policy_;
-  std::vector<device_tier> tiers_;  // slot = device id; non-FIFO queues only
-  obs::histogram_handle shadow_abs_error_;  // tiered.shadow_abs_error_seconds
 
   std::atomic<std::uint64_t> analytical_packets_{0};
   std::atomic<std::uint64_t> ptm_packets_{0};
   std::atomic<std::uint64_t> analytical_calls_{0};
   std::atomic<std::uint64_t> ptm_calls_{0};
-  std::atomic<std::uint64_t> promotions_{0};
-  std::atomic<std::uint64_t> demotions_{0};
-  std::atomic<std::uint64_t> budget_promotions_{0};
   // publish() is documented single-thread (run boundary), but the guard makes
   // the contract checkable: concurrent publish() calls would double-count
   // deltas, so published_ is mutex-protected rather than trusted.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -57,7 +58,7 @@ DQN_HOT_PATH void project_departures(const traffic::packet_stream& queue,
 }  // namespace
 
 device_model::device_model(std::shared_ptr<const ptm_model> ptm, scheduler_context ctx)
-    : fallback_{std::move(ptm)}, ctx_{std::move(ctx)} {}
+    : ptm_{std::move(ptm)}, ctx_{std::move(ctx)} {}
 
 std::vector<traffic::packet_stream> device_model::process(
     const std::vector<traffic::packet_stream>& ingress, const forward_fn& forward,
@@ -80,6 +81,9 @@ std::vector<traffic::packet_stream> device_model::process(
     call.drops = sink->counter_handle_for("pfm.drops");
   }
   call.workspace = workspace;
+  // Without a provider, the shared PTM (throws if it is null or untrained).
+  std::optional<ptm_delay_provider> fallback;
+  if (delay == nullptr) delay = &fallback.emplace(ptm_);
   call.delay = delay;
   call.device_id = device_id;
   call.iteration = iteration;
@@ -97,6 +101,8 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
                                                    std::size_t port,
                                                    double line_bps,
                                                    const queue_call& call) const {
+  DQN_ENSURE(call.delay != nullptr,
+             "device_model::process_queue: queue_call::delay is required");
   if (queue.empty()) return queue;
   // Local copies: recording through a handle is non-const.
   obs::counter_handle forwarded = call.forwarded;
@@ -157,7 +163,7 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
     if (queue.empty()) return queue;
   }
   // Sojourn prediction over the arrival series, dispatched through the
-  // delay-provider API (delay_provider.hpp): the engine-selected backend
+  // delay-provider API (delay_provider.hpp): the caller's backend
   // (PTM / analytical / tiered) sees the full device state and returns one
   // sojourn per queued packet.
   scheduler_context port_ctx = ctx_;
@@ -165,15 +171,7 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
   const auto rows = compute_features(queue, port_ctx);
   std::vector<double> raw_sojourns;
   std::vector<double>* const raw = tracer != nullptr ? &raw_sojourns : nullptr;
-  // Offered load of the egress line over the window: byte-work brought by
-  // the series divided by the span it arrived in (the tiered policy's
-  // routing signal; may exceed 1 under overload).
-  double busy_seconds = 0;
-  for (const auto& ev : queue)
-    busy_seconds += static_cast<double>(ev.pkt.size_bytes) * 8.0 / line_bps;
   const double window_seconds = queue.back().time - queue.front().time;
-  const double utilization =
-      queue.size() < 2 ? 0.0 : busy_seconds / std::max(window_seconds, 1e-12);
 
   device_state dstate;
   dstate.device = call.device_id;
@@ -182,14 +180,12 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
   dstate.arrivals = &queue;
   dstate.feature_rows = rows;
   dstate.ctx = &port_ctx;
-  dstate.utilization = utilization;
   dstate.apply_sec = call.apply_sec;
   dstate.workspace = call.workspace;
   dstate.raw_out = raw;
-  delay_provider* const provider = call.delay != nullptr ? call.delay : &fallback_;
-  auto sojourns = provider->estimate_sojourn(dstate, window_seconds);
+  auto sojourns = call.delay->estimate_sojourn(dstate, window_seconds);
   DQN_ENSURE(sojourns.size() == queue.size(), "device_model: provider '",
-             provider->name(), "' returned ", sojourns.size(),
+             call.delay->name(), "' returned ", sojourns.size(),
              " sojourns for ", queue.size(), " packets");
 
   // Scheduler-theoretic bound (prior knowledge, like the PFM): under

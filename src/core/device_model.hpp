@@ -43,8 +43,8 @@ struct journey_capture {
 
 // The arguments of one device_model::process_queue call besides the queue
 // itself. The caller resolves them once: the counter handles per run, the
-// rest per device or per queue. Every pointer may be null (that output or
-// hook is off), and default handles record nothing.
+// rest per device or per queue. `delay` is required; every other pointer may
+// be null (that output or hook is off), and default handles record nothing.
 struct queue_call {
   bool apply_sec = true;
   std::vector<predicted_hop>* hops = nullptr;       // appended per kept packet
@@ -61,7 +61,8 @@ struct queue_call {
 class device_model {
  public:
   // The PTM is shared: one trained K-port model serves every device whose
-  // degree is <= K (§6.1).
+  // degree is <= K (§6.1). Only process() without a provider runs it, so it
+  // may be null when every call passes one.
   device_model(std::shared_ptr<const ptm_model> ptm, scheduler_context ctx);
 
   // ingress[i]: time-ordered stream at ingress port i. Returns egress
@@ -79,10 +80,10 @@ class device_model {
   // across devices and IRSA iterations so steady state allocates nothing).
   // Null falls back to the PTM's thread_local workspace.
   //
-  // `delay` selects the sojourn backend (delay_provider.hpp): the engine
-  // passes its configured provider; null falls back to this model's own PTM
-  // backend (the pre-redesign behaviour). `device_id`/`iteration` identify
-  // the call for the provider's per-device tiering state (-1 = host NIC).
+  // `delay` selects the sojourn backend (delay_provider.hpp); null runs this
+  // model's own PTM through a ptm_delay_provider, which throws if the PTM is
+  // null or untrained. `device_id`/`iteration` identify the call to the
+  // provider (-1 = host NIC).
   //
   // process() forwards the ingress once (PFM) and runs process_queue on
   // every egress port in port order.
@@ -104,7 +105,7 @@ class device_model {
   // the strict-priority clamp and the feasibility projection, and returns
   // the port's egress stream in (departure time, pid) order. The engine
   // calls this directly, so it can infer a device's queues in separate IRSA
-  // stages.
+  // stages. Throws util::contract_violation if `call.delay` is null.
   [[nodiscard]] traffic::packet_stream process_queue(traffic::packet_stream queue,
                                                      std::size_t port,
                                                      double line_bps,
@@ -113,11 +114,7 @@ class device_model {
   [[nodiscard]] const scheduler_context& context() const noexcept { return ctx_; }
 
  private:
-  // Fallback backend when process() receives no provider: the shared PTM
-  // behind the classic interface. Providers carry per-call metric state, so
-  // the member is mutable; estimate_sojourn on the PTM backend is
-  // thread-safe (the handles record through relaxed atomics).
-  mutable ptm_delay_provider fallback_;
+  std::shared_ptr<const ptm_model> ptm_;
   scheduler_context ctx_;
 };
 

@@ -191,10 +191,9 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
                          engine_config config)
     : topo_{&topo},
       routes_{&routes},
-      ptm_{ptm},
-      provider_{make_delay_provider(ptm, config.delay)},
-      device_{ptm, std::move(ctx)},
-      host_nic_{std::move(ptm),
+      provider_{make_delay_provider(std::move(ptm), config.delay)},
+      device_{nullptr, std::move(ctx)},
+      host_nic_{nullptr,
                 scheduler_context{des::scheduler_kind::fifo, {},
                                   device_.context().bandwidth_bps}},
       config_{config},
@@ -277,8 +276,15 @@ void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) 
         "dqn_network::set_device_context: called after run(); device overrides "
         "must be installed before the first run (they do not apply "
         "retroactively)"};
-  (void)topo_->at(node);  // bounds check
-  device_overrides_.insert_or_assign(node, device_model{ptm_, std::move(ctx)});
+  DQN_ENSURE(node >= 0 && static_cast<std::size_t>(node) < topo_->node_count(),
+             "dqn_network::set_device_context: node ", node,
+             " is outside the topology (", topo_->node_count(), " nodes)");
+  DQN_ENSURE(topo_->at(node).kind != topo::node_kind::host,
+             "dqn_network::set_device_context: node ", node, " (",
+             topo_->at(node).name,
+             ") is a host; a host NIC is always a FIFO queue");
+  device_overrides_.insert_or_assign(node,
+                                     device_model{nullptr, std::move(ctx)});
 }
 
 des::run_result dqn_network::run(
@@ -322,8 +328,7 @@ des::run_result dqn_network::run(const des::run_request& request) {
     // startup; see nn/kernels/gemm.hpp).
     nn::kernels::report_dispatch(*sink);
   }
-  // Arm the sojourn backend for this run: resolve its metric handles and
-  // size its per-device tiering state (slot = device id).
+  // Arm the sojourn backend for this run: resolve its metric handles.
   provider.bind_sink(sink);
   provider.prepare(topo_->node_count());
   // The PFM counters, resolved once: each lookup takes the registry's lock.
@@ -743,12 +748,13 @@ const traffic::packet_stream& dqn_network::egress_stream(topo::node_id node,
     throw std::logic_error{
         "dqn_network::egress_stream: no completed run; call run() before "
         "reading egress traces"};
-  DQN_CHECK_RANGE(node, final_egress_.size());
-  DQN_CHECK(port < final_egress_[static_cast<std::size_t>(node)].size(),
-            "dqn_network::egress_stream: port ", port,
-            " out of range for node ", node, " (",
-            final_egress_[static_cast<std::size_t>(node)].size(), " ports)");
-  return final_egress_[static_cast<std::size_t>(node)][port];
+  DQN_ENSURE(node >= 0 && static_cast<std::size_t>(node) < final_egress_.size(),
+             "dqn_network::egress_stream: node ", node, " out of range (",
+             final_egress_.size(), " nodes)");
+  const auto& ports = final_egress_[static_cast<std::size_t>(node)];
+  DQN_ENSURE(port < ports.size(), "dqn_network::egress_stream: port ", port,
+             " out of range for node ", node, " (", ports.size(), " ports)");
+  return ports[port];
 }
 
 }  // namespace dqn::core

@@ -73,8 +73,9 @@ struct engine_config {
   // engine_stats re-expressed as registry metrics. Null = zero-overhead.
   obs::sink* sink = nullptr;
   // Which sojourn backend every run rides on (core/delay_provider.hpp): the
-  // paper's PTM (default), the queueing-theoretic closed forms, or the
-  // tiered policy that routes each device by utilization.
+  // paper's PTM (default), the queueing-theoretic closed forms, or tiered:
+  // the exact closed form for every FIFO queue and the PTM for the rest.
+  // `ptm` may be null only on the analytical backend.
   des::delay_policy delay{};
 };
 
@@ -114,14 +115,17 @@ struct engine_stats {
 // resets stats and egress state). The constructor fixes everything that
 // depends only on (topology, routing, config): the IRSA schedule, the shard
 // plan and each stage's stealable batches, and the worker pool. Misuse is
-// rejected loudly rather than silently degraded:
+// rejected loudly rather than silently degraded, in every build:
 //  * a host that does not have exactly one link throws
-//    util::contract_violation at construction;
+//    util::contract_violation at construction, and so does a null or
+//    untrained PTM on the ptm and tiered backends (std::invalid_argument);
 //  * set_device_context after the first run() throws std::logic_error
 //    (overrides would not apply retroactively to completed runs);
+//  * set_device_context on a host or on a node outside the topology throws
+//    util::contract_violation;
 //  * egress_stream before any run() throws std::logic_error;
 //  * egress_stream with a node/port outside the topology throws
-//    std::out_of_range naming the offending coordinates.
+//    util::contract_violation naming the offending coordinates.
 class dqn_network : public des::estimator {
  public:
   dqn_network(const topo::topology& topo, const topo::routing& routes,
@@ -130,7 +134,8 @@ class dqn_network : public des::estimator {
 
   // Heterogeneous TM deployments: override the scheduler context of
   // individual devices (mirrors des::network_config::tm_overrides). Must be
-  // called before the first run(); throws std::logic_error afterwards.
+  // called before the first run(); throws std::logic_error afterwards. A host
+  // keeps its FIFO NIC, so `node` must be a device.
   void set_device_context(topo::node_id node, scheduler_context ctx);
 
   // Same contract as des::network::run: host_streams[i] feeds
@@ -177,8 +182,8 @@ class dqn_network : public des::estimator {
 
   const topo::topology* topo_;
   const topo::routing* routes_;
-  std::shared_ptr<const ptm_model> ptm_;
   std::unique_ptr<delay_provider> provider_;
+  // Every queue call passes provider_, so the device models hold no PTM.
   device_model device_;
   device_model host_nic_;  // FIFO NIC model for host uplinks
   std::unordered_map<topo::node_id, device_model> device_overrides_;

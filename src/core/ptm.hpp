@@ -109,9 +109,9 @@ class ptm_model {
       std::span<const double> windows, nn::workspace& ws, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
 
-  // Row entry, the engine's path (the tiered backend's shadow check uses it
-  // too): `feature_rows` is one arrival series' (n, feature_count) raw rows
-  // (compute_features). Predicts the window ending at each row and equals
+  // Row entry, the engine's path: `feature_rows` is one arrival series'
+  // (n, feature_count) raw rows (compute_features). Predicts the window
+  // ending at each row and equals
   // predict(make_windows(feature_rows, time_steps), ...) bit for bit, but
   // scales each row once and never materializes the windows: the MLP's
   // first GEMM reads them in place as overlapping rows. It also skips the

@@ -29,7 +29,10 @@ std::unique_ptr<estimator> make_estimator(std::string_view name,
   if (name == "deepqueuenet" || name == "dqn") {
     require(context.topo != nullptr, "deepqueuenet", "topo");
     require(context.routes != nullptr, "deepqueuenet", "routes");
-    require(context.ptm != nullptr, "deepqueuenet", "ptm");
+    // Only the analytical backend runs without a PTM.
+    require(context.ptm != nullptr ||
+                context.engine.delay.backend == delay_backend::analytical,
+            "deepqueuenet", "ptm");
     return std::make_unique<core::dqn_network>(*context.topo, *context.routes,
                                                context.ptm, context.scheduler,
                                                context.engine);

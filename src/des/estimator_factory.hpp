@@ -33,7 +33,8 @@ struct estimator_context {
   const topo::routing* routes = nullptr;   // all estimators
   network_config des;                      // "des": oracle configuration
   // "deepqueuenet": the trained PTM plus engine/scheduler configuration
-  // (engine.delay selects the delay backend — see core/delay_provider.hpp).
+  // (engine.delay selects the delay backend — see core/delay_provider.hpp;
+  // the analytical backend needs no PTM).
   std::shared_ptr<const core::ptm_model> ptm;
   core::scheduler_context scheduler;
   core::engine_config engine;

@@ -34,6 +34,15 @@ network::network(const topo::topology& topo, const topo::routing& routes,
     DQN_ENSURE(topo.port_count(host) == 1, "network: host ",
                topo.at(host).name, " has ", topo.port_count(host),
                " links; every host needs exactly one");
+  for (const auto& entry : config_.tm_overrides) {
+    const topo::node_id node = entry.first;
+    DQN_ENSURE(node >= 0 && static_cast<std::size_t>(node) < topo.node_count(),
+               "network: tm_overrides names node ", node,
+               ", outside the topology (", topo.node_count(), " nodes)");
+    DQN_ENSURE(topo.at(node).kind != topo::node_kind::host,
+               "network: tm_overrides names node ", node, " (",
+               topo.at(node).name, "), a host; a host NIC is always FIFO");
+  }
 }
 
 void network::reset() {

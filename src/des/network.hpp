@@ -26,7 +26,8 @@ namespace dqn::des {
 struct network_config {
   tm_config tm;             // applied to every device egress port...
   // ...unless overridden here per node (heterogeneous TM deployments:
-  // e.g. WFQ at the aggregation layer, FIFO elsewhere).
+  // e.g. WFQ at the aggregation layer, FIFO elsewhere). Every key must be a
+  // device of the topology: a host NIC is always FIFO.
   std::map<topo::node_id, tm_config> tm_overrides;
   bool record_hops = true;  // disable for the large scalability runs
   // Optional observability: when non-null the run records event counts, peak
@@ -37,7 +38,8 @@ struct network_config {
 class network : public estimator {
  public:
   // Every host must have exactly one link, its NIC's uplink; anything else
-  // throws util::contract_violation naming the host.
+  // throws util::contract_violation naming the host, and so does a
+  // tm_overrides key that is a host or lies outside the topology.
   network(const topo::topology& topo, const topo::routing& routes,
           network_config config);
 

@@ -31,7 +31,8 @@ namespace dqn::des {
 // Which sojourn-estimation backend a DeepQueueNet engine rides on (see
 // core/delay_provider.hpp), chosen by core::engine_config::delay. `ptm` is
 // the paper's per-device DNN; `analytical` the queueing-theoretic closed
-// forms; `tiered` routes each device by the runtime policy below.
+// forms; `tiered` gives every FIFO queue, host NICs included, the exact
+// closed form and every other queue the PTM.
 enum class delay_backend : std::uint8_t { ptm, analytical, tiered };
 
 [[nodiscard]] inline const char* to_string(delay_backend backend) noexcept {
@@ -43,26 +44,8 @@ enum class delay_backend : std::uint8_t { ptm, analytical, tiered };
   return "unknown";
 }
 
-// Runtime policy of the tiered backend, re-evaluated per device per IRSA
-// iteration. A device starts on the analytical tier iff its egress-queue
-// utilization is strictly below `utilization_threshold`, so threshold 0
-// sends every non-FIFO queue to the PTM; FIFO queues, host NICs included,
-// always take the exact closed form, and nothing below applies to them. A
-// device is promoted to the PTM when utilization exceeds threshold +
-// hysteresis and demoted back when it falls below threshold - hysteresis
-// (the band prevents tier flapping across iterations). `error_budget` is the
-// relative mean-sojourn deviation the analytical tier is allowed. A bounded
-// shadow check runs both backends on the last 128 packets of a device's
-// first analytical window (a window of at most 128 + time_steps - 1 packets
-// whole) and records each packet's gap in the
-// tiered.shadow_abs_error_seconds histogram; a mean gap beyond the budget
-// promotes the device to the PTM for the rest of the run (<= 0 disables the
-// check).
 struct delay_policy {
   delay_backend backend = delay_backend::ptm;
-  double utilization_threshold = 0.35;
-  double hysteresis = 0.05;
-  double error_budget = 0.25;
 };
 
 struct run_request {

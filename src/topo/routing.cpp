@@ -1,11 +1,26 @@
 #include "topo/routing.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace dqn::topo {
+
+namespace {
+
+// egress_port's failure, kept out of its per-packet body.
+[[noreturn]] void throw_unreachable(const topology& topo, node_id current,
+                                    node_id dst_host) {
+  throw std::runtime_error{"routing: destination host " +
+                           topo.at(dst_host).name + " (node " +
+                           std::to_string(dst_host) +
+                           ") unreachable from node " + topo.at(current).name +
+                           " (node " + std::to_string(current) + ")"};
+}
+
+}  // namespace
 
 routing::routing(const topology& topo, std::uint64_t ecmp_salt)
     : topo_{&topo}, salt_{ecmp_salt} {
@@ -43,8 +58,7 @@ const std::vector<std::size_t>& routing::equal_cost_ports(node_id current,
 std::size_t routing::egress_port(node_id current, node_id dst_host,
                                  std::uint32_t flow_id) const {
   const auto& ports = equal_cost_ports(current, dst_host);
-  if (ports.empty())
-    throw std::runtime_error{"routing: destination unreachable from node"};
+  if (ports.empty()) throw_unreachable(*topo_, current, dst_host);
   if (ports.size() == 1) return ports.front();
   // Stable per-flow hash over the equal-cost set.
   std::uint64_t h = salt_ ^ (0x9e3779b97f4a7c15ULL * (flow_id + 1));

@@ -17,8 +17,8 @@ class routing {
   // Computes BFS next-hop sets from every node towards every host.
   explicit routing(const topology& topo, std::uint64_t ecmp_salt = 0);
 
-  // The egress port of `current` towards `dst_host` for this flow; throws if
-  // the destination is unreachable.
+  // The egress port of `current` towards `dst_host` for this flow; throws
+  // std::runtime_error naming both nodes if the destination is unreachable.
   [[nodiscard]] std::size_t egress_port(node_id current, node_id dst_host,
                                         std::uint32_t flow_id) const;
 

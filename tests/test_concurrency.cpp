@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <latch>
 #include <map>
@@ -231,23 +232,16 @@ TEST(concurrency, partitioned_engine_matches_single_partition_run) {
 }
 
 // The delay provider's threading contract: estimate_sojourn may run
-// concurrently for *different* devices. Each thread hammers its own device
-// id against one shared tiered provider; the relaxed tier counters must stay
-// exact and no thread may observe another's tier state. This is the TSan
-// workload for the tiered dispatch path. The queues are SP: a FIFO queue
-// takes the closed form without touching the tier state.
+// concurrently. Each thread hammers its own device id against one shared
+// tiered provider with SP queues, which take the PTM; the relaxed tier
+// counters must stay exact, and every call must return the serial answer bit
+// for bit. This is the TSan workload for the tiered dispatch path.
 TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
   constexpr std::size_t workers = 8;
   constexpr std::size_t calls_per_worker = 50;
   constexpr std::size_t packets = 10;
 
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;  // everything analytical
-  policy.hysteresis = 0;
-  policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(workers);
+  core::tiered_delay_provider provider{tiny_ptm()};
 
   traffic::packet_stream stream;
   double t = 0;
@@ -261,33 +255,37 @@ TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
   core::scheduler_context ctx;
   ctx.kind = des::scheduler_kind::sp;
   const auto rows = core::compute_features(stream, ctx);
+  core::device_state serial_state;
+  serial_state.arrivals = &stream;
+  serial_state.feature_rows = rows;
+  serial_state.ctx = &ctx;
+  const auto expected =
+      core::ptm_delay_provider{tiny_ptm()}.estimate_sojourn(serial_state, t);
+  ASSERT_EQ(expected.size(), packets);
 
   run_threads(workers, [&](std::size_t worker) {
-    core::device_state state;
+    core::device_state state = serial_state;
     state.device = static_cast<std::int64_t>(worker);
-    state.arrivals = &stream;
-    state.feature_rows = rows;
-    state.ctx = &ctx;
-    state.utilization = 0.1;
     for (std::size_t i = 0; i < calls_per_worker; ++i) {
       const auto sojourns = provider.estimate_sojourn(state, t);
-      EXPECT_EQ(sojourns.size(), packets);
+      ASSERT_EQ(sojourns.size(), packets);
+      EXPECT_EQ(std::memcmp(sojourns.data(), expected.data(),
+                            packets * sizeof(double)),
+                0);
     }
   });
 
   const auto stats = provider.stats();
-  EXPECT_EQ(stats.analytical_calls, workers * calls_per_worker);
-  EXPECT_EQ(stats.analytical_packets, workers * calls_per_worker * packets);
-  EXPECT_EQ(stats.ptm_calls, 0u);
-  EXPECT_EQ(stats.promotions, 0u);
-  EXPECT_DOUBLE_EQ(stats.analytical_fraction(), 1.0);
+  EXPECT_EQ(stats.ptm_calls, workers * calls_per_worker);
+  EXPECT_EQ(stats.ptm_packets, workers * calls_per_worker * packets);
+  EXPECT_EQ(stats.analytical_calls, 0u);
+  EXPECT_DOUBLE_EQ(stats.analytical_fraction(), 0.0);
 }
 
-// Same determinism bar as the pure-PTM partition test, with the tiered
-// policy's per-device hysteresis + error-budget state in the loop: tier
-// decisions depend only on a device's own utilization history, so partition
-// count must not change a single delivery. The switches are SP, so that
-// state is written for every switch, from several workers.
+// Same determinism bar as the pure-PTM partition test on the tiered backend:
+// the switches are SP, so every switch queue takes the PTM from several
+// workers while the host NICs take the closed form, and the partition count
+// must not change a single delivery.
 TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
   const auto ptm = tiny_ptm();
   const auto topo = topo::make_fattree16();
@@ -300,10 +298,7 @@ TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
   auto generators = traffic::make_generators(flows, tg);
   const auto streams = traffic::per_host_streams(generators, 16, 0.005, rng);
 
-  const des::delay_policy policy{.backend = des::delay_backend::tiered,
-                                 .utilization_threshold = 0.35,
-                                 .hysteresis = 0.05,
-                                 .error_budget = 0.25};
+  const des::delay_policy policy{.backend = des::delay_backend::tiered};
   core::scheduler_context switches;
   switches.kind = des::scheduler_kind::sp;
   core::engine_config serial_cfg;

@@ -1,9 +1,8 @@
 // Delay-provider API tests (core/delay_provider.hpp): backend parity against
-// closed-form queueing theory, the tiered policy's FIFO rule (a FIFO queue
-// always takes the exact closed form), its threshold/hysteresis state machine
-// and error-budget shadow check on non-FIFO queues, the policy extremes
-// reproducing the pure backends bit-for-bit through the engine, the per-run
-// delay override of des::run_request, and the string-keyed estimator factory.
+// closed-form queueing theory, the tiered rule (a FIFO queue takes the exact
+// closed form, every other queue the PTM) at the provider and through the
+// engine, an analytical engine built without a PTM, and the string-keyed
+// estimator factory.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -67,8 +66,7 @@ traffic::packet_stream make_stream(std::size_t n, double gap,
   return stream;
 }
 
-// The tiered backend keeps tier state, and runs its shadow check, for
-// non-FIFO queues only; the probes that exercise them use strict priority.
+// A non-FIFO discipline: the tiered backend sends its queues to the PTM.
 constexpr auto sp = des::scheduler_kind::sp;
 
 // A ready-to-estimate device_state over one arrival series. Owns the rows so
@@ -188,266 +186,53 @@ TEST(delay_provider, analytical_empirical_mean_matches_ldqbd_reference) {
   EXPECT_NEAR(mean, reference[0], 0.25 * reference[0]);
 }
 
-TEST(delay_provider, tiered_hysteresis_state_machine) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 0.5;
-  policy.hysteresis = 0.1;
-  policy.error_budget = 0;  // isolate the threshold machinery
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-
-  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
-  const auto call = [&](double utilization) {
-    pr.state.utilization = utilization;
-    return provider.estimate_sojourn(pr.state, 5e-5);
-  };
-
-  call(0.3);  // below threshold: analytical
-  EXPECT_EQ(provider.stats().analytical_calls, 1u);
-  EXPECT_EQ(provider.stats().ptm_calls, 0u);
-
-  call(0.55);  // inside the band (not > 0.6): stays analytical
-  EXPECT_EQ(provider.stats().analytical_calls, 2u);
-  EXPECT_EQ(provider.stats().promotions, 0u);
-
-  call(0.65);  // above threshold + band: promoted
-  EXPECT_EQ(provider.stats().ptm_calls, 1u);
-  EXPECT_EQ(provider.stats().promotions, 1u);
-
-  call(0.45);  // inside the band (not < 0.4): stays PTM
-  EXPECT_EQ(provider.stats().ptm_calls, 2u);
-  EXPECT_EQ(provider.stats().demotions, 0u);
-
-  call(0.35);  // below threshold - band: demoted
-  EXPECT_EQ(provider.stats().analytical_calls, 3u);
-  EXPECT_EQ(provider.stats().demotions, 1u);
-
-  // A fresh device at exactly the threshold goes PTM (strict comparison, so
-  // threshold 0 means pure PTM even for idle zero-utilization windows).
-  pr.state.device = 2;
-  call(0.5);
-  EXPECT_EQ(provider.stats().ptm_calls, 3u);
-
-  const auto stats = provider.stats();
-  EXPECT_EQ(stats.analytical_packets, 3u * 10u);
-  EXPECT_EQ(stats.ptm_packets, 3u * 10u);
-  EXPECT_DOUBLE_EQ(stats.analytical_fraction(), 0.5);
-}
-
-TEST(delay_provider, tiered_unprepared_slot_decides_statelessly) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 0.5;
-  policy.hysteresis = 0.1;
-  policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};  // no prepare()
-
-  probe pr{make_stream(5, 5e-6), 1e9, /*device=*/5, sp};
-  pr.state.utilization = 0.3;
-  (void)provider.estimate_sojourn(pr.state, 5e-5);
-  EXPECT_EQ(provider.stats().analytical_calls, 1u);
-  pr.state.utilization = 0.7;
-  (void)provider.estimate_sojourn(pr.state, 5e-5);
-  EXPECT_EQ(provider.stats().ptm_calls, 1u);
-  // Stateless fallback keeps no hysteresis memory: no transition counted.
-  EXPECT_EQ(provider.stats().promotions, 0u);
-}
-
-TEST(delay_provider, tiered_error_budget_pins_device_to_ptm) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;  // everything starts analytical
-  policy.hysteresis = 0;
-  policy.error_budget = 1e-9;  // no learned model clears this bar
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-
-  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
-  const auto first = provider.estimate_sojourn(pr.state, 5e-5);
-
-  // The spot check ran both backends, failed the budget, and returned the
-  // learned values; the device is pinned to the PTM permanently.
-  EXPECT_EQ(provider.stats().budget_promotions, 1u);
-  core::ptm_delay_provider learned{tiny_ptm()};
-  const auto expected = learned.estimate_sojourn(pr.state, 5e-5);
-  ASSERT_EQ(first.size(), expected.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_DOUBLE_EQ(first[i], expected[i]);
-
-  pr.state.utilization = 0.0;  // far below threshold, but pinned wins
-  (void)provider.estimate_sojourn(pr.state, 5e-5);
-  EXPECT_EQ(provider.stats().ptm_calls, 2u);
-  EXPECT_EQ(provider.stats().demotions, 0u);
-}
-
-TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;
-  policy.hysteresis = 0;
-  policy.error_budget = 1e9;  // any deviation is within budget
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-
-  probe pr{make_stream(10, 5e-6), 1e9, 1, sp};
-  const auto first = provider.estimate_sojourn(pr.state, 5e-5);
-  EXPECT_EQ(provider.stats().budget_promotions, 0u);
-
-  core::analytical_delay_provider analytical;
-  const auto expected = analytical.estimate_sojourn(pr.state, 5e-5);
-  ASSERT_EQ(first.size(), expected.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_DOUBLE_EQ(first[i], expected[i]);
-  EXPECT_EQ(provider.stats().analytical_packets, 10u);
-}
-
-// The shadow check runs the PTM on a long window's last 128 rows only, from
-// time_steps - 1 context rows earlier. Its predictions must equal the
-// whole-window PTM's bit for bit: the histogram sum is built from those.
-TEST(delay_provider, tiered_shadow_sample_matches_full_window_ptm) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;
-  policy.hysteresis = 0;
-  policy.error_budget = 1e9;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-  obs::sink sink;
-  provider.bind_sink(&sink);
-
-  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
-  std::vector<double> raw;
-  pr.state.raw_out = &raw;
-  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
-  EXPECT_EQ(provider.stats().budget_promotions, 0u);
-
-  pr.state.raw_out = nullptr;
-  core::analytical_delay_provider analytical;
-  const auto closed_form = analytical.estimate_sojourn(pr.state, 0.0);
-  core::ptm_delay_provider learned{tiny_ptm()};
-  const auto whole = learned.estimate_sojourn(pr.state, 0.0);
-  ASSERT_EQ(returned.size(), closed_form.size());
-  ASSERT_EQ(raw.size(), closed_form.size());
-  for (std::size_t i = 0; i < returned.size(); ++i) {
-    EXPECT_EQ(returned[i], closed_form[i]) << "packet " << i;
-    EXPECT_EQ(raw[i], closed_form[i]) << "packet " << i;
-  }
-
-  constexpr std::size_t samples = 128;
-  const std::size_t n = pr.stream.size();
-  double error_sum = 0;
-  for (std::size_t i = n - samples; i < n; ++i)
-    error_sum += std::abs(closed_form[i] - whole[i]);
-  const auto shadow =
-      sink.metrics().histogram("tiered.shadow_abs_error_seconds");
-  EXPECT_EQ(shadow.count, samples);
-  EXPECT_EQ(shadow.sum, error_sum);
-}
-
-TEST(delay_provider, tiered_shadow_failure_returns_full_window_ptm) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;
-  policy.hysteresis = 0;
-  policy.error_budget = 1e-9;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-
-  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
-  std::vector<double> raw;
-  pr.state.raw_out = &raw;
-  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
-  EXPECT_EQ(provider.stats().budget_promotions, 1u);
-
-  core::ptm_delay_provider learned{tiny_ptm()};
-  std::vector<double> expected_raw;
-  pr.state.raw_out = &expected_raw;
-  const auto expected = learned.estimate_sojourn(pr.state, 0.0);
-  ASSERT_EQ(returned.size(), expected.size());
-  ASSERT_EQ(raw.size(), expected_raw.size());
-  for (std::size_t i = 0; i < returned.size(); ++i) {
-    EXPECT_EQ(returned[i], expected[i]) << "packet " << i;
-    EXPECT_EQ(raw[i], expected_raw[i]) << "packet " << i;
-  }
-}
-
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// Under FIFO the closed form is the exact Lindley wait, so a FIFO queue takes
-// it whatever the policy says: at threshold 0, which would send any other
-// queue to the PTM, and with a budget no learned model clears, it neither
-// runs the PTM nor takes a shadow sample.
-TEST(delay_provider, tiered_fifo_queue_takes_the_closed_form) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 0;
-  policy.hysteresis = 0;
-  policy.error_budget = 1e-9;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-  obs::sink sink;
-  provider.bind_sink(&sink);
-
-  probe pr{make_stream(600, 5e-6)};
-  pr.state.utilization = 0.9;
+// The tiered rule, per queue: a FIFO queue's estimate and its pre-correction
+// trace equal the analytical backend's (the exact Lindley wait; no SEC stage,
+// so the trace echoes the estimate), and an SP queue's equal the pure PTM
+// backend's, bit for bit. The rule keeps no state: both probes are device 1,
+// and the FIFO queue asked again after the SP one gets the same answer.
+TEST(delay_provider, tiered_sends_fifo_to_closed_form_and_sp_to_ptm) {
+  core::tiered_delay_provider provider{tiny_ptm()};
   std::vector<double> raw;
-  pr.state.raw_out = &raw;
-  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
-
-  core::analytical_delay_provider analytical;
   std::vector<double> expected_raw;
-  pr.state.raw_out = &expected_raw;
-  const auto expected = analytical.estimate_sojourn(pr.state, 0.0);
-  EXPECT_TRUE(same_bits(returned, expected));
+
+  probe fifo{make_stream(600, 5e-6)};
+  fifo.state.raw_out = &raw;
+  const auto fifo_returned = provider.estimate_sojourn(fifo.state, 0.0);
+  core::analytical_delay_provider analytical;
+  fifo.state.raw_out = &expected_raw;
+  EXPECT_TRUE(same_bits(fifo_returned,
+                        analytical.estimate_sojourn(fifo.state, 0.0)));
   EXPECT_TRUE(same_bits(raw, expected_raw));
-  EXPECT_TRUE(same_bits(raw, returned));  // no SEC stage: raw_out echoes
+  EXPECT_TRUE(same_bits(raw, fifo_returned));
+
+  probe priority{make_stream(600, 5e-6), 1e9, 1, sp};
+  priority.state.raw_out = &raw;
+  const auto sp_returned = provider.estimate_sojourn(priority.state, 0.0);
+  core::ptm_delay_provider learned{tiny_ptm()};
+  priority.state.raw_out = &expected_raw;
+  EXPECT_TRUE(same_bits(sp_returned,
+                        learned.estimate_sojourn(priority.state, 0.0)));
+  EXPECT_TRUE(same_bits(raw, expected_raw));
+
+  fifo.state.raw_out = nullptr;
+  EXPECT_TRUE(
+      same_bits(provider.estimate_sojourn(fifo.state, 0.0), fifo_returned));
 
   const auto stats = provider.stats();
-  EXPECT_EQ(stats.ptm_calls, 0u);
-  EXPECT_EQ(stats.budget_promotions, 0u);
-  EXPECT_EQ(stats.analytical_calls, 1u);
-  EXPECT_EQ(stats.analytical_packets, pr.stream.size());
-  EXPECT_EQ(sink.metrics().histogram("tiered.shadow_abs_error_seconds").count,
-            0u);
-}
-
-// Threshold 0 sends every non-FIFO queue to the PTM: an SP queue's estimate
-// and its pre-correction trace equal the pure PTM backend's bit for bit.
-TEST(delay_provider, tiered_threshold_zero_sends_sp_queue_to_ptm) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 0;
-  policy.hysteresis = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
-
-  probe pr{make_stream(600, 5e-6), 1e9, 1, sp};
-  std::vector<double> raw;
-  pr.state.raw_out = &raw;
-  const auto returned = provider.estimate_sojourn(pr.state, 0.0);
-
-  core::ptm_delay_provider learned{tiny_ptm()};
-  std::vector<double> expected_raw;
-  pr.state.raw_out = &expected_raw;
-  const auto expected = learned.estimate_sojourn(pr.state, 0.0);
-  EXPECT_TRUE(same_bits(returned, expected));
-  EXPECT_TRUE(same_bits(raw, expected_raw));
-  EXPECT_EQ(provider.stats().ptm_calls, 1u);
-  EXPECT_EQ(provider.stats().analytical_calls, 0u);
+  EXPECT_EQ(stats.analytical_calls, 2u);
+  EXPECT_EQ(stats.analytical_packets, 2 * fifo.stream.size());
+  EXPECT_EQ(stats.ptm_calls, 1u);
+  EXPECT_EQ(stats.ptm_packets, priority.stream.size());
 }
 
 TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
-  des::delay_policy policy;
-  policy.backend = des::delay_backend::tiered;
-  policy.utilization_threshold = 1e9;
-  policy.hysteresis = 0;
-  policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
-  provider.prepare(4);
+  core::tiered_delay_provider provider{tiny_ptm()};
 
   probe pr{make_stream(10, 5e-6)};
   obs::sink sink;
@@ -463,8 +248,8 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
 
 // ---------------------------------------------------------------------------
 // Engine-level parity: on a FIFO network the tiered backend must reproduce
-// the analytical one bit-for-bit at every threshold, and threshold 0 must
-// send every non-FIFO queue to the PTM.
+// the analytical one bit-for-bit, and it must send every non-FIFO queue to
+// the PTM.
 // ---------------------------------------------------------------------------
 
 struct engine_scenario {
@@ -486,12 +271,14 @@ struct engine_scenario {
   // `switches` is the scheduler of every switch; host NICs are FIFO.
   [[nodiscard]] des::run_result run(
       const des::delay_policy& policy, obs::sink* sink = nullptr,
-      core::scheduler_context switches = {}) const {
+      core::scheduler_context switches = {},
+      std::shared_ptr<const core::ptm_model> ptm = tiny_ptm()) const {
     core::engine_config cfg;
     cfg.partitions = 2;
     cfg.delay = policy;
     cfg.sink = sink;
-    core::dqn_network net{topo, routes, tiny_ptm(), std::move(switches), cfg};
+    core::dqn_network net{topo, routes, std::move(ptm), std::move(switches),
+                          cfg};
     return net.run(streams, horizon);
   }
 };
@@ -509,32 +296,27 @@ void expect_identical_deliveries(const des::run_result& a,
 }
 
 // Every queue of a FIFO network, host NICs included, takes the exact closed
-// form under tiered, so the threshold cannot move a delivery.
+// form under tiered.
 TEST(delay_provider, tiered_on_fifo_network_equals_analytical_through_engine) {
   const engine_scenario sc;
   const auto analytical_result =
       sc.run({.backend = des::delay_backend::analytical});
   ASSERT_FALSE(analytical_result.deliveries.empty());
-  for (const double threshold : {0.0, 0.35, 1e9}) {
-    SCOPED_TRACE(threshold);
-    expect_identical_deliveries(
-        analytical_result, sc.run({.backend = des::delay_backend::tiered,
-                                   .utilization_threshold = threshold}));
-  }
+  expect_identical_deliveries(analytical_result,
+                              sc.run({.backend = des::delay_backend::tiered}));
 }
 
-// With SP switches at threshold 0, the host NICs (FIFO) take the closed form
-// and every switch queue takes the PTM.
-TEST(delay_provider,
-     tiered_threshold_zero_sends_sp_switches_to_ptm_through_engine) {
+// With SP switches, the host NICs (FIFO) take the closed form and every
+// switch queue takes the PTM: the analytical tier serves exactly the injected
+// packets, one NIC visit each, and the PTM tier every packet a switch queue
+// was offered.
+TEST(delay_provider, tiered_sends_sp_switches_to_ptm_through_engine) {
   const engine_scenario sc;
   core::scheduler_context switches;
   switches.kind = sp;
   obs::sink sink;
-  const auto result = sc.run({.backend = des::delay_backend::tiered,
-                              .utilization_threshold = 0,
-                              .hysteresis = 0},
-                             &sink, switches);
+  const auto result =
+      sc.run({.backend = des::delay_backend::tiered}, &sink, switches);
   ASSERT_FALSE(result.deliveries.empty());
   ASSERT_EQ(result.drops, 0u);
 
@@ -549,22 +331,37 @@ TEST(delay_provider,
             metrics.counter("pfm.forwarded") - injected);
 }
 
-// The other extreme on SP switches, where the tier state is live: with no
-// threshold to cross and the shadow check off, every queue takes the closed
-// form.
-TEST(delay_provider, tiered_huge_threshold_is_pure_analytical_through_engine) {
+// The analytical backend never runs a PTM, so an engine on it builds and
+// runs without one, directly and through the factory, and delivers exactly
+// what an analytical engine built with a trained PTM delivers. The PTM and
+// tiered backends still reject a missing PTM at construction.
+TEST(delay_provider, analytical_engine_runs_without_a_ptm) {
   const engine_scenario sc;
   core::scheduler_context switches;
   switches.kind = sp;
-  const auto analytical_result =
-      sc.run({.backend = des::delay_backend::analytical}, nullptr, switches);
-  const auto tiered_result = sc.run({.backend = des::delay_backend::tiered,
-                                     .utilization_threshold = 1e9,
-                                     .hysteresis = 0,
-                                     .error_budget = 0},
-                                    nullptr, switches);
-  ASSERT_FALSE(analytical_result.deliveries.empty());
-  expect_identical_deliveries(analytical_result, tiered_result);
+  const des::delay_policy analytical{.backend = des::delay_backend::analytical};
+  const auto with_ptm = sc.run(analytical, nullptr, switches);
+  ASSERT_FALSE(with_ptm.deliveries.empty());
+  expect_identical_deliveries(with_ptm,
+                              sc.run(analytical, nullptr, switches, nullptr));
+
+  des::estimator_context context;
+  context.topo = &sc.topo;
+  context.routes = &sc.routes;
+  context.scheduler = switches;
+  context.engine.partitions = 2;
+  context.engine.delay = analytical;
+  const auto estimator = des::make_estimator("deepqueuenet", context);
+  expect_identical_deliveries(
+      with_ptm, estimator->run({.host_streams = &sc.streams,
+                                .horizon = sc.horizon}));
+
+  for (const auto backend :
+       {des::delay_backend::ptm, des::delay_backend::tiered}) {
+    SCOPED_TRACE(des::to_string(backend));
+    EXPECT_THROW((void)sc.run({.backend = backend}, nullptr, switches, nullptr),
+                 std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -609,10 +406,14 @@ TEST(estimator_factory, rejects_unknown_and_untrained_names) {
   EXPECT_THROW((void)des::make_estimator("mimicnet", context),
                std::invalid_argument);
 
-  // Missing requirements are named loudly rather than dereferenced.
+  // Missing requirements are named loudly rather than dereferenced: the PTM
+  // and tiered backends need a PTM.
   des::estimator_context incomplete;
   incomplete.topo = &sc.topo;
   incomplete.routes = &sc.routes;
+  EXPECT_THROW((void)des::make_estimator("deepqueuenet", incomplete),
+               std::invalid_argument);
+  incomplete.engine.delay.backend = des::delay_backend::tiered;
   EXPECT_THROW((void)des::make_estimator("deepqueuenet", incomplete),
                std::invalid_argument);
 }

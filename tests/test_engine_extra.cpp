@@ -454,4 +454,47 @@ TEST(engine_extra, estimators_reject_hosts_without_exactly_one_link) {
   }
 }
 
+// Two components, every host single-homed: h0 - s0 and h1 - s1 with no link
+// between the switches. A packet from h0 to h1 has no route, and both
+// estimators fail the run naming the node it is stuck at and its
+// destination.
+TEST(engine_extra, estimators_reject_unreachable_destinations) {
+  topo::topology topo;
+  const auto s0 = topo.add_device("s0");
+  const auto s1 = topo.add_device("s1");
+  const auto h0 = topo.add_host("h0");
+  const auto h1 = topo.add_host("h1");
+  topo.connect(h0, s0);
+  topo.connect(h1, s1);
+  const topo::routing routes{topo};
+  std::vector<traffic::packet_stream> streams(2);
+  traffic::packet p;
+  p.dst_host = 1;
+  p.size_bytes = 1000;
+  streams[0].push_back({p, 1e-5});
+  const auto outcome = [&](des::estimator& estimator) -> std::string {
+    try {
+      const auto result = estimator.run({.host_streams = &streams,
+                                         .horizon = 0.01});
+      return "accepted; delivered " +
+             std::to_string(result.deliveries.size()) + " of 1";
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+  };
+  des::network oracle{topo, routes, des::network_config{}};
+  core::engine_config cfg;
+  cfg.delay.backend = des::delay_backend::analytical;
+  core::dqn_network engine{topo, routes, shared_ptm(),
+                           core::scheduler_context{}, cfg};
+  for (des::estimator* estimator :
+       {static_cast<des::estimator*>(&oracle),
+        static_cast<des::estimator*>(&engine)}) {
+    SCOPED_TRACE(estimator->estimator_name());
+    EXPECT_EQ(outcome(*estimator),
+              "routing: destination host h1 (node 3) unreachable from node "
+              "s0 (node 0)");
+  }
+}
+
 }  // namespace

@@ -12,6 +12,7 @@
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -151,6 +152,24 @@ TEST(heterogeneous_tm, engine_override_changes_predictions) {
   for (const auto& d : r1.deliveries) base[d.pid] = d.latency();
   for (const auto& d : r2.deliveries) diff += std::abs(d.latency() - base.at(d.pid));
   EXPECT_GT(diff, 0.0);
+}
+
+// Both estimators model every host NIC as a FIFO queue, so a per-node
+// scheduler override must name a device of the topology. A host or an
+// unknown node is rejected in every build, not silently ignored.
+TEST(heterogeneous_tm, overrides_reject_hosts_and_unknown_nodes) {
+  const auto topo = bottleneck_line();
+  const topo::routing routes{topo};
+  const topo::node_id host = topo.hosts().front();
+  for (const topo::node_id node : {host, topo::node_id{9999}}) {
+    SCOPED_TRACE(node);
+    des::network_config cfg;
+    cfg.tm_overrides[node] = des::tm_config{};
+    EXPECT_THROW((des::network{topo, routes, cfg}), util::contract_violation);
+    core::dqn_network net{topo, routes, shared_ptm(), {}, {}};
+    EXPECT_THROW(net.set_device_context(node, core::scheduler_context{}),
+                 util::contract_violation);
+  }
 }
 
 TEST(drop_model, device_model_drops_when_buffer_exceeded) {

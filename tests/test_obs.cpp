@@ -282,14 +282,11 @@ TEST(engine_obs, misuse_errors_are_loud_and_typed) {
   // set_device_context after run() cannot apply retroactively.
   EXPECT_THROW(net.set_device_context(0, core::scheduler_context{}),
                std::logic_error);
-  // Out-of-range coordinates name the offending node/port.
-  if (dqn::util::contracts_enabled) {
-    EXPECT_THROW((void)net.egress_stream(9999, 0), dqn::util::contract_violation);
-  }
+  // Out-of-range coordinates name the offending node/port, in every build.
+  EXPECT_THROW((void)net.egress_stream(9999, 0), dqn::util::contract_violation);
   const auto devices = topo.devices();
-  if (dqn::util::contracts_enabled) {
-    EXPECT_THROW((void)net.egress_stream(devices.front(), 9999), dqn::util::contract_violation);
-  }
+  EXPECT_THROW((void)net.egress_stream(devices.front(), 9999),
+               dqn::util::contract_violation);
 }
 
 TEST(run_api, estimators_are_call_compatible) {
