@@ -124,17 +124,19 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
     // Exact FIFO drop-tail replay over the arrival series: track each kept
     // packet's (service start, service end) on the egress line and the
     // bytes waiting (excluding the packet in service, matching the DES
-    // traffic manager's accounting). Deterministic, like the PFM.
+    // traffic manager's accounting). Deterministic, like the PFM. The kept
+    // packets are compacted to the front of `queue` in place: the write
+    // index never passes the read index.
     struct in_system_packet {
       double start, end;
       std::uint32_t bytes;
     };
-    traffic::packet_stream kept;
-    kept.reserve(queue.size());
+    std::size_t kept = 0;
     std::deque<in_system_packet> in_system;
     double bytes_in_system = 0;
     double last_end = 0;
-    for (const auto& ev : queue) {
+    for (std::size_t read = 0; read < queue.size(); ++read) {
+      const traffic::packet_event ev = queue[read];
       while (!in_system.empty() && in_system.front().end <= ev.time) {
         bytes_in_system -= in_system.front().bytes;
         in_system.pop_front();
@@ -157,9 +159,9 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
       last_end = start + service;
       in_system.push_back({start, last_end, ev.pkt.size_bytes});
       bytes_in_system += ev.pkt.size_bytes;
-      kept.push_back(ev);
+      queue[kept++] = ev;
     }
-    queue = std::move(kept);
+    queue.resize(kept);
     if (queue.empty()) return queue;
   }
   // Sojourn prediction over the arrival series, dispatched through the

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -48,23 +49,56 @@ std::vector<std::vector<std::size_t>> spread(std::size_t tasks,
   return seeds;
 }
 
-// One device's output from the current IRSA round, staged by the worker
-// that inferred it until the round's barrier.
+// One device's state in the current IRSA round, kept until the round's
+// barrier. The device pass fills `queues` and `run_starts`; each queue task
+// then writes only its own port's element of `streams`, `port_changed` and
+// `queue_seconds`.
 struct staged_slot {
-  std::vector<traffic::packet_stream> streams;
-  std::vector<std::uint8_t> port_changed;  // per egress port
-  bool inferred = false;
-};
-
-// A worker's buffers for the fused link-and-forward pass, reused across its
-// device visits.
-struct visit_buffers {
-  // Per egress port: the queue the pass fills, moved on to process_queue.
+  // Per egress port: the arrivals the device pass routed to it, moved on to
+  // process_queue.
   std::vector<traffic::packet_stream> queues;
   // Per egress port, ports + 1 offsets into its queue: where each ingress
   // port's run starts, then the queue's size.
   std::vector<std::size_t> run_starts;
+  std::vector<traffic::packet_stream> streams;
+  std::vector<std::uint8_t> port_changed;  // per egress port
+  std::vector<double> queue_seconds;       // per egress port: task CPU time
+  double device_seconds = 0;               // the device pass's span time
+  bool inferred = false;
 };
+
+// One egress queue: device `node`'s port `port`.
+struct egress_queue {
+  topo::node_id node;
+  std::size_t port;
+};
+
+// Marks a feed packet the device pass routes to a queue of another stage.
+constexpr std::uint32_t other_stage = std::numeric_limits<std::uint32_t>::max();
+
+// Queue-pass seeds, longest first (LPT): deals the tasks in descending
+// size, ties by task index, each to the worker with the least load so far,
+// ties by worker index. A worker pops its largest queues first, and a thief
+// steals the smallest from the back. `order` and `load` are scratch.
+void deal_longest_first(std::span<const std::size_t> sizes,
+                        std::vector<std::size_t>& order,
+                        std::vector<std::size_t>& load,
+                        std::vector<std::vector<std::size_t>>& seeds) {
+  order.resize(sizes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&sizes](std::size_t a, std::size_t b) {
+    if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
+    return a < b;
+  });
+  load.assign(seeds.size(), 0);
+  for (auto& seed : seeds) seed.clear();
+  for (const std::size_t task : order) {
+    const auto w = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    seeds[w].push_back(task);
+    load[w] += sizes[task];
+  }
+}
 
 // How many of the first k elements std::merge(a, a + na, b, b + nb) takes
 // from `a` (the co-rank of k). Ties go to `a`, as in std::merge.
@@ -267,7 +301,7 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
   for (std::size_t w = 0; w < workers; ++w)
     shard_labels_.push_back("shard_" + std::to_string(w));
   pool_ = std::make_unique<util::work_stealing_pool>(workers);
-  merge_spares_.resize(workers);
+  scratch_.resize(workers);
 }
 
 void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) {
@@ -442,11 +476,30 @@ des::run_result dqn_network::run(const des::run_request& request) {
 
   std::vector<std::size_t> worker_inferences(workers, 0);
   std::vector<std::size_t> worker_skips(workers, 0);
-  std::vector<visit_buffers> worker_buffers(workers);
   std::vector<double> worker_busy(workers, 0.0);
-  std::vector<std::size_t> iteration_inferences(workers, 0);
+  std::vector<std::size_t> worker_tasks(workers, 0);
   if (sink != nullptr)
     sink->gauge("engine.steal_batch_devices", static_cast<double>(max_batch_));
+  // Closes the accounting of one pool round of IRSA round `iteration`: its
+  // CPU busy time joins the run's and its slowest worker the critical path.
+  const auto close_pool_round = [&](std::size_t iteration) {
+    double round_max = 0;
+    for (std::size_t w = 0; w < workers; ++w) {
+      const double busy = worker_busy[w];
+      stats_.busy_seconds += busy;
+      round_max = std::max(round_max, busy);
+      if (sink != nullptr) {
+        // One event per (pool round, worker): duration = CPU busy time,
+        // value = tasks run (devices or queues inferred).
+        sink->event("engine", shard_labels_[w], iteration, sink->now() - busy,
+                    busy, static_cast<double>(worker_tasks[w]));
+        partition_busy_handle.observe(busy);
+      }
+    }
+    stats_.critical_path_seconds += round_max;
+    std::fill(worker_busy.begin(), worker_busy.end(), 0.0);
+    std::fill(worker_tasks.begin(), worker_tasks.end(), std::size_t{0});
+  };
 
   // One egress state. During a round every worker reads its devices' feeds
   // in place from `egress` — the previous round's state (Algorithm 1 "pull
@@ -454,9 +507,13 @@ des::run_result dqn_network::run(const des::run_request& request) {
   // device stages the new streams of its stage's queues in its own `next`
   // slot and flags each of those ports whose stream changed. Between rounds
   // this thread moves the staged streams into `egress` and marks dirty
-  // every device a flagged port feeds; the pool's round barrier orders the
+  // every device a flagged port feeds; the pool's round barriers order the
   // two, so the per-packet path takes no locks. Host egress is fixed, so
   // host ports never flag.
+  //
+  // Each IRSA round is two pool rounds. The device pass routes each
+  // inferred device's feeds into its slot's queues; the queue pass then
+  // infers every one of those queues as its own task, the stealable unit.
   //
   // Stages run in order. A stage's first round infers every device that
   // owns one of its queues, and an acyclic stage is then final: its queues
@@ -465,6 +522,12 @@ des::run_result dqn_network::run(const des::run_request& request) {
   // round changes nothing or max_iterations rounds have run.
   std::vector<staged_slot> next(topo_->node_count());
   std::vector<std::uint8_t> dirty(topo_->node_count(), 0);
+  // The queue pass's tasks and seeds, rebuilt every round.
+  std::vector<egress_queue> queue_tasks;
+  std::vector<std::size_t> queue_sizes;
+  std::vector<std::vector<std::size_t>> queue_seeds(workers);
+  std::vector<std::size_t> deal_order;
+  std::vector<std::size_t> deal_load;
 
   for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
     const stage_plan& sp = stages_[stage];
@@ -474,16 +537,14 @@ des::run_result dqn_network::run(const des::run_request& request) {
       // Rounds are numbered across stages.
       const std::size_t iteration = stats_.iterations;
       obs::scoped_timer iteration_timer{sink, "engine", "iteration", iteration};
-      std::fill(worker_busy.begin(), worker_busy.end(), 0.0);
-      std::fill(iteration_inferences.begin(), iteration_inferences.end(),
-                std::size_t{0});
 
       // Worker spans cannot see the main thread's span stack, so the
       // iteration span's id is passed in as the explicit parent.
       const std::uint64_t iteration_span = iteration_timer.id();
-      const util::work_stealing_pool::task_fn infer_batch = [&](std::size_t batch,
+      const util::work_stealing_pool::task_fn device_pass = [&](std::size_t batch,
                                                                 std::size_t worker) {
         const double cpu_start = util::thread_cpu_seconds();
+        std::vector<std::uint32_t>& routes = scratch_[worker].routes;
         for (const std::size_t d : sp.batches[batch]) {
           const topo::node_id node = devices[d];
           const auto n = static_cast<std::size_t>(node);
@@ -499,100 +560,137 @@ des::run_result dqn_network::run(const des::run_request& request) {
             ++worker_skips[worker];
             continue;
           }
-          // The ingress links (Eq. 5) and the PFM in one pass that reads each
-          // upstream peer's egress stream in place: shift every packet by its
-          // link, route it by its own destination, and keep it only when its
+          // The ingress links (Eq. 5) and the PFM, reading each upstream
+          // peer's egress stream in place: shift every packet by its link,
+          // route it by its own destination, and keep it only when its
           // egress queue is in this stage. Each queue gets one run per
           // ingress port, and a run is in (time, pid) order: the peer's line
           // spaced its departures at least one service time apart, and the
           // link delays each packet by its own service time plus a constant.
           // Merging the runs gives each queue the stream apply_link and then
-          // apply_forwarding would give it.
+          // apply_forwarding would give it. A first pass routes every packet
+          // and counts the runs, so each queue is reserved at its exact size
+          // before the second pass fills it.
           const std::size_t ports = topo_->port_count(node);
-          visit_buffers& buffers = worker_buffers[worker];
-          if (buffers.queues.size() < ports) buffers.queues.resize(ports);
-          buffers.run_starts.resize(ports * (ports + 1));
+          staged_slot& slot = next[n];
+          slot.queues.resize(ports);
+          slot.run_starts.assign(ports * (ports + 1), 0);
           const auto run_start = [&](std::size_t port,
                                      std::size_t in) -> std::size_t& {
-            return buffers.run_starts[port * (ports + 1) + in];
+            return slot.run_starts[port * (ports + 1) + in];
           };
+          routes.clear();
           for (std::size_t in = 0; in < ports; ++in) {
-            for (std::size_t p = 0; p < ports; ++p)
-              run_start(p, in) = buffers.queues[p].size();
             const auto peer = topo_->peer_of(node, in);
-            const auto& link = topo_->link_at(peer.link_index);
             for (const auto& ev :
                  egress[static_cast<std::size_t>(peer.node)][peer.port]) {
               const std::size_t out =
                   routes_->egress_port(node, ev.pkt.dst_host, ev.pkt.flow_id);
-              if (stage_of(node, out) != stage) continue;
-              buffers.queues[out].push_back(
+              if (stage_of(node, out) != stage) {
+                routes.push_back(other_stage);
+                continue;
+              }
+              routes.push_back(static_cast<std::uint32_t>(out));
+              ++run_start(out, in + 1);
+            }
+          }
+          for (std::size_t p = 0; p < ports; ++p) {
+            for (std::size_t in = 0; in < ports; ++in)
+              run_start(p, in + 1) += run_start(p, in);
+            slot.queues[p].clear();
+            slot.queues[p].reserve(run_start(p, ports));
+          }
+          const std::uint32_t* route = routes.data();
+          for (std::size_t in = 0; in < ports; ++in) {
+            const auto peer = topo_->peer_of(node, in);
+            const auto& link = topo_->link_at(peer.link_index);
+            for (const auto& ev :
+                 egress[static_cast<std::size_t>(peer.node)][peer.port]) {
+              const std::uint32_t out = *route++;
+              if (out == other_stage) continue;
+              slot.queues[out].push_back(
                   {ev.pkt,
                    link_shift(ev, link.bandwidth_bps, link.propagation_delay)});
             }
           }
-          for (std::size_t p = 0; p < ports; ++p)
-            run_start(p, ports) = buffers.queues[p].size();
-          const device_model* model = &device_;
-          if (const auto it = device_overrides_.find(node);
-              it != device_overrides_.end())
-            model = &it->second;
-          const journey_capture capture{tracer, static_cast<std::int64_t>(node)};
-          queue_call call;
-          call.apply_sec = config_.apply_sec;
-          call.journeys = tracer != nullptr ? &capture : nullptr;
-          call.forwarded = forwarded_handle;
-          call.drops = drops_handle;
-          call.workspace = &worker_workspaces[worker];
-          call.delay = &provider;
-          call.device_id = static_cast<std::int64_t>(node);
-          call.iteration = iteration;
-          staged_slot& slot = next[n];
           slot.streams.resize(ports);
           slot.port_changed.assign(ports, 0);
-          for (std::size_t p = 0; p < ports; ++p) {
-            if (stage_of(node, p) != stage) continue;
-            if (config_.record_hops) {
-              queue_hops[n][p].clear();
-              call.hops = &queue_hops[n][p];
-            }
-            queue_drops[n][p].clear();
-            call.dropped = &queue_drops[n][p];
-            merge_runs(buffers.queues[p], {&run_start(p, 0), ports + 1},
-                       merge_spares_[worker]);
-            slot.streams[p] = model->process_queue(
-                std::move(buffers.queues[p]), p,
-                topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
-            slot.port_changed[p] =
-                streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
-          }
-          device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
-          device_seconds_handle.observe(device_span.stop());
-          ++worker_inferences[worker];
-          ++iteration_inferences[worker];
+          slot.queue_seconds.assign(ports, 0.0);
           slot.inferred = true;
+          device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
+          slot.device_seconds = device_span.stop();
+          ++worker_inferences[worker];
+          ++worker_tasks[worker];
         }
         worker_busy[worker] += util::thread_cpu_seconds() - cpu_start;
       };
-      stats_.steals += pool.run_round(sp.seeds, infer_batch);
+      stats_.steals += pool.run_round(sp.seeds, device_pass);
+      close_pool_round(iteration);
 
-      double iteration_max = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        const double busy = worker_busy[w];
-        stats_.busy_seconds += busy;
-        iteration_max = std::max(iteration_max, busy);
-        if (sink != nullptr) {
-          // Per-worker device-inference timing: one event per (round,
-          // worker), duration = CPU busy time, value = devices inferred.
-          sink->event("engine", shard_labels_[w], iteration, sink->now() - busy,
-                      busy, static_cast<double>(iteration_inferences[w]));
-          partition_busy_handle.observe(busy);
+      // One queue task per queue of an inferred device. Each writes only its
+      // own queue's elements of the device's slot, drops and hops.
+      queue_tasks.clear();
+      queue_sizes.clear();
+      for (const topo::node_id node : sp.nodes) {
+        const staged_slot& slot = next[static_cast<std::size_t>(node)];
+        if (!slot.inferred) continue;
+        for (std::size_t p = 0; p < slot.queues.size(); ++p) {
+          if (stage_of(node, p) != stage) continue;
+          queue_tasks.push_back({node, p});
+          queue_sizes.push_back(slot.queues[p].size());
         }
       }
-      stats_.critical_path_seconds += iteration_max;
+      deal_longest_first(queue_sizes, deal_order, deal_load, queue_seeds);
+      const util::work_stealing_pool::task_fn queue_pass = [&](std::size_t task,
+                                                               std::size_t worker) {
+        const auto [node, p] = queue_tasks[task];
+        const auto n = static_cast<std::size_t>(node);
+        obs::scoped_span queue_span{sink,
+                                    "engine",
+                                    "queue",
+                                    static_cast<std::uint64_t>(node),
+                                    static_cast<double>(p),
+                                    iteration_span};
+        const double cpu_start = util::thread_cpu_seconds();
+        staged_slot& slot = next[n];
+        const std::size_t ports = slot.queues.size();
+        const device_model* model = &device_;
+        if (const auto it = device_overrides_.find(node);
+            it != device_overrides_.end())
+          model = &it->second;
+        const journey_capture capture{tracer, static_cast<std::int64_t>(node)};
+        queue_call call;
+        call.apply_sec = config_.apply_sec;
+        call.journeys = tracer != nullptr ? &capture : nullptr;
+        call.forwarded = forwarded_handle;
+        call.drops = drops_handle;
+        call.workspace = &worker_workspaces[worker];
+        call.delay = &provider;
+        call.device_id = static_cast<std::int64_t>(node);
+        call.iteration = iteration;
+        if (config_.record_hops) {
+          queue_hops[n][p].clear();
+          call.hops = &queue_hops[n][p];
+        }
+        queue_drops[n][p].clear();
+        call.dropped = &queue_drops[n][p];
+        merge_runs(slot.queues[p], {&slot.run_starts[p * (ports + 1)], ports + 1},
+                   scratch_[worker].merge_spare);
+        slot.streams[p] = model->process_queue(
+            std::move(slot.queues[p]), p,
+            topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
+        slot.port_changed[p] = streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
+        const double cpu = util::thread_cpu_seconds() - cpu_start;
+        slot.queue_seconds[p] = cpu;
+        worker_busy[worker] += cpu;
+        ++worker_tasks[worker];
+      };
+      stats_.steals += pool.run_round(queue_seeds, queue_pass);
+      close_pool_round(iteration);
 
       // Between rounds: move the staged streams in, and mark dirty for the
-      // next round every device a flagged port feeds.
+      // next round every device a flagged port feeds. A device's inference
+      // time is its device pass plus its queue tasks.
       std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
       std::size_t changed_devices = 0;
       for (const topo::node_id node : sp.nodes) {
@@ -601,14 +699,17 @@ des::run_result dqn_network::run(const des::run_request& request) {
         if (!slot.inferred) continue;
         slot.inferred = false;
         bool device_changed = false;
+        double device_seconds = slot.device_seconds;
         for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
           if (stage_of(node, p) != stage) continue;
+          device_seconds += slot.queue_seconds[p];
           egress[n][p] = std::move(slot.streams[p]);
           if (slot.port_changed[p] == 0) continue;
           device_changed = true;
           dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
         }
         if (device_changed) ++changed_devices;
+        if (sink != nullptr) device_seconds_handle.observe(device_seconds);
       }
       ++stats_.iterations;
       // Convergence delta: how many devices the cyclic stage still changed

@@ -14,23 +14,25 @@
 // irsa_skip_unchanged off the engine runs Algorithm 1 itself: every device,
 // every round, until no egress stream changes.
 //
-// Parallelism: the device set is sharded across `partitions` persistent
-// worker threads — the CPU analogue of the paper's model-parallel multi-GPU
-// inference (Figure 11; DESIGN.md §2). Shards are built topology-aware once,
-// at construction (topo/sharding.hpp: BFS-grown clusters minimizing
-// cross-shard links, MimicNet-style); batches of about a quarter of a
-// worker's share of a stage are the stealable unit
-// (util/work_stealing_pool.hpp rebalances stragglers within an IRSA
-// iteration), and the egress state workers read only changes between
-// iterations, so the per-packet path takes no locks. A device visit reads
-// its feeds in place: one pass over each upstream egress stream shifts
-// every packet by the link and routes it by its own destination, fusing
-// apply_link and apply_forwarding, which stay the reference path
+// Parallelism: the work runs on `partitions` workers — the CPU analogue of
+// the paper's model-parallel multi-GPU inference (Figure 11; DESIGN.md §2).
+// The thread that calls run() is worker 0 and the rest are persistent pool
+// threads (util/work_stealing_pool.hpp). Each IRSA round is two pool
+// rounds. The device pass takes the devices in batches of about a quarter
+// of a worker's share of the stage, drawn from shards built topology-aware
+// once, at construction (topo/sharding.hpp: BFS-grown clusters minimizing
+// cross-shard links, MimicNet-style). A device visit reads its feeds in
+// place: one pass over each upstream egress stream shifts every packet by
+// the link and routes it by its own destination, fusing apply_link and
+// apply_forwarding, which stay the reference path
 // (determinism.engine_matches_layer_pipeline holds the engine to them bit
-// for bit). SInit and delivery collection run on the same pool: SInit as
-// one task per host, collection as per-host runs, then a pairwise merge
-// tree. Delivery records are bit-identical across shard counts
-// (tests/test_determinism.cpp).
+// for bit), into the device's queues. The queue pass then infers each of
+// those egress queues as its own task, the stealable unit, seeded longest
+// first. The egress state workers read only changes between IRSA rounds,
+// so the per-packet path takes no locks. SInit and delivery collection run
+// on the same pool: SInit as one task per host, collection as per-host
+// runs, then a pairwise merge tree. Delivery records are bit-identical
+// across worker counts (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
@@ -80,7 +82,7 @@ struct engine_config {
 };
 
 struct engine_stats {
-  std::size_t iterations = 0;          // IRSA pool rounds actually run
+  std::size_t iterations = 0;          // IRSA rounds run (two pool rounds each)
   // IRSA convergence: the number of devices whose egress still changed in
   // the last round of the cyclic stage, and whether that was zero (the
   // fixed point). A run that stops at max_iterations with devices still
@@ -90,17 +92,17 @@ struct engine_stats {
   std::size_t final_changed_devices = 0;
   std::size_t device_inferences = 0;   // (device, round) inferences
   std::size_t devices_skipped = 0;     // IRSA-skip hits across rounds
-  std::size_t workers = 1;             // worker threads the run executed on
+  std::size_t workers = 1;             // workers the run executed on (caller included)
   std::uint64_t steals = 0;            // work-stealing rebalances across iterations
   // Device-device links whose endpoints landed on different workers (the
   // boundary-exchange cut of the run's shard plan; see topo/sharding.hpp).
   std::size_t cross_shard_links = 0;
   double wall_seconds = 0;             // measured wall clock of run()
-  // CPU-time accounting: total CPU time spent inside shard work, and its
-  // critical path (sum over iterations of the slowest worker's CPU time).
+  // CPU-time accounting: total CPU time spent inside IRSA tasks, and its
+  // critical path (sum over pool rounds of the slowest worker's CPU time).
   double busy_seconds = 0;
   double critical_path_seconds = 0;
-  // How unevenly iteration work landed after stealing: 0 = every worker
+  // How unevenly IRSA work landed after stealing: 0 = every worker
   // equally busy, 1 = the slowest worker carried twice its fair share
   // (critical_path * workers / busy - 1, clamped at 0).
   double shard_imbalance = 0;
@@ -114,8 +116,8 @@ struct engine_stats {
 // egress_stream()}; run() may be called again with new streams (each run
 // resets stats and egress state). The constructor fixes everything that
 // depends only on (topology, routing, config): the IRSA schedule, the shard
-// plan and each stage's stealable batches, and the worker pool. Misuse is
-// rejected loudly rather than silently degraded, in every build:
+// plan, each stage's device batches, and the worker pool.
+// Misuse is rejected loudly rather than silently degraded, in every build:
 //  * a host that does not have exactly one link throws
 //    util::contract_violation at construction, and so does a null or
 //    untrained PTM on the ptm and tiered backends (std::invalid_argument);
@@ -170,14 +172,22 @@ class dqn_network : public des::estimator {
     return queue_stage_[static_cast<std::size_t>(node)][port];
   }
 
-  // One IRSA stage's share of the shard plan. Each shard's devices that own
-  // a queue of the stage are chopped into contiguous batches, the stealable
-  // unit: a worker drains its own shard in BFS order (cache-warm
-  // neighbourhoods) and steals batches from stragglers.
+  // One IRSA stage's share of the shard plan: the device pass's tasks.
+  // Each shard's devices that own a queue of the stage are chopped into
+  // contiguous batches, which a worker drains in BFS order (cache-warm
+  // neighbourhoods) and steals from stragglers. (The queue pass takes one
+  // task per queue of an inferred device, seeded each round.)
   struct stage_plan {
     std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
     std::vector<std::vector<std::size_t>> seeds;    // worker -> batches
     std::vector<topo::node_id> nodes;               // the stage's devices
+  };
+
+  // A pool worker's scratch for the IRSA passes. It survives across run()
+  // calls, so a repeated run does not grow it again.
+  struct worker_scratch {
+    std::vector<std::uint32_t> routes;   // device pass: each feed packet's port
+    traffic::packet_stream merge_spare;  // queue pass: merge_runs' second buffer
   };
 
   const topo::topology* topo_;
@@ -203,15 +213,13 @@ class dqn_network : public des::estimator {
   // Shard event labels: the event path is per round x worker, and allocating
   // labels there is measurable on large topologies.
   std::vector<std::string> shard_labels_;
-  // The second buffer of each pool worker's run merges in a device visit;
-  // it survives across run() calls, so a repeated run does not grow it again.
-  std::vector<traffic::packet_stream> merge_spares_;
+  std::vector<worker_scratch> scratch_;  // one per pool worker
   engine_stats stats_;
   bool ran_ = false;
   std::vector<std::vector<traffic::packet_stream>> final_egress_;
-  // The pool's parked worker threads serve every run and every IRSA round.
-  // Declared last, so its threads are joined before any member they use is
-  // destroyed.
+  // The pool's parked worker threads serve every run and every pool round,
+  // beside the calling thread. Declared last, so its threads are joined
+  // before any member they use is destroyed.
   std::unique_ptr<util::work_stealing_pool> pool_;
 };
 

@@ -72,6 +72,11 @@ ptm_model::ptm_model(const ptm_config& config) : config_{config} {
 
 namespace {
 
+// Windows per MLP forward in predict_rows: one chunk's activations (96 + 48
+// doubles a window for the paper's MLP) stay in a core's L2, and a worker's
+// arena stops growing with its longest queue.
+constexpr std::size_t forward_chunk_rows = 512;
+
 // Copies raw feature rows into `out`, mapping the heavy-tailed features
 // through x -> log1p(x / scale) (features.hpp) on the way.
 void log_rows_into(std::span<const double> rows, double* out) {
@@ -333,6 +338,12 @@ std::vector<double> ptm_model::predict_rows(
   // those columns' weight rows; its column-elided forward keeps every bit
   // (nn/dense.hpp). On FIFO queues the other disciplines' one-hot bits and
   // the class-work features are such columns.
+  //
+  // The MLP runs over chunks of at most forward_chunk_rows windows, and each
+  // chunk reuses the previous one's workspace slots, so the arena holds one
+  // chunk's activations whatever the queue's length. Output row i reads only
+  // window i, and every GEMM backend sums k in ascending order for each
+  // output element, so the chunking changes no bit.
   std::size_t count = feature_count;
   const nn::matrix* pred = nullptr;
   if (config_.arch == ptm_arch::mlp) {
@@ -343,7 +354,19 @@ std::vector<double> ptm_model::predict_rows(
     for (std::size_t t = 0; t < config_.time_steps; ++t)
       for (std::size_t j = 0; j < count; ++j)
         w_rows[t * count + j] = t * feature_count + kept[j];
-    pred = &mlp_net_.forward(scaled.data().data(), n, count, w_rows, ws);
+    const std::size_t out_dim = mlp_net_.out_dim();
+    nn::matrix& all = ws.take(n, out_dim);
+    const nn::workspace::marker chunk_slots = ws.mark();
+    for (std::size_t first_row = 0; first_row < n;
+         first_row += forward_chunk_rows) {
+      const std::size_t rows = std::min(forward_chunk_rows, n - first_row);
+      const nn::matrix& chunk = mlp_net_.forward(
+          scaled.data().data() + first_row * count, rows, count, w_rows, ws);
+      std::copy_n(chunk.data().data(), rows * out_dim,
+                  all.data().data() + first_row * out_dim);
+      ws.rewind(chunk_slots);
+    }
+    pred = &all;
   } else {
     pred = &forward_scaled(scaled.data().data(), feature_count, n, ws);
   }

@@ -13,6 +13,10 @@
 //  - A slot reference is valid until the next reset(). take() never moves
 //    existing slots (deque-backed), so references handed out earlier in the
 //    same pass stay stable while later slots are created.
+//  - rewind(mark()) hands the slots taken since the mark out again; their
+//    references are then reused. A caller that repeats a chain over chunks
+//    of its input rewinds after each chunk, so the arena holds one chunk's
+//    slots, not one per chunk.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +70,23 @@ class workspace {
     if (n > v.capacity()) ++grow_count_;
     v.resize(n);
     return v;
+  }
+
+  // The cursors at one point of a pass; see rewind().
+  struct marker {
+    std::size_t mats = 0, seqs = 0, indices = 0;
+  };
+
+  [[nodiscard]] marker mark() const noexcept {
+    return {mat_cursor_, seq_cursor_, index_cursor_};
+  }
+
+  // Rewind the cursors to `m`, a mark() of this pass: the slots taken since
+  // are taken again next, keeping their allocations.
+  void rewind(marker m) noexcept {
+    mat_cursor_ = m.mats;
+    seq_cursor_ = m.seqs;
+    index_cursor_ = m.indices;
   }
 
   // Rewind every cursor; keeps every allocation for reuse.

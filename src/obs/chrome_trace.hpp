@@ -3,7 +3,7 @@
 // Every event becomes a complete ("ph":"X") slice with microsecond ts/dur,
 // the recording thread's ordinal as tid, and span/parent ids under "args" —
 // one dqn_network::run renders as a timeline of IRSA iterations fanning out
-// into per-device PTM inference across partition worker threads.
+// into device visits and per-queue inference across the engine's workers.
 #pragma once
 
 #include <string>

@@ -10,8 +10,9 @@ work_stealing_pool::work_stealing_pool(std::size_t workers) {
   deques_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
     deques_.push_back(std::make_unique<steal_deque>());
-  threads_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
+  // Worker 0 is whichever thread calls run_round.
+  threads_.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w)
     threads_.emplace_back([this, w] { worker_loop(w); });
 }
 
@@ -45,16 +46,17 @@ std::uint64_t work_stealing_pool::run_round(
   remaining_.store(total, std::memory_order_release);
   for (std::size_t w = 0; w < seeds.size(); ++w)
     for (const std::size_t task : seeds[w]) deques_[w]->push_back(task);
-  {
-    const lock_guard lock{round_mutex_};
-    ++round_;
+  if (!threads_.empty()) {
+    {
+      const lock_guard lock{round_mutex_};
+      ++round_;
+    }
+    round_cv_.notify_all();
   }
-  round_cv_.notify_all();
-  {
-    unique_lock lock{done_mutex_};
-    while (remaining_.load(std::memory_order_acquire) != 0)
-      done_cv_.wait(lock);
-  }
+  // The caller is worker 0. drain_round returns only once remaining_ reads
+  // 0, and each task's decrement follows its error capture, so the round's
+  // errors are visible below.
+  drain_round(0);
   {
     const lock_guard lock{error_mutex_};
     if (first_error_ != nullptr) {
@@ -129,10 +131,7 @@ void work_stealing_pool::execute(std::size_t task, std::size_t worker) {
       first_error_task_ = task;
     }
   }
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    const lock_guard lock{done_mutex_};
-    done_cv_.notify_all();
-  }
+  remaining_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 }  // namespace dqn::util

@@ -1,23 +1,26 @@
 // Persistent work-stealing scheduler for the sharded DeepQueueNet engine.
 //
-// The engine's unit of work is a *device batch*: a contiguous slice of one
-// shard's device list. Each worker owns a deque seeded with its shard's
-// batches; it drains its own deque from the front (shard order, cache-warm)
-// and, when empty, steals roughly half of a victim's remaining batches from
-// the back — so a straggling shard is rebalanced *within* an IRSA iteration
-// instead of serializing the barrier on its slowest worker.
+// The engine's tasks are device batches (a contiguous slice of one shard's
+// device list) in an IRSA round's device pass, and single egress queues in
+// its queue pass. Each worker owns a deque seeded with its share; it drains
+// its own deque from the front (seed order) and, when empty, steals roughly
+// half of a victim's remaining tasks from the back — so a straggler is
+// rebalanced *within* a round instead of serializing the barrier on its
+// slowest worker.
 //
 // Execution is round-based: run_round() seeds every worker's deque, wakes
-// the (persistent) workers, and blocks until every task has run. Workers
-// park between rounds, so one pool amortizes thread creation across all
-// IRSA iterations and all runs of an engine.
+// the (persistent) workers, drains worker 0's deque on the calling thread
+// and returns once every task has run. The caller is worker 0, so an
+// n-worker pool starts n - 1 threads (a one-worker pool starts none).
+// Threads park between rounds, so one pool amortizes thread creation across
+// all IRSA iterations and all runs of an engine.
 //
 // Locking (checked by -Wthread-safety; see docs/CONCURRENCY.md): every
 // steal_deque has its own leaf mutex; a worker NEVER holds two deque locks
 // at once (stolen tasks are moved out of the victim under its lock, then
-// pushed into the thief's deque under the thief's lock). round_mutex_,
-// done_mutex_ and error_mutex_ are independent leaf locks; none is ever
-// held while a task executes.
+// pushed into the thief's deque under the thief's lock). round_mutex_ and
+// error_mutex_ are independent leaf locks; neither is ever held while a
+// task executes.
 #pragma once
 
 #include <atomic>
@@ -38,8 +41,9 @@ namespace dqn::util {
 // One worker's task deque. The owner pushes and pops at the front (FIFO in
 // seed order); thieves take ceil(size/2) items from the back — the work the
 // owner would reach last. A plain mutex per deque: the engine's tasks are
-// millisecond-scale device batches, so one lock op per batch is noise, and
-// the implementation is trivially TSan/-Wthread-safety-clean.
+// device batches and egress queues of tens of microseconds and more, so one
+// lock op per task is noise, and the implementation is trivially
+// TSan/-Wthread-safety-clean.
 class steal_deque {
  public:
   // Owner: append a task at the back (seed order is preserved for pops).
@@ -89,7 +93,8 @@ class work_stealing_pool {
  public:
   using task_fn = std::function<void(std::size_t task, std::size_t worker)>;
 
-  // `workers` persistent threads (>= 1).
+  // `workers` (>= 1) workers: the thread that calls run_round is worker 0,
+  // and workers 1..workers-1 are persistent threads.
   explicit work_stealing_pool(std::size_t workers);
 
   work_stealing_pool(const work_stealing_pool&) = delete;
@@ -97,17 +102,17 @@ class work_stealing_pool {
 
   ~work_stealing_pool();
 
-  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return deques_.size(); }
 
   // Execute one round: seeds[w] is the ordered task list placed on worker
   // w's deque (seeds.size() must equal size()). fn(task, worker) is invoked
-  // exactly once per seeded task, on whichever worker ran it. Blocks until
-  // every task has finished; the exception of the lowest-numbered task that
-  // threw is rethrown here, so a failed round names the same culprit at
-  // every worker count (the remaining tasks still run to completion first,
-  // so the round barrier holds even on failure). Returns the number of steal
-  // operations the round needed — 0 when every worker drained only its own
-  // deque.
+  // exactly once per seeded task, on whichever worker ran it; worker 0 is
+  // the calling thread. Returns once every task has finished; the exception
+  // of the lowest-numbered task that threw is rethrown here, so a failed
+  // round names the same culprit at every worker count (the remaining tasks
+  // still run to completion first, so the round barrier holds even on
+  // failure). Returns the number of steal operations the round needed — 0
+  // when every worker drained only its own deque.
   std::uint64_t run_round(const std::vector<std::vector<std::size_t>>& seeds,
                           const task_fn& fn);
 
@@ -143,9 +148,6 @@ class work_stealing_pool {
   condition_variable round_cv_;
   std::uint64_t round_ DQN_GUARDED_BY(round_mutex_) = 0;
   bool stopping_ DQN_GUARDED_BY(round_mutex_) = false;
-
-  mutex done_mutex_;
-  condition_variable done_cv_;
 
   mutex error_mutex_;
   // The exception of the lowest-numbered task that threw this round.

@@ -10,11 +10,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <latch>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -518,9 +521,9 @@ TEST(concurrency, work_stealing_pool_propagates_first_exception) {
   EXPECT_EQ(second.load(), 10u);
 
   // Two tasks throw, the higher-numbered one first: the round still reports
-  // the lower one. Task 2 is seeded on worker 0 and task 7 on worker 1; a
-  // worker steals only once its own deque is empty, so whichever worker
-  // waits in task 2 cannot hold task 7 behind it.
+  // the lower one. Task 2 is seeded on worker 0, the calling thread, and
+  // task 7 on worker 1; a worker steals only once its own deque is empty,
+  // so whichever worker waits in task 2 cannot hold task 7 behind it.
   const std::vector<std::vector<std::size_t>> split{{0, 1, 2, 3, 4},
                                                     {5, 6, 7, 8, 9}};
   std::latch higher_thrown{1};
@@ -541,6 +544,77 @@ TEST(concurrency, work_stealing_pool_propagates_first_exception) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 2 failed");
   }
+}
+
+// Threads in this process, from /proc/self/task; 0 where that is absent.
+std::size_t process_threads() {
+  std::error_code error;
+  std::size_t threads = 0;
+  for (std::filesystem::directory_iterator it{"/proc/self/task", error}, end;
+       !error && it != end; it.increment(error))
+    ++threads;
+  return threads;
+}
+
+// The caller of run_round is worker 0: a task that runs as worker 0 runs on
+// the calling thread and every other worker is a pool thread, so an
+// n-worker pool starts n - 1 threads and a one-worker pool starts none. A
+// failed round still names its lowest failing task when that task ran on
+// the caller.
+TEST(concurrency, work_stealing_pool_caller_is_worker_zero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t threads_before = process_threads();
+  {
+    constexpr std::size_t workers = 4;
+    constexpr std::size_t tasks = 64;
+    util::work_stealing_pool pool{workers};
+    EXPECT_EQ(pool.size(), workers);
+    if (threads_before > 0) {
+      EXPECT_EQ(process_threads(), threads_before + 3);
+    }
+    std::vector<std::vector<std::size_t>> seeds(workers);
+    for (std::size_t task = 0; task < tasks; ++task)
+      seeds[task % workers].push_back(task);
+    std::vector<std::thread::id> ran_on(tasks);
+    std::vector<std::size_t> ran_as(tasks);
+    (void)pool.run_round(seeds, [&](std::size_t task, std::size_t worker) {
+      ran_on[task] = std::this_thread::get_id();
+      ran_as[task] = worker;
+      std::this_thread::sleep_for(std::chrono::microseconds{200});
+    });
+    std::size_t on_caller = 0;
+    for (std::size_t task = 0; task < tasks; ++task) {
+      EXPECT_EQ(ran_on[task] == caller, ran_as[task] == 0) << "task " << task;
+      if (ran_as[task] == 0) ++on_caller;
+    }
+    EXPECT_GT(on_caller, 0u);
+  }
+
+  util::work_stealing_pool single{1};
+  EXPECT_EQ(single.size(), 1u);
+  if (threads_before > 0) {
+    EXPECT_EQ(process_threads(), threads_before);
+  }
+  const std::vector<std::vector<std::size_t>> seeds{{0, 1, 2, 3, 4}};
+  std::vector<std::size_t> order;
+  try {
+    (void)single.run_round(seeds, [&](std::size_t task, std::size_t worker) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(worker, 0u);
+      order.push_back(task);
+      if (task == 1 || task == 3)
+        throw std::runtime_error{"task " + std::to_string(task) + " failed"};
+    });
+    ADD_FAILURE() << "round with failing tasks did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 1 failed");
+  }
+  // Every task still ran, in seed order, and the pool is reusable.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(single.remaining(), 0u);
+  std::size_t second = 0;
+  (void)single.run_round(seeds, [&second](std::size_t, std::size_t) { ++second; });
+  EXPECT_EQ(second, 5u);
 }
 
 TEST(concurrency, work_stealing_pool_rounds_accumulate_exactly) {

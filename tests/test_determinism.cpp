@@ -367,6 +367,87 @@ TEST(determinism, des_network_bit_identical_across_consecutive_runs) {
   EXPECT_EQ(first_result.events, again.events);
 }
 
+// Every hop record, bit for bit: each inferred queue's kept packets with
+// their arrival and departure, so two runs that drop different packets of
+// a queue differ here.
+void expect_same_hops(const std::vector<des::hop_record>& a,
+                      const std::vector<des::hop_record>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].pid, b[i].pid) << "hop " << i;
+    EXPECT_EQ(a[i].device, b[i].device) << "hop " << i;
+    EXPECT_EQ(a[i].out_port, b[i].out_port) << "hop " << i;
+    EXPECT_TRUE(same_bits(a[i].arrival, b[i].arrival)) << "hop " << i;
+    EXPECT_TRUE(same_bits(a[i].departure, b[i].departure)) << "hop " << i;
+  }
+}
+
+// Each egress queue is its own stealable task in the queue pass, dealt
+// longest first to the workers; where a queue runs must not change a bit.
+// At 1-4 workers the deliveries, the drop count and every queue's kept
+// packets (so its drop set) are equal, on FatTree16 with 3-class strict
+// priority and 8 KB drop-tail buffers under bursty MAP traffic (queues that
+// drop and reorder) and on a 4x4 torus (a cyclic stage that iterates), with
+// the IRSA skip on and off.
+TEST(determinism, queue_pass_bit_identical_across_worker_counts) {
+  constexpr double horizon = 0.005;
+  const auto ptm = tiny_ptm();
+  const auto map_streams = [](std::size_t hosts, std::size_t classes) {
+    util::rng rng{23};
+    auto flows = traffic::make_uniform_flows(hosts, classes, rng);
+    traffic::tg_util_config tg;
+    tg.model = traffic::traffic_model::map;
+    tg.per_flow_rate = 60'000.0;
+    tg.seed = 23;
+    auto generators = traffic::make_generators(flows, tg);
+    return traffic::per_host_streams(generators, hosts, horizon, rng);
+  };
+  struct scenario {
+    const char* name;
+    topo::topology topo;
+    core::scheduler_context ctx;
+    std::vector<traffic::packet_stream> streams;
+  };
+  // 1 Gbps links, so the MAP bursts overflow the 8 KB buffers.
+  const topo::link_params slow_links{.bandwidth_bps = 1e9};
+  core::scheduler_context sp_drops;
+  sp_drops.kind = des::scheduler_kind::sp;
+  sp_drops.bandwidth_bps = slow_links.bandwidth_bps;
+  sp_drops.buffer_bytes = 8 * 1024;
+  const scenario scenarios[] = {
+      {"fattree16, 3-class SP, 8 KB buffers", topo::make_fattree16(slow_links),
+       sp_drops, map_streams(16, 3)},
+      {"torus4x4", topo::make_torus2d(4, 4), {}, uniform_streams(16)},
+  };
+  for (const scenario& sc : scenarios) {
+    const topo::routing routes{sc.topo};
+    for (const bool skip : {true, false}) {
+      des::run_result first;
+      for (const std::size_t workers : {1, 2, 3, 4}) {
+        SCOPED_TRACE(std::string{sc.name} + ", skip " + (skip ? "on" : "off") +
+                     ", " + std::to_string(workers) + " workers");
+        core::engine_config cfg;
+        cfg.partitions = workers;
+        cfg.irsa_skip_unchanged = skip;
+        cfg.record_hops = true;
+        core::dqn_network net{sc.topo, routes, ptm, sc.ctx, cfg};
+        auto result = net.run(sc.streams, horizon);
+        EXPECT_EQ(net.stats().workers, workers);
+        if (workers == 1) {
+          EXPECT_FALSE(result.deliveries.empty());
+          if (sc.ctx.buffer_bytes > 0) {
+            EXPECT_GT(result.drops, 0u);
+          }
+          first = std::move(result);
+          continue;
+        }
+        expect_bit_identical(first, result);
+        expect_same_hops(first.hops, result.hops);
+      }
+    }
+  }
+}
+
 // Host-stream packets a run injects before `horizon`.
 std::size_t injected_before(const std::vector<traffic::packet_stream>& streams,
                             double horizon) {

@@ -888,6 +888,10 @@ constexpr row_shape kRowShapes[] = {row_shape::fifo, row_shape::sp,
                                     row_shape::zero_in_some_rows,
                                     row_shape::all_zero, row_shape::none_zero};
 
+// predict_rows runs the MLP over 512-row chunks: three whole chunks, then a
+// 7-row chunk that is an M-tail of every backend's register tile.
+constexpr std::size_t kChunkedRows = 3 * 512 + 7;
+
 TEST(ptm_row_path, matches_window_path_bitwise) {
   for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
     const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
@@ -895,7 +899,7 @@ TEST(ptm_row_path, matches_window_path_bitwise) {
     util::rng rng{33};
     bool sec_changed_something = false;
     for (const std::size_t n :
-         {std::size_t{1}, t - 1, t, t + 1, std::size_t{2000}}) {
+         {std::size_t{1}, t - 1, t, t + 1, kChunkedRows, std::size_t{2000}}) {
       const auto rows = random_rows(n, rng);
       const auto windows = core::make_windows(rows, t);
       for (const bool apply_sec : {true, false}) {
@@ -922,7 +926,8 @@ TEST(ptm_row_path, matches_window_path_bitwise) {
   // Exact-zero columns, which the row path drops from the MLP's first GEMM.
   // T = 21 (K = 357, the default) and T = 31 (K = 527) span two and three
   // k_blocks, so a compaction that moved a kept column into another block
-  // would change bits on the SIMD backends; T = 4 fits in one block.
+  // would change bits on the SIMD backends; T = 4 fits in one block. The
+  // chunked lengths hit every chunk edge on every backend.
   std::vector<backend> backends = compiled_backends();
   backends.insert(backends.begin(), backend::naive);
   for (const std::size_t t :
@@ -931,7 +936,8 @@ TEST(ptm_row_path, matches_window_path_bitwise) {
         tiny_trained_ptm(nullptr, core::ptm_arch::mlp, true, t);
     util::rng rng{35 + t};
     for (const row_shape shape : kRowShapes)
-      for (const std::size_t n : {std::size_t{1}, t, std::size_t{2000}}) {
+      for (const std::size_t n :
+           {std::size_t{1}, t, kChunkedRows, std::size_t{2000}}) {
         const auto rows = shaped_rows(shape, n, rng);
         const auto windows = core::make_windows(rows, t);
         for (const backend be : backends) {
@@ -989,26 +995,45 @@ TEST(ptm_row_path, empty_series_and_ragged_rows) {
 // Steady state, the row path allocates exactly one block: the returned
 // vector. No windows, no staging copies, and on FIFO-shaped rows the column
 // map and the gathered weights live in the workspace; raw_out reuses its
-// capacity.
+// capacity. Past one MLP chunk the chunks share their slots, and the MLP's
+// arena is that of a single chunk.
 TEST(ptm_row_path, steady_state_allocates_only_the_result) {
   for (const auto arch : {core::ptm_arch::mlp, core::ptm_arch::attention}) {
     const core::ptm_model model = tiny_trained_ptm(nullptr, arch, true);
     util::rng rng{34};
-    for (const auto& rows :
-         {random_rows(300, rng), shaped_rows(row_shape::fifo, 300, rng)}) {
-      nn::workspace ws;
-      std::vector<double> raw;
-      for (int i = 0; i < 2; ++i)
-        (void)model.predict_rows(rows, ws, true, &raw);
-      const std::size_t grown = ws.grow_count();
-      const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
-      const auto out = model.predict_rows(rows, ws, true, &raw);
-      const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
-      EXPECT_EQ(after - before, 1u) << core::to_string(arch);
-      EXPECT_EQ(ws.grow_count(), grown);
-      EXPECT_EQ(out.size(), 300u);
+    for (const std::size_t n : {std::size_t{300}, kChunkedRows}) {
+      for (const auto& rows :
+           {random_rows(n, rng), shaped_rows(row_shape::fifo, n, rng)}) {
+        nn::workspace ws;
+        std::vector<double> raw;
+        for (int i = 0; i < 2; ++i)
+          (void)model.predict_rows(rows, ws, true, &raw);
+        const std::size_t grown = ws.grow_count();
+        const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+        const auto out = model.predict_rows(rows, ws, true, &raw);
+        const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - before, 1u) << core::to_string(arch) << " n=" << n;
+        EXPECT_EQ(ws.grow_count(), grown);
+        EXPECT_EQ(out.size(), n);
+      }
     }
   }
+}
+
+// A 4-chunk call holds the activations of one chunk: its arena is the
+// 512-row call's plus only what grows with the row count (the scaled rows
+// and the output column), not four chunks' hidden layers.
+TEST(ptm_row_path, chunked_forward_arena_holds_one_chunk) {
+  const core::ptm_model model =
+      tiny_trained_ptm(nullptr, core::ptm_arch::mlp, true);
+  util::rng rng{37};
+  nn::workspace one_chunk;
+  (void)model.predict_rows(random_rows(512, rng), one_chunk);
+  nn::workspace four_chunks;
+  (void)model.predict_rows(random_rows(4 * 512, rng), four_chunks);
+  // Per extra row: 17 scaled features and one output, in doubles.
+  const std::size_t per_row = (core::feature_count + 1) * sizeof(double);
+  EXPECT_LE(four_chunks.bytes(), one_chunk.bytes() + 3 * 512 * per_row);
 }
 
 }  // namespace
