@@ -1,7 +1,6 @@
 #include "core/device_model.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -126,25 +125,32 @@ traffic::packet_stream device_model::process_queue(traffic::packet_stream queue,
     // bytes waiting (excluding the packet in service, matching the DES
     // traffic manager's accounting). Deterministic, like the PFM. The kept
     // packets are compacted to the front of `queue` in place: the write
-    // index never passes the read index.
+    // index never passes the read index. The packets in the system are
+    // in_system[head, end); the vector empties whenever the system drains,
+    // so it grows only to the longest busy backlog.
     struct in_system_packet {
       double start, end;
       std::uint32_t bytes;
     };
     std::size_t kept = 0;
-    std::deque<in_system_packet> in_system;
+    std::vector<in_system_packet> in_system;
+    std::size_t head = 0;
     double bytes_in_system = 0;
     double last_end = 0;
     for (std::size_t read = 0; read < queue.size(); ++read) {
       const traffic::packet_event ev = queue[read];
-      while (!in_system.empty() && in_system.front().end <= ev.time) {
-        bytes_in_system -= in_system.front().bytes;
-        in_system.pop_front();
+      while (head < in_system.size() && in_system[head].end <= ev.time) {
+        bytes_in_system -= in_system[head].bytes;
+        ++head;
+      }
+      if (head == in_system.size()) {
+        in_system.clear();
+        head = 0;
       }
       // FIFO: only the head can be in service; everything behind waits.
       const double in_service_bytes =
-          (!in_system.empty() && in_system.front().start <= ev.time)
-              ? in_system.front().bytes
+          (head < in_system.size() && in_system[head].start <= ev.time)
+              ? in_system[head].bytes
               : 0.0;
       const double waiting_bytes = bytes_in_system - in_service_bytes;
       if (waiting_bytes + ev.pkt.size_bytes >

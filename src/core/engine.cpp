@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -30,14 +31,27 @@ namespace {
 // Fixed-point tolerance on per-packet egress times.
 constexpr double convergence_epsilon = 1e-9;
 
-bool streams_equal(const traffic::packet_stream& a,
-                   const traffic::packet_stream& b) {
-  if (a.size() != b.size()) return false;
+// How an egress queue's new stream differs from its previous one.
+enum class stream_change : std::uint8_t {
+  none,              // bit for bit the same
+  within_tolerance,  // the same pids, every time within convergence_epsilon
+  beyond_tolerance,  // IRSA has not converged on this queue
+};
+
+stream_change compare_streams(const traffic::packet_stream& a,
+                              const traffic::packet_stream& b) {
+  if (a.size() != b.size()) return stream_change::beyond_tolerance;
+  stream_change change = stream_change::none;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].pkt.pid != b[i].pkt.pid) return false;
-    if (std::abs(a[i].time - b[i].time) > convergence_epsilon) return false;
+    if (a[i].pkt.pid != b[i].pkt.pid) return stream_change::beyond_tolerance;
+    if (std::bit_cast<std::uint64_t>(a[i].time) ==
+        std::bit_cast<std::uint64_t>(b[i].time))
+      continue;
+    if (std::abs(a[i].time - b[i].time) > convergence_epsilon)
+      return stream_change::beyond_tolerance;
+    change = stream_change::within_tolerance;
   }
-  return true;
+  return change;
 }
 
 // Pool seeds for `tasks` tasks: contiguous blocks, one per worker.
@@ -52,7 +66,7 @@ std::vector<std::vector<std::size_t>> spread(std::size_t tasks,
 // One device's state in the current IRSA round, kept until the round's
 // barrier. The device pass fills `queues` and `run_starts`; each queue task
 // then writes only its own port's element of `streams`, `port_changed` and
-// `queue_seconds`.
+// `queue_seconds`. Only the ports whose queues run this round are written.
 struct staged_slot {
   // Per egress port: the arrivals the device pass routed to it, moved on to
   // process_queue.
@@ -61,9 +75,9 @@ struct staged_slot {
   // port's run starts, then the queue's size.
   std::vector<std::size_t> run_starts;
   std::vector<traffic::packet_stream> streams;
-  std::vector<std::uint8_t> port_changed;  // per egress port
-  std::vector<double> queue_seconds;       // per egress port: task CPU time
-  double device_seconds = 0;               // the device pass's span time
+  std::vector<stream_change> port_changed;  // per egress port
+  std::vector<double> queue_seconds;        // per egress port: task CPU time
+  double device_seconds = 0;                // the device pass's span time
   bool inferred = false;
 };
 
@@ -73,8 +87,9 @@ struct egress_queue {
   std::size_t port;
 };
 
-// Marks a feed packet the device pass routes to a queue of another stage.
-constexpr std::uint32_t other_stage = std::numeric_limits<std::uint32_t>::max();
+// Marks a feed packet the device pass routes to a queue that does not run
+// this round.
+constexpr std::uint32_t not_run = std::numeric_limits<std::uint32_t>::max();
 
 // Queue-pass seeds, longest first (LPT): deals the tasks in descending
 // size, ties by task index, each to the worker with the least load so far,
@@ -231,7 +246,8 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
                 scheduler_context{des::scheduler_kind::fifo, {},
                                   device_.context().bandwidth_bps}},
       config_{config},
-      queue_stage_(topo.node_count()) {
+      queue_graph_{topo, routes},
+      queue_stage_(queue_graph_.queue_count(), 0) {
   DQN_ENSURE(config_.partitions > 0, "dqn_network: partitions >= 1");
   const auto hosts = topo.hosts();
   for (const topo::node_id host : hosts)
@@ -239,21 +255,16 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
                topo.at(host).name, " has ", topo.port_count(host),
                " links; every host needs exactly one");
   const auto devices = topo.devices();
+  // Algorithm 1 is every queue in one cyclic stage, iterated to the fixed
+  // point; the ordered schedule runs one stage per level of the graph.
   std::size_t stage_count = 1;
   if (config_.irsa_skip_unchanged) {
-    // One stage per level of the egress-queue dependency graph.
-    const topo::queue_graph graph{topo, routes};
     for (const topo::node_id node : devices)
       for (std::size_t p = 0; p < topo.port_count(node); ++p)
-        queue_stage_[static_cast<std::size_t>(node)].push_back(
-            static_cast<std::uint32_t>(graph.level_of(node, p)));
-    stage_count = graph.level_count();
-    last_stage_cyclic_ = graph.cyclic();
-  } else {
-    // Algorithm 1: every queue in one cyclic stage, iterated to the fixed
-    // point.
-    for (const topo::node_id node : devices)
-      queue_stage_[static_cast<std::size_t>(node)].assign(topo.port_count(node), 0);
+        queue_stage_[queue_graph_.queue_index(node, p)] =
+            static_cast<std::uint32_t>(queue_graph_.level_of(node, p));
+    stage_count = queue_graph_.level_count();
+    last_stage_cyclic_ = queue_graph_.cyclic();
   }
 
   // Shard the devices across the workers: BFS-grown connected shards keep
@@ -274,7 +285,8 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
     for (std::size_t s = 0; s < plan.shards.size(); ++s) {
       for (const std::size_t d : plan.shards[s]) {
         for (std::size_t p = 0; p < topo.port_count(devices[d]); ++p) {
-          if (stage_of(devices[d], p) != stage) continue;
+          if (queue_stage_[queue_graph_.queue_index(devices[d], p)] != stage)
+            continue;
           members[s].push_back(d);
           sp.nodes.push_back(devices[d]);
           break;
@@ -504,24 +516,35 @@ des::run_result dqn_network::run(const des::run_request& request) {
   // One egress state. During a round every worker reads its devices' feeds
   // in place from `egress` — the previous round's state (Algorithm 1 "pull
   // the packet flows from iteration t-1") — and nobody writes it. An inferred
-  // device stages the new streams of its stage's queues in its own `next`
-  // slot and flags each of those ports whose stream changed. Between rounds
-  // this thread moves the staged streams into `egress` and marks dirty
-  // every device a flagged port feeds; the pool's round barriers order the
-  // two, so the per-packet path takes no locks. Host egress is fixed, so
-  // host ports never flag.
+  // device stages the new streams of the queues it ran in its own `next`
+  // slot and records how each of them changed. Between rounds this thread
+  // moves the staged streams into `egress`, marks dirty every device a
+  // stream that moved beyond the tolerance feeds, and marks stale every
+  // queue a stream that moved by any bit feeds; the pool's round barriers
+  // order the two, so the per-packet path takes no locks. Host egress is
+  // fixed, so host ports never move.
+  //
+  // A queue runs in a round when it is in the round's stage, its device is
+  // visited (under the skip, only dirty devices are) and it is stale: some
+  // queue that feeds it, an edge of the queue graph, moved since it last
+  // ran. A queue that is not stale has the arrivals of its last run, so
+  // process_queue, a pure function of them, would give back its egress,
+  // hops and drops bit for bit; they stand.
   //
   // Each IRSA round is two pool rounds. The device pass routes each
-  // inferred device's feeds into its slot's queues; the queue pass then
-  // infers every one of those queues as its own task, the stealable unit.
+  // visited device's feeds into its slot's queues that run; the queue pass
+  // then infers every one of those queues as its own task, the stealable
+  // unit.
   //
-  // Stages run in order. A stage's first round infers every device that
-  // owns one of its queues, and an acyclic stage is then final: its queues
-  // are fed only by hosts and earlier stages. The cyclic stage, always the
-  // last, repeats, re-inferring only dirty devices under the skip, until a
-  // round changes nothing or max_iterations rounds have run.
+  // Stages run in order. A stage's first round infers every queue of the
+  // stage, and an acyclic stage is then final: its queues are fed only by
+  // hosts and earlier stages. The cyclic stage, always the last, repeats
+  // until a round changes nothing beyond the tolerance or max_iterations
+  // rounds have run.
   std::vector<staged_slot> next(topo_->node_count());
   std::vector<std::uint8_t> dirty(topo_->node_count(), 0);
+  // Every queue is stale until it first runs, in its stage's first round.
+  std::vector<std::uint8_t> stale(queue_graph_.queue_count(), 1);
   // The queue pass's tasks and seeds, rebuilt every round.
   std::vector<egress_queue> queue_tasks;
   std::vector<std::size_t> queue_sizes;
@@ -533,6 +556,10 @@ des::run_result dqn_network::run(const des::run_request& request) {
     const stage_plan& sp = stages_[stage];
     const bool cyclic = last_stage_cyclic_ && stage + 1 == stages_.size();
     for (const topo::node_id node : sp.nodes) dirty[static_cast<std::size_t>(node)] = 1;
+    // Whether queue q runs when its device is visited in this stage.
+    const auto runs = [&](std::size_t q) {
+      return queue_stage_[q] == stage && stale[q] != 0;
+    };
     for (std::size_t pass = 0; pass < max_iterations; ++pass) {
       // Rounds are numbered across stages.
       const std::size_t iteration = stats_.iterations;
@@ -554,16 +581,22 @@ des::run_result dqn_network::run(const des::run_request& request) {
                                        static_cast<std::uint64_t>(node),
                                        0.0,
                                        iteration_span};
-          // IRSA skip: no stream feeding this device changed last round, so
-          // its egress stands.
-          if (config_.irsa_skip_unchanged && dirty[n] == 0) {
+          // IRSA skip: no stream feeding this device moved beyond the
+          // tolerance last round. A visit with no stale queue of the stage
+          // is a skip too. Either way the device's egress stands.
+          const std::size_t ports = topo_->port_count(node);
+          const std::size_t first = queue_graph_.queue_index(node, 0);
+          bool any_runs = false;
+          for (std::size_t p = 0; p < ports && !any_runs; ++p)
+            any_runs = runs(first + p);
+          if (!any_runs || (config_.irsa_skip_unchanged && dirty[n] == 0)) {
             ++worker_skips[worker];
             continue;
           }
           // The ingress links (Eq. 5) and the PFM, reading each upstream
           // peer's egress stream in place: shift every packet by its link,
           // route it by its own destination, and keep it only when its
-          // egress queue is in this stage. Each queue gets one run per
+          // egress queue runs this round. Each queue gets one run per
           // ingress port, and a run is in (time, pid) order: the peer's line
           // spaced its departures at least one service time apart, and the
           // link delays each packet by its own service time plus a constant.
@@ -571,7 +604,6 @@ des::run_result dqn_network::run(const des::run_request& request) {
           // apply_forwarding would give it. A first pass routes every packet
           // and counts the runs, so each queue is reserved at its exact size
           // before the second pass fills it.
-          const std::size_t ports = topo_->port_count(node);
           staged_slot& slot = next[n];
           slot.queues.resize(ports);
           slot.run_starts.assign(ports * (ports + 1), 0);
@@ -586,8 +618,8 @@ des::run_result dqn_network::run(const des::run_request& request) {
                  egress[static_cast<std::size_t>(peer.node)][peer.port]) {
               const std::size_t out =
                   routes_->egress_port(node, ev.pkt.dst_host, ev.pkt.flow_id);
-              if (stage_of(node, out) != stage) {
-                routes.push_back(other_stage);
+              if (!runs(first + out)) {
+                routes.push_back(not_run);
                 continue;
               }
               routes.push_back(static_cast<std::uint32_t>(out));
@@ -607,14 +639,14 @@ des::run_result dqn_network::run(const des::run_request& request) {
             for (const auto& ev :
                  egress[static_cast<std::size_t>(peer.node)][peer.port]) {
               const std::uint32_t out = *route++;
-              if (out == other_stage) continue;
+              if (out == not_run) continue;
               slot.queues[out].push_back(
                   {ev.pkt,
                    link_shift(ev, link.bandwidth_bps, link.propagation_delay)});
             }
           }
           slot.streams.resize(ports);
-          slot.port_changed.assign(ports, 0);
+          slot.port_changed.assign(ports, stream_change::none);
           slot.queue_seconds.assign(ports, 0.0);
           slot.inferred = true;
           device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
@@ -627,15 +659,17 @@ des::run_result dqn_network::run(const des::run_request& request) {
       stats_.steals += pool.run_round(sp.seeds, device_pass);
       close_pool_round(iteration);
 
-      // One queue task per queue of an inferred device. Each writes only its
-      // own queue's elements of the device's slot, drops and hops.
+      // One queue task per queue that runs on an inferred device. Each
+      // writes only its own queue's elements of the device's slot, drops and
+      // hops.
       queue_tasks.clear();
       queue_sizes.clear();
       for (const topo::node_id node : sp.nodes) {
         const staged_slot& slot = next[static_cast<std::size_t>(node)];
         if (!slot.inferred) continue;
+        const std::size_t first = queue_graph_.queue_index(node, 0);
         for (std::size_t p = 0; p < slot.queues.size(); ++p) {
-          if (stage_of(node, p) != stage) continue;
+          if (!runs(first + p)) continue;
           queue_tasks.push_back({node, p});
           queue_sizes.push_back(slot.queues[p].size());
         }
@@ -679,7 +713,7 @@ des::run_result dqn_network::run(const des::run_request& request) {
         slot.streams[p] = model->process_queue(
             std::move(slot.queues[p]), p,
             topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
-        slot.port_changed[p] = streams_equal(slot.streams[p], egress[n][p]) ? 0 : 1;
+        slot.port_changed[p] = compare_streams(slot.streams[p], egress[n][p]);
         const double cpu = util::thread_cpu_seconds() - cpu_start;
         slot.queue_seconds[p] = cpu;
         worker_busy[worker] += cpu;
@@ -688,8 +722,9 @@ des::run_result dqn_network::run(const des::run_request& request) {
       stats_.steals += pool.run_round(queue_seeds, queue_pass);
       close_pool_round(iteration);
 
-      // Between rounds: move the staged streams in, and mark dirty for the
-      // next round every device a flagged port feeds. A device's inference
+      // Between rounds: move the staged streams in, clear the stale flag of
+      // every queue that ran, and mark dirty for the next round every device
+      // a stream that moved beyond the tolerance feeds. A device's inference
       // time is its device pass plus its queue tasks.
       std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
       std::size_t changed_devices = 0;
@@ -700,16 +735,29 @@ des::run_result dqn_network::run(const des::run_request& request) {
         slot.inferred = false;
         bool device_changed = false;
         double device_seconds = slot.device_seconds;
+        const std::size_t first = queue_graph_.queue_index(node, 0);
         for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
-          if (stage_of(node, p) != stage) continue;
+          if (!runs(first + p)) continue;
+          stale[first + p] = 0;
           device_seconds += slot.queue_seconds[p];
           egress[n][p] = std::move(slot.streams[p]);
-          if (slot.port_changed[p] == 0) continue;
+          if (slot.port_changed[p] != stream_change::beyond_tolerance) continue;
           device_changed = true;
           dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
         }
         if (device_changed) ++changed_devices;
         if (sink != nullptr) device_seconds_handle.observe(device_seconds);
+      }
+      // Then mark stale every queue a stream that moved by any bit feeds.
+      // This comes second, so a queue that ran this round is marked again
+      // when a feeder that ran beside it moved.
+      for (const auto& [node, p] : queue_tasks) {
+        if (next[static_cast<std::size_t>(node)].port_changed[p] ==
+            stream_change::none)
+          continue;
+        for (const std::uint32_t q :
+             queue_graph_.successors(queue_graph_.queue_index(node, p)))
+          stale[q] = 1;
       }
       ++stats_.iterations;
       // Convergence delta: how many devices the cyclic stage still changed

@@ -11,8 +11,12 @@
 // arrivals, and only the last, cyclic level iterates — skipping devices no
 // changed stream feeds, at most 1 + diameter rounds. Every fat-tree and line
 // is acyclic; on a torus the cyclic level holds every queue. With
-// irsa_skip_unchanged off the engine runs Algorithm 1 itself: every device,
-// every round, until no egress stream changes.
+// irsa_skip_unchanged off the engine runs Algorithm 1's schedule: it visits
+// every device each round until no egress stream changes. Under both
+// schedules a queue runs again only when a queue that feeds it, an edge of
+// the graph, produced a stream that differs by any bit since the queue last
+// ran; otherwise its arrivals and so its output are those of its last run,
+// and they stand. The answer is Algorithm 1's, bit for bit.
 //
 // Parallelism: the work runs on `partitions` workers — the CPU analogue of
 // the paper's model-parallel multi-GPU inference (Figure 11; DESIGN.md §2).
@@ -44,6 +48,7 @@
 #include "des/records.hpp"
 #include "des/run_api.hpp"
 #include "topo/graph.hpp"
+#include "topo/queue_graph.hpp"
 #include "topo/routing.hpp"
 #include "util/work_stealing_pool.hpp"
 
@@ -65,10 +70,11 @@ struct engine_config {
   bool record_hops = false;        // per-device predicted hops (visibility)
   // Run IRSA in dependency order (see the header comment): a queue outside
   // the cyclic level is inferred once, and the cyclic level re-infers only
-  // devices a changed stream feeds — the skip this field is named after. Both save
-  // work over the paper's Algorithm 1, which recomputes every device each
-  // iteration; disable to run Algorithm 1 itself, the paper's execution
-  // profile.
+  // devices a stream that moved beyond the convergence tolerance feeds — the
+  // skip this field is named after. Disable to run Algorithm 1's schedule,
+  // the paper's execution profile: every device visited each round, to the
+  // fixed point, with the queues no moved stream feeds reused rather than
+  // inferred again (bit-identical to re-inferring them).
   bool irsa_skip_unchanged = true;
   // Optional observability (obs/sink.hpp): per-iteration IRSA timings and
   // convergence deltas, per-partition busy time, skip counts, and the full
@@ -90,8 +96,11 @@ struct engine_stats {
   // point. An acyclic stage is final after its one round.
   bool converged = false;
   std::size_t final_changed_devices = 0;
-  std::size_t device_inferences = 0;   // (device, round) inferences
-  std::size_t devices_skipped = 0;     // IRSA-skip hits across rounds
+  // Each round visits every device of its stage. A visit that runs at
+  // least one queue is an inference; one that runs none is a skip (a device
+  // the IRSA skip leaves out, or one whose queues no moved stream feeds).
+  std::size_t device_inferences = 0;
+  std::size_t devices_skipped = 0;
   std::size_t workers = 1;             // workers the run executed on (caller included)
   std::uint64_t steals = 0;            // work-stealing rebalances across iterations
   // Device-device links whose endpoints landed on different workers (the
@@ -167,16 +176,11 @@ class dqn_network : public des::estimator {
                                                             std::size_t port) const;
 
  private:
-  // The IRSA stage of the egress queue behind `port` of device `node`.
-  [[nodiscard]] std::size_t stage_of(topo::node_id node, std::size_t port) const {
-    return queue_stage_[static_cast<std::size_t>(node)][port];
-  }
-
   // One IRSA stage's share of the shard plan: the device pass's tasks.
   // Each shard's devices that own a queue of the stage are chopped into
   // contiguous batches, which a worker drains in BFS order (cache-warm
   // neighbourhoods) and steals from stragglers. (The queue pass takes one
-  // task per queue of an inferred device, seeded each round.)
+  // task per queue that runs, seeded each round.)
   struct stage_plan {
     std::vector<std::vector<std::size_t>> batches;  // batch -> device indices
     std::vector<std::vector<std::size_t>> seeds;    // worker -> batches
@@ -198,11 +202,15 @@ class dqn_network : public des::estimator {
   device_model host_nic_;  // FIFO NIC model for host uplinks
   std::unordered_map<topo::node_id, device_model> device_overrides_;
   engine_config config_;
+  // The egress-queue dependency graph: its edges tell a run which queues a
+  // changed stream feeds, and its levels are the stages of the ordered
+  // schedule.
+  topo::queue_graph queue_graph_;
   // The IRSA schedule, fixed per (topology, routing, irsa_skip_unchanged):
-  // the stage of every device egress queue, [node][port], and whether the
+  // the stage of every device egress queue, by queue index, and whether the
   // last stage is cyclic (only the last can be). Algorithm 1 is one cyclic
   // stage.
-  std::vector<std::vector<std::uint32_t>> queue_stage_;
+  std::vector<std::uint32_t> queue_stage_;
   bool last_stage_cyclic_ = true;
   std::vector<stage_plan> stages_;
   std::size_t cross_shard_links_ = 0;

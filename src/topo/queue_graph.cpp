@@ -50,22 +50,22 @@ queue_graph::queue_graph(const topology& topo, const routing& routes)
     }
   }
   // The edges in CSR form (queue indices follow (device, port) order).
-  std::vector<std::size_t> offsets(queues + 1, 0);
-  std::vector<std::uint32_t> targets;
+  offsets_.assign(queues + 1, 0);
   for (const node_id u : devices) {
     for (std::size_t p = 0; p < topo.port_count(u); ++p) {
       const std::uint32_t q = queue_of(u, p);
       const node_id v = topo.peer_of(u, p).node;
       for (std::size_t port = 0; port < first_flag[q + 1] - first_flag[q]; ++port)
-        if (flags[first_flag[q] + port] != 0) targets.push_back(queue_of(v, port));
-      offsets[q + 1] = targets.size();
+        if (flags[first_flag[q] + port] != 0)
+          targets_.push_back(queue_of(v, port));
+      offsets_[q + 1] = targets_.size();
     }
   }
 
   // Kahn's peel, one level per round: a queue joins the round after its
   // last feeder was peeled, so its level is its longest feeder chain.
   std::vector<std::uint32_t> feeders(queues, 0);
-  for (const std::uint32_t target : targets) ++feeders[target];
+  for (const std::uint32_t target : targets_) ++feeders[target];
   level_.assign(queues, unpeeled);
   std::vector<std::uint32_t> layer;
   for (std::uint32_t q = 0; q < queues; ++q)
@@ -74,8 +74,8 @@ queue_graph::queue_graph(const topology& topo, const routing& routes)
   for (; !layer.empty(); ++levels_) {
     for (const std::uint32_t q : layer) {
       level_[q] = static_cast<std::uint32_t>(levels_);
-      for (std::size_t e = offsets[q]; e < offsets[q + 1]; ++e)
-        if (--feeders[targets[e]] == 0) next_layer.push_back(targets[e]);
+      for (const std::uint32_t target : successors(q))
+        if (--feeders[target] == 0) next_layer.push_back(target);
     }
     layer.swap(next_layer);
     next_layer.clear();
@@ -89,12 +89,16 @@ queue_graph::queue_graph(const topology& topo, const routing& routes)
   if (cyclic_) ++levels_;
 }
 
-std::size_t queue_graph::level_of(node_id node, std::size_t port) const {
+std::size_t queue_graph::queue_index(node_id node, std::size_t port) const {
   DQN_CHECK(topo_->at(node).kind == node_kind::device, "queue_graph: node ",
             node, " is a host, not a device");
   DQN_CHECK(port < topo_->port_count(node), "queue_graph: port ", port,
             " out of range for node ", node);
-  return level_[first_queue_[static_cast<std::size_t>(node)] + port];
+  return first_queue_[static_cast<std::size_t>(node)] + port;
+}
+
+std::size_t queue_graph::level_of(node_id node, std::size_t port) const {
+  return level_[queue_index(node, port)];
 }
 
 }  // namespace dqn::topo

@@ -16,10 +16,15 @@
 // graph the level count is the longest queue chain (5 on FatTree8 to
 // FatTree128, N on a line of N switches); on a torus every queue is in the
 // cyclic level.
+//
+// Every packet that can enter a queue leaves one of its predecessors or a
+// host, so a queue whose predecessors' streams did not change since it last
+// ran has the same arrivals: the engine reuses its output (core/engine.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -30,6 +35,21 @@ namespace dqn::topo {
 class queue_graph {
  public:
   queue_graph(const topology& topo, const routing& routes);
+
+  // Queues are numbered in (device, port) order, so device `node`'s port p
+  // is queue_index(node, 0) + p.
+  [[nodiscard]] std::size_t queue_count() const noexcept {
+    return level_.size();
+  }
+  [[nodiscard]] std::size_t queue_index(node_id node, std::size_t port) const;
+
+  // The queues that `queue` feeds: every queue a packet leaving it can enter
+  // next.
+  [[nodiscard]] std::span<const std::uint32_t> successors(
+      std::size_t queue) const {
+    return {targets_.data() + offsets_[queue],
+            offsets_[queue + 1] - offsets_[queue]};
+  }
 
   // The level of the egress queue behind `port` of device `node`.
   [[nodiscard]] std::size_t level_of(node_id node, std::size_t port) const;
@@ -43,6 +63,9 @@ class queue_graph {
  private:
   const topology* topo_;
   std::vector<std::size_t> first_queue_;  // node -> its port 0's queue index
+  // The edges in CSR form: q feeds targets_[offsets_[q], offsets_[q + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> targets_;
   std::vector<std::uint32_t> level_;      // queue index -> level
   std::size_t levels_ = 0;
   bool cyclic_ = false;

@@ -16,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,34 @@ std::vector<traffic::packet_stream> uniform_streams(std::size_t hosts) {
 
 std::vector<traffic::packet_stream> fattree_streams() {
   return uniform_streams(16);
+}
+
+// Bursty MAP traffic, uniform flows with `classes` SP classes per host pair:
+// at 1 Gbps it overflows 8 KB buffers.
+std::vector<traffic::packet_stream> map_streams(std::size_t hosts,
+                                                std::size_t classes,
+                                                double horizon) {
+  util::rng rng{23};
+  auto flows = traffic::make_uniform_flows(hosts, classes, rng);
+  traffic::tg_util_config tg;
+  tg.model = traffic::traffic_model::map;
+  tg.per_flow_rate = 60'000.0;
+  tg.seed = 23;
+  auto generators = traffic::make_generators(flows, tg);
+  return traffic::per_host_streams(generators, hosts, horizon, rng);
+}
+
+// FatTree16's links at 1 Gbps, and its devices as 3-class strict-priority
+// switches with 8 KB drop-tail buffers: with map_streams, queues that drop
+// and reorder.
+const topo::link_params slow_links{.bandwidth_bps = 1e9};
+
+core::scheduler_context sp_drops_context() {
+  core::scheduler_context ctx;
+  ctx.kind = des::scheduler_kind::sp;
+  ctx.bandwidth_bps = slow_links.bandwidth_bps;
+  ctx.buffer_bytes = 8 * 1024;
+  return ctx;
 }
 
 // Host streams full of near-ties, from t = 1 ms: every nanosecond each host
@@ -392,31 +421,15 @@ void expect_same_hops(const std::vector<des::hop_record>& a,
 TEST(determinism, queue_pass_bit_identical_across_worker_counts) {
   constexpr double horizon = 0.005;
   const auto ptm = tiny_ptm();
-  const auto map_streams = [](std::size_t hosts, std::size_t classes) {
-    util::rng rng{23};
-    auto flows = traffic::make_uniform_flows(hosts, classes, rng);
-    traffic::tg_util_config tg;
-    tg.model = traffic::traffic_model::map;
-    tg.per_flow_rate = 60'000.0;
-    tg.seed = 23;
-    auto generators = traffic::make_generators(flows, tg);
-    return traffic::per_host_streams(generators, hosts, horizon, rng);
-  };
   struct scenario {
     const char* name;
     topo::topology topo;
     core::scheduler_context ctx;
     std::vector<traffic::packet_stream> streams;
   };
-  // 1 Gbps links, so the MAP bursts overflow the 8 KB buffers.
-  const topo::link_params slow_links{.bandwidth_bps = 1e9};
-  core::scheduler_context sp_drops;
-  sp_drops.kind = des::scheduler_kind::sp;
-  sp_drops.bandwidth_bps = slow_links.bandwidth_bps;
-  sp_drops.buffer_bytes = 8 * 1024;
   const scenario scenarios[] = {
       {"fattree16, 3-class SP, 8 KB buffers", topo::make_fattree16(slow_links),
-       sp_drops, map_streams(16, 3)},
+       sp_drops_context(), map_streams(16, 3, horizon)},
       {"torus4x4", topo::make_torus2d(4, 4), {}, uniform_streams(16)},
   };
   for (const scenario& sc : scenarios) {
@@ -550,15 +563,20 @@ TEST(determinism, ordered_schedule_matches_algorithm1) {
           case shape::torus:
             // Every torus queue sits in the cyclic stage, so the run is the
             // skip loop over the whole graph: Algorithm 1's rounds, and one
-            // inference or skip per device and round. Here that is 5
-            // rounds and 19 inferences under every backend.
+            // inference or skip per device and round, 45 = 5 rounds x 9
+            // devices. Here that is 19 inferences under every backend.
+            // Algorithm 1 visits every device each round but infers only
+            // the queues a moved stream feeds: the same 19 here.
             expect_bit_identical(result, reference);
             expect_same_egress(ordered, algorithm1, topo);
             EXPECT_EQ(stats.iterations, algorithm1.stats().iterations);
             EXPECT_EQ(stats.device_inferences + stats.devices_skipped,
-                      algorithm1.stats().device_inferences);
+                      algorithm1.stats().device_inferences +
+                          algorithm1.stats().devices_skipped);
             EXPECT_EQ(stats.iterations, 5u);
+            EXPECT_EQ(stats.device_inferences + stats.devices_skipped, 45u);
             EXPECT_EQ(stats.device_inferences, 19u);
+            EXPECT_EQ(algorithm1.stats().device_inferences, 19u);
             break;
           case shape::mixed: {
             ASSERT_EQ(result.deliveries.size(), reference.deliveries.size());
@@ -676,68 +694,115 @@ egress_state layer_pipeline(
 }
 
 // The engine reads its feeds in place, fusing the link shift and the PFM
-// into one pass per device visit, and collects deliveries on its pool; it
-// sorts a stream only when a check finds it out of (time, pid) order. It
-// must give exactly what the public layer pipeline gives: every host and
-// device egress stream, every delivery and the drop count, bit for bit. A
-// delivery's send time, source and flow id must be those its pid was sent
-// with: the engine looks send times up by injection index. The fat-tree
-// streams number pids in host order, so SInit proves them distinct without
-// a sort; the other inputs' pids do not rise and take the sort.
-// Acyclic topologies only: a cyclic stage stops at a 1e-9 tolerance, not
-// at a bitwise fixed point.
+// into one pass per device visit, infers a queue again only when a queue
+// that feeds it moved, and collects deliveries on its pool; it sorts a
+// stream only when a check finds it out of (time, pid) order. It must give
+// exactly what the public layer pipeline gives, which re-infers every
+// device in every round: every host and device egress stream, every
+// delivery and the drop count, bit for bit, under the dependency-ordered
+// schedule and under Algorithm 1's. A delivery's send time, source and
+// flow id must be those its pid was sent with: the engine looks send times
+// up by injection index. The fat-tree streams number pids in host order,
+// so SInit proves them distinct without a sort; the other inputs' pids do
+// not rise and take the sort. A cyclic stage stops at a 1e-9 tolerance,
+// not at a bitwise fixed point; on the cyclic cases here no round before
+// the fixed point moves a stream within the tolerance alone. Abilene and
+// GEANT run Algorithm 1 only: their ordered schedule starts the cyclic
+// stage from the peeled queues' final streams and agrees with Algorithm 1
+// within the tolerance (ordered_schedule_matches_algorithm1).
 TEST(determinism, engine_matches_layer_pipeline) {
   constexpr double horizon = 0.005;
   const auto ptm = tiny_ptm();
   const auto check = [&](const topo::topology& topo,
                          const core::scheduler_context& ctx,
                          const std::vector<traffic::packet_stream>& streams,
-                         std::size_t workers) {
+                         std::size_t workers, bool ordered = true) {
     const topo::routing routes{topo};
-    core::engine_config cfg;
-    cfg.partitions = workers;
-    cfg.delay.backend = des::delay_backend::ptm;
-    core::dqn_network engine{topo, routes, ptm, ctx, cfg};
-    const auto result = engine.run(streams, horizon);
-    ASSERT_FALSE(result.deliveries.empty());
-
-    // The test's traffic gives each flow id one destination, so forward()
-    // may route by flow id.
-    std::map<std::uint32_t, topo::node_id> flow_dst;
-    for (const auto host : topo.hosts())
-      for (const auto& ev : engine.egress_stream(host, 0)) {
-        const auto it = flow_dst.emplace(ev.pkt.flow_id, ev.pkt.dst_host).first;
-        ASSERT_EQ(it->second, ev.pkt.dst_host) << "flow " << ev.pkt.flow_id;
-      }
-    const auto provider = core::make_delay_provider(ptm, cfg.delay);
-    provider->prepare(topo.node_count());
+    const des::delay_policy delay{.backend = des::delay_backend::ptm};
+    std::optional<egress_state> state;
     std::uint64_t drops = 0;
-    const egress_state state = layer_pipeline(
-        topo, routes, streams, horizon, ptm, ctx, *provider, flow_dst, drops);
+    for (const bool skip : {true, false}) {
+      if (skip && !ordered) continue;
+      SCOPED_TRACE(skip ? "dependency-ordered schedule" : "Algorithm 1");
+      core::engine_config cfg;
+      cfg.partitions = workers;
+      cfg.irsa_skip_unchanged = skip;
+      cfg.delay = delay;
+      core::dqn_network engine{topo, routes, ptm, ctx, cfg};
+      const auto result = engine.run(streams, horizon);
+      ASSERT_FALSE(result.deliveries.empty());
+      if (!skip) {
+        // Algorithm 1's schedule still reuses queues: the runs here take
+        // more than one round, and a later round always has a device none
+        // of whose queues a moved stream feeds.
+        EXPECT_GT(engine.stats().iterations, 1u);
+        EXPECT_GT(engine.stats().devices_skipped, 0u);
+      }
 
-    for (topo::node_id node = 0;
-         static_cast<std::size_t>(node) < topo.node_count(); ++node)
-      for (std::size_t port = 0; port < topo.port_count(node); ++port)
-        EXPECT_TRUE(same_stream(engine.egress_stream(node, port),
-                                state[static_cast<std::size_t>(node)][port]))
-            << "node " << node << " port " << port;
+      if (!state) {
+        // The test's traffic gives each flow id one destination, so
+        // forward() may route by flow id.
+        std::map<std::uint32_t, topo::node_id> flow_dst;
+        for (const auto host : topo.hosts())
+          for (const auto& ev : engine.egress_stream(host, 0)) {
+            const auto it =
+                flow_dst.emplace(ev.pkt.flow_id, ev.pkt.dst_host).first;
+            ASSERT_EQ(it->second, ev.pkt.dst_host)
+                << "flow " << ev.pkt.flow_id;
+          }
+        const auto provider = core::make_delay_provider(ptm, delay);
+        provider->prepare(topo.node_count());
+        state = layer_pipeline(topo, routes, streams, horizon, ptm, ctx,
+                               *provider, flow_dst, drops);
+      }
 
-    expect_same_deliveries(
-        result.deliveries,
-        sorted_deliveries(topo, streams, horizon,
-                          [&state](topo::node_id node, std::size_t port)
-                              -> const traffic::packet_stream& {
-                            return state[static_cast<std::size_t>(node)][port];
-                          }));
-    EXPECT_EQ(result.drops, drops);
-    if (ctx.buffer_bytes > 0) {
-      EXPECT_GT(drops, 0u) << "the case must drop packets";
+      const egress_state& reference = *state;
+      for (topo::node_id node = 0;
+           static_cast<std::size_t>(node) < topo.node_count(); ++node)
+        for (std::size_t port = 0; port < topo.port_count(node); ++port)
+          EXPECT_TRUE(same_stream(
+              engine.egress_stream(node, port),
+              reference[static_cast<std::size_t>(node)][port]))
+              << "node " << node << " port " << port;
+
+      expect_same_deliveries(
+          result.deliveries,
+          sorted_deliveries(topo, streams, horizon,
+                            [&reference](topo::node_id node, std::size_t port)
+                                -> const traffic::packet_stream& {
+                              return reference[static_cast<std::size_t>(node)]
+                                              [port];
+                            }));
+      EXPECT_EQ(result.drops, drops);
+      if (ctx.buffer_bytes > 0) {
+        EXPECT_GT(drops, 0u) << "the case must drop packets";
+      }
     }
   };
 
   {
     SCOPED_TRACE("fattree16, FIFO, 4 workers");
     check(topo::make_fattree16(), {}, fattree_streams(), 4);
+  }
+  {
+    SCOPED_TRACE("torus3x3, FIFO, 2 workers");
+    check(topo::make_torus2d(3, 3), {}, uniform_streams(9), 2);
+  }
+  {
+    SCOPED_TRACE("fattree16 at 1 Gbps, 3-class SP, 8 KB buffers, 4 workers");
+    // Upstream drops change a queue's arrivals between rounds.
+    check(topo::make_fattree16(slow_links), sp_drops_context(),
+          map_streams(16, 3, horizon), 4);
+  }
+  {
+    SCOPED_TRACE("abilene, FIFO, Algorithm 1 only, 3 workers");
+    const auto topo = topo::make_abilene();
+    check(topo, {}, uniform_streams(topo.hosts().size()), 3, false);
+  }
+  {
+    SCOPED_TRACE("geant, FIFO, Algorithm 1 only, 4 workers");
+    const auto topo = topo::make_geant();
+    check(topo, {}, uniform_streams(topo.hosts().size()), 4, false);
   }
   {
     SCOPED_TRACE("line4, 3-class SP, 3 KB drop-tail, 1 worker");

@@ -202,7 +202,7 @@ TEST(engine_extra, works_on_every_evaluation_topology) {
     EXPECT_EQ(result.deliveries.size(), injected);
     EXPECT_LE(net.stats().iterations, 1 + topo.diameter());
     EXPECT_TRUE(net.stats().converged);
-    // Algorithm 1 itself (IRSA skip off) meets Theorem 3.1's bound too.
+    // Algorithm 1's schedule (IRSA skip off) meets Theorem 3.1's bound too.
     core::engine_config algorithm1_cfg;
     algorithm1_cfg.irsa_skip_unchanged = false;
     core::dqn_network algorithm1{topo, routes, shared_ptm(), {}, algorithm1_cfg};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -246,6 +248,44 @@ TEST(queue_graph, cycles_and_the_queues_they_feed_form_the_last_level) {
   if (dqn::util::contracts_enabled) {
     EXPECT_THROW((void)g.level_of(t.hosts()[0], 0), dqn::util::contract_violation);
     EXPECT_THROW((void)g.level_of(t.devices()[0], 99), dqn::util::contract_violation);
+  }
+}
+
+// The engine reuses a queue's output while none of its predecessors'
+// streams moved, which is sound only if every route runs along edges: the
+// egress queues a flow's path takes at two consecutive devices form an edge,
+// whichever equal-cost port the flow hash picks.
+TEST(queue_graph, every_route_runs_along_edges) {
+  for (const topology& t : {make_fattree16(), make_torus2d(3, 3), make_abilene()}) {
+    const routing routes{t};
+    const queue_graph g{t, routes};
+    std::size_t queues = 0;
+    for (const auto node : t.devices()) {
+      EXPECT_EQ(g.queue_index(node, 0), queues);
+      queues += t.port_count(node);
+    }
+    EXPECT_EQ(g.queue_count(), queues);
+    // The egress queue of `from` whose link leads to `to`.
+    const auto queue_to = [&](node_id from, node_id to) {
+      std::size_t port = 0;
+      while (t.peer_of(from, port).node != to) ++port;
+      return g.queue_index(from, port);
+    };
+    std::size_t steps = 0;
+    for (const auto src : t.hosts())
+      for (const auto dst : t.hosts())
+        for (std::uint32_t flow = 0; src != dst && flow < 4; ++flow) {
+          // src host, devices..., dst host
+          const auto path = routes.flow_path(src, dst, flow);
+          for (std::size_t i = 1; i + 2 < path.size(); ++i, ++steps) {
+            const auto next = g.successors(queue_to(path[i], path[i + 1]));
+            EXPECT_NE(std::find(next.begin(), next.end(),
+                                queue_to(path[i + 1], path[i + 2])),
+                      next.end())
+                << "path step " << i << " from host " << src << " to " << dst;
+          }
+        }
+    EXPECT_GT(steps, 0u);
   }
 }
 
