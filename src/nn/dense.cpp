@@ -14,6 +14,15 @@
 
 namespace dqn::nn {
 
+namespace {
+
+// The GEMM epilogue that applies a layer's bias and activation.
+kernels::epilogue epilogue_of(const aligned_vector& b, activation act) {
+  return {b.data(), static_cast<kernels::unary>(act)};
+}
+
+}  // namespace
+
 double apply_activation(activation act, double x) noexcept {
   switch (act) {
     case activation::identity: return x;
@@ -63,9 +72,7 @@ const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
                              workspace& ws) const {
   matrix& y = ws.take(rows, w_.cols());
   kernels::gemm_nn(x, lda, w_.data().data(), y.data().data(), rows, w_.cols(),
-                   w_.rows(), /*accumulate=*/false);
-  kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
-                    static_cast<kernels::unary>(act_));
+                   w_.rows(), /*accumulate=*/false, epilogue_of(b_, act_));
   return y;
 }
 
@@ -85,6 +92,8 @@ const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
   // block's partial sum to C as a unit, so a kept column must stay in its
   // original block. A block with no kept column would add +0.0 and is
   // skipped; with none kept at all, C is the zero the full call would sum.
+  // The epilogue rides on the last call, whose last k block is the full
+  // layer's last one that adds anything.
   bool first = true;
   for (std::size_t j0 = 0; j0 < w_rows.size();) {
     const std::size_t block_end =
@@ -92,13 +101,17 @@ const matrix& dense::forward(const double* x, std::size_t rows, std::size_t lda,
     std::size_t j1 = j0 + 1;
     while (j1 < w_rows.size() && w_rows[j1] < block_end) ++j1;
     kernels::gemm_nn(x + j0, lda, w.data().data() + j0 * out, y.data().data(),
-                     rows, out, j1 - j0, /*accumulate=*/!first);
+                     rows, out, j1 - j0, /*accumulate=*/!first,
+                     j1 == w_rows.size() ? epilogue_of(b_, act_)
+                                         : kernels::epilogue{});
     first = false;
     j0 = j1;
   }
-  if (first) y.fill(0.0);
-  kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
-                    static_cast<kernels::unary>(act_));
+  if (first) {
+    y.fill(0.0);
+    kernels::bias_act(y.data().data(), b_.data(), y.rows(), y.cols(),
+                      static_cast<kernels::unary>(act_));
+  }
   return y;
 }
 

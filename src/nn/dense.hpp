@@ -28,7 +28,8 @@ class dense {
   // multiple threads on a const layer).
   [[nodiscard]] matrix forward_const(const matrix& x) const;
   // Allocation-free inference forward: result lives in `ws` until its next
-  // reset. GEMM + fused bias/activation epilogue, no intermediates.
+  // reset. One GEMM whose epilogue adds the bias and applies the activation
+  // as it stores (kernels::gemm_nn), no intermediates.
   [[nodiscard]] const matrix& forward(const matrix& x, workspace& ws) const;
   // Same over a strided input: row i is x[i*lda, i*lda + in_dim()). Rows may
   // overlap (lda < in_dim()); see kernels::gemm_nn for the contract.
@@ -39,10 +40,10 @@ class dense {
   // x[i*lda, i*lda + w_rows.size()) and every weight row w_rows leaves out
   // meets an input that is ±0.0 in every row. Gathers the named rows of W
   // into a ws slot and issues one GEMM per kernels::k_block-deep block of
-  // the full layer (accumulate = false on the first), which keeps the
-  // association the SIMD kernels use on the full input; the result equals
-  // forward() on the full input bit for bit on every backend (finite W;
-  // kernels/gemm.hpp, Numerics).
+  // the full layer (accumulate = false on the first, the epilogue on the
+  // last), which keeps the association the SIMD kernels use on the full
+  // input; the result equals forward() on the full input bit for bit on
+  // every backend (finite W; kernels/gemm.hpp, Numerics).
   [[nodiscard]] const matrix& forward(const double* x, std::size_t rows,
                                       std::size_t lda,
                                       std::span<const std::size_t> w_rows,

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "nn/kernels/epilogue.hpp"
 #include "nn/kernels/gemm_tables.hpp"
 #include "nn/kernels/tanh.hpp"
 #include "obs/sink.hpp"
@@ -19,10 +20,12 @@ namespace {
 // --- Naive reference (the seed repo's triple loops, zero-skip removed) -----
 //
 // Kept verbatim as the semantics the fast kernels are tested against: i-k-j
-// with ascending-k accumulation per output element.
+// with ascending-k accumulation per output element. The scalar backends run
+// an NN call's epilogue as bias_act over the finished C.
 
 void naive_nn(const double* a, std::size_t lda, const double* b, double* c,
-              std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
+              std::size_t m, std::size_t n, std::size_t k, bool accumulate,
+              epilogue ep) {
   if (!accumulate) std::fill(c, c + m * n, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
     double* c_row = c + i * n;
@@ -32,6 +35,7 @@ void naive_nn(const double* a, std::size_t lda, const double* b, double* c,
       for (std::size_t j = 0; j < n; ++j) c_row[j] += aik * b_row[j];
     }
   }
+  if (ep.bias != nullptr) bias_act(c, ep.bias, m, n, ep.act);
 }
 
 void naive_tn(const double* a, const double* b, double* c, std::size_t m,
@@ -121,8 +125,10 @@ void blocked_broadcast(const double* a, std::size_t lda, const double* b,
 }
 
 void blocked_nn(const double* a, std::size_t lda, const double* b, double* c,
-                std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
+                std::size_t m, std::size_t n, std::size_t k, bool accumulate,
+                epilogue ep) {
   blocked_broadcast<false>(a, lda, b, c, m, n, k, accumulate);
+  if (ep.bias != nullptr) bias_act(c, ep.bias, m, n, ep.act);
 }
 
 void blocked_tn(const double* a, const double* b, double* c, std::size_t m,
@@ -299,13 +305,13 @@ void report_dispatch(obs::sink& sink) {
 DQN_HOT_PATH void gemm_nn(const double* a, const double* b, double* c,
                             std::size_t m, std::size_t n, std::size_t k,
                             bool accumulate) {
-  table_for(active_backend()).nn(a, k, b, c, m, n, k, accumulate);
+  table_for(active_backend()).nn(a, k, b, c, m, n, k, accumulate, {});
 }
 
 DQN_HOT_PATH void gemm_nn(const double* a, std::size_t lda, const double* b,
                             double* c, std::size_t m, std::size_t n,
-                            std::size_t k, bool accumulate) {
-  table_for(active_backend()).nn(a, lda, b, c, m, n, k, accumulate);
+                            std::size_t k, bool accumulate, epilogue ep) {
+  table_for(active_backend()).nn(a, lda, b, c, m, n, k, accumulate, ep);
 }
 
 DQN_HOT_PATH void gemm_tn(const double* a, const double* b, double* c,
@@ -339,13 +345,13 @@ const detail::gemm_table& checked_table(backend be) {
 
 void gemm_nn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate) {
-  checked_table(be).nn(a, k, b, c, m, n, k, accumulate);
+  checked_table(be).nn(a, k, b, c, m, n, k, accumulate, {});
 }
 
 void gemm_nn(backend be, const double* a, std::size_t lda, const double* b,
              double* c, std::size_t m, std::size_t n, std::size_t k,
-             bool accumulate) {
-  checked_table(be).nn(a, lda, b, c, m, n, k, accumulate);
+             bool accumulate, epilogue ep) {
+  checked_table(be).nn(a, lda, b, c, m, n, k, accumulate, ep);
 }
 
 void gemm_tn(backend be, const double* a, const double* b, double* c,

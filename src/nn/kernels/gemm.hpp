@@ -22,8 +22,14 @@
 //   naive   — the original triple loop, retained as the parity/bench
 //             reference (never auto-selected);
 //   blocked — portable cache-blocked scalar kernel, the fallback floor;
-//   avx2    — 4×8 register-tiled FMA micro-kernel (x86-64, AVX2+FMA);
-//   avx512  — 4×16 register-tiled micro-kernel (x86-64, AVX-512F).
+//   avx2    — 4×12 register tile (4 C rows × three 256-bit vectors),
+//             column strips outermost (x86-64, AVX2+FMA);
+//   avx512  — 8×24 register tile (8 C rows × three 512-bit vectors),
+//             column strips outermost (x86-64, AVX-512F).
+// The SIMD backends run NN and TN through one broadcast-A kernel: one
+// strip of a k_block panel of B stays in L1 while every row block passes
+// over it, and past the last full strip one narrower strip with a masked
+// last vector takes the rest of the columns.
 // The active backend is selected once, at first use: the strongest backend
 // both compiled in and supported by the running CPU, overridable with the
 // DQN_KERNEL_BACKEND environment variable (naive|blocked|avx2|avx512;
@@ -36,16 +42,30 @@
 // panel-partial-sum association — within 1e-10 relative of the reference
 // (tests/test_kernels.cpp holds every backend to that bound). The
 // association differs by backend family. The SIMD backends (avx2, avx512)
-// sum each k_block-deep block of k from zero and add that partial sum to C
-// as a unit, so a call's bits depend on where k_block splits k. The scalar
-// backends (naive, blocked) accumulate into C directly, one term at a time.
-// A caller that drops terms whose A value is ±0.0 keeps every bit as long
-// as it issues one call per original k_block (accumulate = false on the
-// first): nn::dense's column-elided forward relies on this.
+// sum each k_block-deep block of k with fmadd from +0.0 and add that
+// partial sum to C as a unit — to +0.0 on a non-accumulating call's first
+// block — so a call's bits depend on where k_block splits k, and on
+// nothing else: not the tile shape, not the loop order. The scalar
+// backends (naive, blocked) accumulate into C directly, one term at a
+// time. tests/test_kernels.cpp checks every backend against a scalar model
+// of its association under memcmp. A caller that drops terms whose A value
+// is ±0.0 keeps every bit as long as it issues one call per original
+// k_block (accumulate = false on the first): nn::dense's column-elided
+// forward relies on this.
+//
+// Epilogue: gemm_nn with a stride takes an optional epilogue (bias +
+// activation, epilogue.hpp), applied after the product: every element
+// becomes act(C + bias), the operations bias_act runs, in the same order.
+// The SIMD backends apply identity, relu and tanh in the tile's store on
+// the call's last k block; sigmoid, the scalar backends and a call with
+// k = 0 run bias_act over C after the product. Either way the bits are
+// those of the product followed by bias_act.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+#include "nn/kernels/epilogue.hpp"
 
 namespace dqn::obs {
 class sink;
@@ -82,7 +102,8 @@ void report_dispatch(obs::sink& sink);
 void gemm_nn(const double* a, const double* b, double* c, std::size_t m,
              std::size_t n, std::size_t k, bool accumulate);
 void gemm_nn(const double* a, std::size_t lda, const double* b, double* c,
-             std::size_t m, std::size_t n, std::size_t k, bool accumulate);
+             std::size_t m, std::size_t n, std::size_t k, bool accumulate,
+             epilogue ep = {});
 void gemm_tn(const double* a, const double* b, double* c, std::size_t m,
              std::size_t n, std::size_t k, bool accumulate);
 void gemm_nt(const double* a, const double* b, double* c, std::size_t m,
@@ -94,7 +115,7 @@ void gemm_nn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate);
 void gemm_nn(backend be, const double* a, std::size_t lda, const double* b,
              double* c, std::size_t m, std::size_t n, std::size_t k,
-             bool accumulate);
+             bool accumulate, epilogue ep = {});
 void gemm_tn(backend be, const double* a, const double* b, double* c,
              std::size_t m, std::size_t n, std::size_t k, bool accumulate);
 void gemm_nt(backend be, const double* a, const double* b, double* c,

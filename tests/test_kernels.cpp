@@ -1,11 +1,13 @@
 // Kernel-layer tests: GEMM backend parity against the retained naive
-// reference (1e-10 relative, randomized shapes including odd sizes), strided
-// and overlapping A rows (bit-identical to a materialized copy), fused
-// epilogue parity, blocked transpose, the tanh row kernels (bit-identical to
-// the scalar reference on every backend, within 2 ulp of std::tanh),
-// workspace arena semantics, the PTM row path (bit-identical to the window
-// path), and the zero-allocation guarantee for steady-state inference
-// (asserted with a global operator-new counting hook).
+// reference (1e-10 relative, randomized shapes including odd sizes), every
+// backend against a scalar model of its association and epilogue (memcmp,
+// every tile tail), strided and overlapping A rows (bit-identical to a
+// materialized copy), fused epilogue parity, blocked transpose, the tanh
+// row kernels (bit-identical to the scalar reference on every backend,
+// within 2 ulp of std::tanh), workspace arena semantics, the PTM row path
+// (bit-identical to the window path), and the zero-allocation guarantee
+// for steady-state inference (asserted with a global operator-new counting
+// hook).
 #include <gtest/gtest.h>
 
 // This TU replaces the global allocation functions with malloc/free-backed
@@ -228,6 +230,126 @@ TEST(gemm_kernels, nn_strided_a_matches_contiguous_copy_bitwise) {
             << nn::kernels::to_string(be) << " m=" << s.m << " n=" << s.n
             << " k=" << s.k << " lda=" << s.lda << " acc=" << accumulate;
       }
+  }
+}
+
+// The association each backend family promises (kernels/gemm.hpp,
+// Numerics), as a scalar model of C ?= op(A)·B followed by the epilogue.
+// SIMD backends: each k_block-deep block is summed with fma from +0.0 and
+// added to C as a unit, onto +0.0 on a non-accumulating call's first block.
+// Scalar backends: each product is rounded, then added into C. The
+// epilogue is act(C + bias) with nn::apply_activation's formulas.
+void model_gemm(bool simd, bool trans_a, const double* a, std::size_t lda,
+                const double* b, double* c, std::size_t m, std::size_t n,
+                std::size_t k, bool accumulate, nn::kernels::epilogue ep) {
+  constexpr std::size_t kb = nn::kernels::k_block;
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double& out = c[i * n + j];
+      if (!accumulate) out = 0.0;
+      for (std::size_t k0 = 0; k0 < k; k0 += kb) {
+        double partial = 0.0;
+        for (std::size_t kk = k0; kk < std::min(k, k0 + kb); ++kk) {
+          const double aik = trans_a ? a[kk * lda + i] : a[i * lda + kk];
+          if (simd)
+            partial = std::fma(aik, b[kk * n + j], partial);
+          else
+            out += aik * b[kk * n + j];
+        }
+        if (simd) out += partial;
+      }
+      if (ep.bias != nullptr)
+        out = nn::apply_activation(static_cast<nn::activation>(ep.act),
+                                   out + ep.bias[j]);
+    }
+}
+
+// Every backend, NN and TN, equals the model of its family under memcmp,
+// over shapes that reach every tail of every tile: rows past the 8- and
+// 4-row blocks, columns past the last full strip (24 wide on avx512, 12 on
+// avx2) in a rest strip of one, two or three vectors, its last one full or
+// masked (n = 13 and 37 take avx512's masked two-vector strip), k past a
+// k_block and k = 0, overlapping A rows, accumulate on and off, and every
+// epilogue (none, identity, relu, tanh, sigmoid), rotated over the shapes.
+// Where A and B are both scaled to 1e-170 the products underflow, so some
+// partial sums are -0.0: there `+0.0 + acc` and `acc` differ, as do
+// `-0.0 + bias` and `+0.0 + bias` where a bias value is -0.0.
+TEST(gemm_kernels, simd_association_is_bitwise) {
+  using nn::kernels::unary;
+  struct nn_shape {
+    std::size_t m, n, k, lda;
+  };
+  std::vector<nn_shape> shapes;
+  for (const std::size_t m : {1, 3, 4, 7, 8, 9, 21, 512})
+    for (const std::size_t n :
+         {1, 5, 8, 13, 16, 21, 24, 25, 37, 40, 48, 96, 128})
+      for (const std::size_t k : {0, 1, 16, 120, 256, 257, 600})
+        if (m * n * k <= 1'000'000) {
+          // Every other shape reads overlapping rows of A.
+          const bool overlap = shapes.size() % 2 == 1 && k > 1;
+          shapes.push_back({m, n, k, overlap ? (k + 1) / 2 : k});
+        }
+  // The e2e PTM's layers over one 512-row chunk (bench_micro_kernels).
+  for (const nn_shape s : {nn_shape{512, 96, 120, 10}, {512, 96, 144, 12},
+                           {512, 48, 96, 96}, {512, 1, 48, 48}})
+    shapes.push_back(s);
+
+  const unary acts[] = {unary::identity, unary::relu, unary::tanh,
+                        unary::sigmoid};
+  std::vector<backend> backends = compiled_backends();
+  backends.insert(backends.begin(), backend::naive);
+  for (std::size_t si = 0; si < shapes.size(); ++si) {
+    const nn_shape& s = shapes[si];
+    util::rng rng{si * 7919 + 3};
+    const bool tiny = si % 3 == 0;
+    // A serves NN as m rows at stride lda and TN as k×m.
+    std::vector<double> a(std::max((s.m - 1) * s.lda + s.k, s.k * s.m));
+    std::vector<double> b(s.k * s.n), c_init(s.m * s.n), bias(s.n);
+    fill_random(a, rng);
+    fill_random(b, rng);
+    fill_random(c_init, rng);
+    fill_random(bias, rng);
+    if (tiny) {
+      for (auto& v : a) v *= 1e-170;
+      for (std::size_t kk = 0; kk < s.k; ++kk)
+        for (std::size_t j = 2; j < s.n; j += 3) b[kk * s.n + j] *= 1e-170;
+    }
+    for (std::size_t j = 0; j < s.n; j += 5) bias[j] = -0.0;
+    for (std::size_t x = 0; x < c_init.size(); x += 7) c_init[x] = -0.0;
+    for (const bool accumulate : {false, true}) {
+      // The epilogue rotates over the shapes: none, then each activation.
+      const std::size_t kind = (2 * si + (accumulate ? 1 : 0)) % 5;
+      const nn::kernels::epilogue ep =
+          kind == 0 ? nn::kernels::epilogue{}
+                    : nn::kernels::epilogue{bias.data(), acts[kind - 1]};
+      std::vector<double> want_nn[2], want_tn[2];  // [simd]
+      for (const bool simd : {false, true}) {
+        want_nn[simd] = c_init;
+        model_gemm(simd, false, a.data(), s.lda, b.data(),
+                   want_nn[simd].data(), s.m, s.n, s.k, accumulate, ep);
+        want_tn[simd] = c_init;
+        model_gemm(simd, true, a.data(), s.m, b.data(), want_tn[simd].data(),
+                   s.m, s.n, s.k, accumulate, {});
+      }
+      for (const backend be : backends) {
+        const bool simd = be == backend::avx2 || be == backend::avx512;
+        std::vector<double> got = c_init;
+        nn::kernels::gemm_nn(be, a.data(), s.lda, b.data(), got.data(), s.m,
+                             s.n, s.k, accumulate, ep);
+        ASSERT_TRUE(same_bits(want_nn[simd], got))
+            << "nn on " << nn::kernels::to_string(be) << " m=" << s.m
+            << " n=" << s.n << " k=" << s.k << " lda=" << s.lda
+            << " acc=" << accumulate << " epilogue=" << kind
+            << " tiny=" << tiny;
+        got = c_init;
+        nn::kernels::gemm_tn(be, a.data(), b.data(), got.data(), s.m, s.n,
+                             s.k, accumulate);
+        ASSERT_TRUE(same_bits(want_tn[simd], got))
+            << "tn on " << nn::kernels::to_string(be) << " m=" << s.m
+            << " n=" << s.n << " k=" << s.k << " acc=" << accumulate
+            << " tiny=" << tiny;
+      }
+    }
   }
 }
 
@@ -596,48 +718,49 @@ TEST(workspace_forward, seq_regressor_matches_forward_const_exactly) {
     EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
 }
 
+// On every backend, the workspace forward (one GEMM with a fused epilogue)
+// equals forward_const (GEMM, then the bias, then the activation) bit for
+// bit: a tanh MLP, a sigmoid layer, and both column-elided.
 TEST(workspace_forward, mlp_and_dense_match_forward_const_exactly) {
   util::rng rng{22};
-  nn::mlp net{{7, 11, 5, 1}, nn::activation::tanh, rng};
+  const nn::mlp net{{7, 11, 5, 1}, nn::activation::tanh, rng};
+  const nn::dense layer{7, 3, nn::activation::sigmoid, rng};
   nn::matrix x{9, 7};
   for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
-  const nn::matrix ref = net.forward_const(x);
-  nn::workspace ws;
-  const nn::matrix& got = net.forward(x, ws);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
-
-  nn::dense layer{7, 3, nn::activation::sigmoid, rng};
-  const nn::matrix dref = layer.forward_const(x);
-  ws.reset();
-  const nn::matrix& dgot = layer.forward(x, ws);
-  for (std::size_t i = 0; i < dref.size(); ++i)
-    EXPECT_DOUBLE_EQ(dref.data()[i], dgot.data()[i]);
-
   // Column-elided input: columns 1 and 4 are 0.0 in every row, so the
   // overload reads only the other five columns and their weight rows.
-  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 1) = x(r, 4) = 0.0;
+  nn::matrix zx = x;
+  for (std::size_t r = 0; r < zx.rows(); ++r) zx(r, 1) = zx(r, 4) = 0.0;
   const std::vector<std::size_t> kept{0, 2, 3, 5, 6};
   std::vector<double> compact;
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    for (const std::size_t c : kept) compact.push_back(x(r, c));
-  const nn::matrix zref = net.forward_const(x);
-  ws.reset();
-  const nn::matrix& zfull = net.forward(x, ws);
-  const nn::aligned_vector zfull_bits = zfull.data();
-  const nn::matrix& zgot =
-      net.forward(compact.data(), x.rows(), kept.size(), kept, ws);
-  ASSERT_EQ(zgot.size(), zref.size());
-  for (std::size_t i = 0; i < zref.size(); ++i)
-    EXPECT_DOUBLE_EQ(zref.data()[i], zgot.data()[i]);
-  EXPECT_TRUE(same_bits(zfull_bits, zgot.data()));
-  const nn::matrix zdref = layer.forward_const(x);
-  ws.reset();
-  const nn::matrix& zdgot =
-      layer.forward(compact.data(), x.rows(), kept.size(), kept, ws);
-  for (std::size_t i = 0; i < zdref.size(); ++i)
-    EXPECT_DOUBLE_EQ(zdref.data()[i], zdgot.data()[i]);
+  for (std::size_t r = 0; r < zx.rows(); ++r)
+    for (const std::size_t c : kept) compact.push_back(zx(r, c));
+  for (const backend be : compiled_backends()) {
+    nn::kernels::force_backend(be);
+    const char* name = nn::kernels::to_string(be);
+    nn::workspace ws;
+    EXPECT_TRUE(
+        same_bits(net.forward_const(x).data(), net.forward(x, ws).data()))
+        << name;
+    ws.reset();
+    EXPECT_TRUE(
+        same_bits(layer.forward_const(x).data(), layer.forward(x, ws).data()))
+        << name;
+
+    const nn::matrix zref = net.forward_const(zx);
+    ws.reset();
+    const nn::aligned_vector zfull = net.forward(zx, ws).data();
+    const nn::matrix& zgot =
+        net.forward(compact.data(), zx.rows(), kept.size(), kept, ws);
+    EXPECT_TRUE(same_bits(zref.data(), zgot.data())) << name;
+    EXPECT_TRUE(same_bits(zfull, zgot.data())) << name;
+    ws.reset();
+    const nn::matrix& zdgot =
+        layer.forward(compact.data(), zx.rows(), kept.size(), kept, ws);
+    EXPECT_TRUE(same_bits(layer.forward_const(zx).data(), zdgot.data()))
+        << name;
+  }
+  nn::kernels::reset_backend();
 }
 
 // The column-elided dense forward equals the full input's forward bit for
