@@ -97,12 +97,11 @@ int main() {
     const auto result = bench::run_and_compare(s, ptm, fifo_tm, bucket);
     w1_table.add_row(bench::w1_row("DQN", tc.name, result.comparison));
     rho_table.add_row(bench::rho_row("DQN", tc.name, result.comparison));
-    std::printf("[dqn] %-14s done: %zu deliveries, %zu IRSA rounds, %s "
-                "(cyclic stage bound %zu)\n",
+    std::printf("[dqn] %-14s done: %zu deliveries, %zu IRSA rounds to the "
+                "fixed point, %.3f s engine wall\n",
                 tc.name, result.truth.deliveries.size(),
                 result.engine_stats.iterations,
-                result.engine_stats.converged ? "converged" : "NOT converged",
-                1 + s.topo().diameter());
+                result.engine_stats.wall_seconds);
 
     // RouteNet transfer.
     const auto rn_pred =

@@ -410,11 +410,10 @@ int main(int argc, char** argv) {
   const auto* net = dynamic_cast<const core::dqn_network*>(estimator.get());
   if (net != nullptr) {
     std::printf("DeepQueueNet (%s backend): %zu packets delivered in %.2fs "
-                "wall time (%zu IRSA iterations; %zu workers; diameter "
-                "bound %zu)\n",
+                "wall time (%zu IRSA iterations; %zu workers)\n",
                 to_string(backend), prediction.deliveries.size(),
                 prediction.wall_seconds, net->stats().iterations,
-                net->stats().workers, 1 + topo.diameter());
+                net->stats().workers);
   } else {
     std::printf("%s: %zu packets delivered in %.2fs wall time\n",
                 estimator->estimator_name(), prediction.deliveries.size(),

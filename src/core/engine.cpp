@@ -28,30 +28,17 @@ namespace dqn::core {
 
 namespace {
 
-// Fixed-point tolerance on per-packet egress times.
-constexpr double convergence_epsilon = 1e-9;
-
-// How an egress queue's new stream differs from its previous one.
-enum class stream_change : std::uint8_t {
-  none,              // bit for bit the same
-  within_tolerance,  // the same pids, every time within convergence_epsilon
-  beyond_tolerance,  // IRSA has not converged on this queue
-};
-
-stream_change compare_streams(const traffic::packet_stream& a,
-                              const traffic::packet_stream& b) {
-  if (a.size() != b.size()) return stream_change::beyond_tolerance;
-  stream_change change = stream_change::none;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].pkt.pid != b[i].pkt.pid) return stream_change::beyond_tolerance;
-    if (std::bit_cast<std::uint64_t>(a[i].time) ==
-        std::bit_cast<std::uint64_t>(b[i].time))
-      continue;
-    if (std::abs(a[i].time - b[i].time) > convergence_epsilon)
-      return stream_change::beyond_tolerance;
-    change = stream_change::within_tolerance;
-  }
-  return change;
+// Whether an egress queue's new stream differs from its previous one by any
+// bit: a packet, the order or a time.
+bool stream_moved(const traffic::packet_stream& a,
+                  const traffic::packet_stream& b) {
+  if (a.size() != b.size()) return true;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].pkt.pid != b[i].pkt.pid ||
+        std::bit_cast<std::uint64_t>(a[i].time) !=
+            std::bit_cast<std::uint64_t>(b[i].time))
+      return true;
+  return false;
 }
 
 // Pool seeds for `tasks` tasks: contiguous blocks, one per worker.
@@ -65,7 +52,7 @@ std::vector<std::vector<std::size_t>> spread(std::size_t tasks,
 
 // One device's state in the current IRSA round, kept until the round's
 // barrier. The device pass fills `queues` and `run_starts`; each queue task
-// then writes only its own port's element of `streams`, `port_changed` and
+// then writes only its own port's element of `streams`, `port_moved` and
 // `queue_seconds`. Only the ports whose queues run this round are written.
 struct staged_slot {
   // Per egress port: the arrivals the device pass routed to it, moved on to
@@ -75,9 +62,9 @@ struct staged_slot {
   // port's run starts, then the queue's size.
   std::vector<std::size_t> run_starts;
   std::vector<traffic::packet_stream> streams;
-  std::vector<stream_change> port_changed;  // per egress port
-  std::vector<double> queue_seconds;        // per egress port: task CPU time
-  double device_seconds = 0;                // the device pass's span time
+  std::vector<std::uint8_t> port_moved;  // per egress port: stream_moved
+  std::vector<double> queue_seconds;     // per egress port: task CPU time
+  double device_seconds = 0;             // the device pass's span time
   bool inferred = false;
 };
 
@@ -221,9 +208,6 @@ void merge_runs(traffic::packet_stream& queue, std::span<std::size_t> starts,
 
 void engine_stats::publish(obs::sink& sink) const {
   sink.count("engine.iterations", static_cast<double>(iterations));
-  sink.gauge("engine.converged", converged ? 1.0 : 0.0);
-  sink.gauge("engine.final_changed_devices",
-             static_cast<double>(final_changed_devices));
   sink.count("engine.device_inferences", static_cast<double>(device_inferences));
   sink.count("engine.devices_skipped", static_cast<double>(devices_skipped));
   sink.count("engine.steals", static_cast<double>(steals));
@@ -255,8 +239,8 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
                topo.at(host).name, " has ", topo.port_count(host),
                " links; every host needs exactly one");
   const auto devices = topo.devices();
-  // Algorithm 1 is every queue in one cyclic stage, iterated to the fixed
-  // point; the ordered schedule runs one stage per level of the graph.
+  // Algorithm 1 is every queue in one stage; the ordered schedule runs one
+  // stage per level of the graph.
   std::size_t stage_count = 1;
   if (config_.irsa_skip_unchanged) {
     for (const topo::node_id node : devices)
@@ -264,7 +248,6 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
         queue_stage_[queue_graph_.queue_index(node, p)] =
             static_cast<std::uint32_t>(queue_graph_.level_of(node, p));
     stage_count = queue_graph_.level_count();
-    last_stage_cyclic_ = queue_graph_.cyclic();
   }
 
   // Shard the devices across the workers: BFS-grown connected shards keep
@@ -479,10 +462,6 @@ des::run_result dqn_network::run(const des::run_request& request) {
     if (config_.record_hops) queue_hops[n].resize(topo_->port_count(node));
   }
 
-  // Theorem 3.1's bound, applied to the cyclic stage.
-  const std::size_t max_iterations =
-      config_.max_iterations > 0 ? config_.max_iterations : 1 + topo_->diameter();
-
   stats_.workers = workers;
   stats_.cross_shard_links = cross_shard_links_;
 
@@ -517,18 +496,16 @@ des::run_result dqn_network::run(const des::run_request& request) {
   // in place from `egress` — the previous round's state (Algorithm 1 "pull
   // the packet flows from iteration t-1") — and nobody writes it. An inferred
   // device stages the new streams of the queues it ran in its own `next`
-  // slot and records how each of them changed. Between rounds this thread
-  // moves the staged streams into `egress`, marks dirty every device a
-  // stream that moved beyond the tolerance feeds, and marks stale every
-  // queue a stream that moved by any bit feeds; the pool's round barriers
-  // order the two, so the per-packet path takes no locks. Host egress is
-  // fixed, so host ports never move.
+  // slot and records whether each of them moved. Between rounds this thread
+  // moves the staged streams into `egress` and marks stale every queue a
+  // stream that moved by any bit feeds; the pool's round barriers order the
+  // two, so the per-packet path takes no locks. Host egress is fixed, so
+  // host ports never move.
   //
-  // A queue runs in a round when it is in the round's stage, its device is
-  // visited (under the skip, only dirty devices are) and it is stale: some
-  // queue that feeds it, an edge of the queue graph, moved since it last
-  // ran. A queue that is not stale has the arrivals of its last run, so
-  // process_queue, a pure function of them, would give back its egress,
+  // A queue runs in a round when it is in the round's stage and it is
+  // stale: some queue that feeds it, an edge of the queue graph, moved since
+  // it last ran. A queue that is not stale has the arrivals of its last run,
+  // so process_queue, a pure function of them, would give back its egress,
   // hops and drops bit for bit; they stand.
   //
   // Each IRSA round is two pool rounds. The device pass routes each
@@ -536,13 +513,13 @@ des::run_result dqn_network::run(const des::run_request& request) {
   // then infers every one of those queues as its own task, the stealable
   // unit.
   //
-  // Stages run in order. A stage's first round infers every queue of the
-  // stage, and an acyclic stage is then final: its queues are fed only by
-  // hosts and earlier stages. The cyclic stage, always the last, repeats
-  // until a round changes nothing beyond the tolerance or max_iterations
-  // rounds have run.
+  // Stages run in order, each until none of its queues is stale: then no
+  // queue of the stage would change a bit if it ran again, so the stage is
+  // at Algorithm 1's fixed point (see the header for why this is reached).
+  // A stage's first round infers every queue of the stage. A stage whose
+  // queues feed none of its own, every level but a cyclic one, leaves
+  // nothing stale in itself and ends after that round.
   std::vector<staged_slot> next(topo_->node_count());
-  std::vector<std::uint8_t> dirty(topo_->node_count(), 0);
   // Every queue is stale until it first runs, in its stage's first round.
   std::vector<std::uint8_t> stale(queue_graph_.queue_count(), 1);
   // The queue pass's tasks and seeds, rebuilt every round.
@@ -554,13 +531,12 @@ des::run_result dqn_network::run(const des::run_request& request) {
 
   for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
     const stage_plan& sp = stages_[stage];
-    const bool cyclic = last_stage_cyclic_ && stage + 1 == stages_.size();
-    for (const topo::node_id node : sp.nodes) dirty[static_cast<std::size_t>(node)] = 1;
     // Whether queue q runs when its device is visited in this stage.
     const auto runs = [&](std::size_t q) {
       return queue_stage_[q] == stage && stale[q] != 0;
     };
-    for (std::size_t pass = 0; pass < max_iterations; ++pass) {
+    std::size_t left_stale = 0;  // queues of the stage a round left stale
+    do {
       // Rounds are numbered across stages.
       const std::size_t iteration = stats_.iterations;
       obs::scoped_timer iteration_timer{sink, "engine", "iteration", iteration};
@@ -581,15 +557,14 @@ des::run_result dqn_network::run(const des::run_request& request) {
                                        static_cast<std::uint64_t>(node),
                                        0.0,
                                        iteration_span};
-          // IRSA skip: no stream feeding this device moved beyond the
-          // tolerance last round. A visit with no stale queue of the stage
-          // is a skip too. Either way the device's egress stands.
+          // A visit with no stale queue of the stage is a skip: the
+          // device's egress stands.
           const std::size_t ports = topo_->port_count(node);
           const std::size_t first = queue_graph_.queue_index(node, 0);
           bool any_runs = false;
           for (std::size_t p = 0; p < ports && !any_runs; ++p)
             any_runs = runs(first + p);
-          if (!any_runs || (config_.irsa_skip_unchanged && dirty[n] == 0)) {
+          if (!any_runs) {
             ++worker_skips[worker];
             continue;
           }
@@ -646,7 +621,7 @@ des::run_result dqn_network::run(const des::run_request& request) {
             }
           }
           slot.streams.resize(ports);
-          slot.port_changed.assign(ports, stream_change::none);
+          slot.port_moved.assign(ports, 0);
           slot.queue_seconds.assign(ports, 0.0);
           slot.inferred = true;
           device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
@@ -713,7 +688,7 @@ des::run_result dqn_network::run(const des::run_request& request) {
         slot.streams[p] = model->process_queue(
             std::move(slot.queues[p]), p,
             topo_->link_at(topo_->at(node).links[p]).bandwidth_bps, call);
-        slot.port_changed[p] = compare_streams(slot.streams[p], egress[n][p]);
+        slot.port_moved[p] = stream_moved(slot.streams[p], egress[n][p]);
         const double cpu = util::thread_cpu_seconds() - cpu_start;
         slot.queue_seconds[p] = cpu;
         worker_busy[worker] += cpu;
@@ -722,53 +697,41 @@ des::run_result dqn_network::run(const des::run_request& request) {
       stats_.steals += pool.run_round(queue_seeds, queue_pass);
       close_pool_round(iteration);
 
-      // Between rounds: move the staged streams in, clear the stale flag of
-      // every queue that ran, and mark dirty for the next round every device
-      // a stream that moved beyond the tolerance feeds. A device's inference
-      // time is its device pass plus its queue tasks.
-      std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
-      std::size_t changed_devices = 0;
+      // Between rounds: move the staged streams in and clear the stale flag
+      // of every queue that ran. Every stale queue of the stage ran, so none
+      // is stale now. A device's inference time is its device pass plus its
+      // queue tasks.
       for (const topo::node_id node : sp.nodes) {
         const auto n = static_cast<std::size_t>(node);
         staged_slot& slot = next[n];
         if (!slot.inferred) continue;
         slot.inferred = false;
-        bool device_changed = false;
         double device_seconds = slot.device_seconds;
         const std::size_t first = queue_graph_.queue_index(node, 0);
-        for (std::size_t p = 0; p < slot.port_changed.size(); ++p) {
+        for (std::size_t p = 0; p < slot.port_moved.size(); ++p) {
           if (!runs(first + p)) continue;
           stale[first + p] = 0;
           device_seconds += slot.queue_seconds[p];
           egress[n][p] = std::move(slot.streams[p]);
-          if (slot.port_changed[p] != stream_change::beyond_tolerance) continue;
-          device_changed = true;
-          dirty[static_cast<std::size_t>(topo_->peer_of(node, p).node)] = 1;
         }
-        if (device_changed) ++changed_devices;
         if (sink != nullptr) device_seconds_handle.observe(device_seconds);
       }
-      // Then mark stale every queue a stream that moved by any bit feeds.
-      // This comes second, so a queue that ran this round is marked again
-      // when a feeder that ran beside it moved.
+      // Then mark stale every queue a stream that moved feeds, counting the
+      // stage's own. This comes second, so a queue that ran this round is
+      // marked again when a feeder that ran beside it moved.
+      left_stale = 0;
       for (const auto& [node, p] : queue_tasks) {
-        if (next[static_cast<std::size_t>(node)].port_changed[p] ==
-            stream_change::none)
-          continue;
+        if (next[static_cast<std::size_t>(node)].port_moved[p] == 0) continue;
         for (const std::uint32_t q :
-             queue_graph_.successors(queue_graph_.queue_index(node, p)))
+             queue_graph_.successors(queue_graph_.queue_index(node, p))) {
+          if (stale[q] == 0 && queue_stage_[q] == stage) ++left_stale;
           stale[q] = 1;
+        }
       }
       ++stats_.iterations;
-      // Convergence delta: how many devices the cyclic stage still changed
-      // this round; it is at its fixed point when this hits zero. An acyclic
-      // stage is final after its one round and reports zero.
-      stats_.final_changed_devices = cyclic ? changed_devices : 0;
-      iteration_timer.set_value(static_cast<double>(stats_.final_changed_devices));
-      if (!cyclic || (stats_.final_changed_devices == 0 && pass > 0)) break;
-    }
+      iteration_timer.set_value(static_cast<double>(left_stale));
+    } while (left_stale > 0);
   }
-  stats_.converged = stats_.final_changed_devices == 0;
   for (std::size_t count : worker_inferences) stats_.device_inferences += count;
   for (std::size_t count : worker_skips) stats_.devices_skipped += count;
   // 0 = perfectly balanced; clamp against CPU-clock jitter on tiny runs.

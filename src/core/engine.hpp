@@ -4,19 +4,37 @@
 // Execution is the Iterative Re-Sequencing Algorithm (IRSA, Algorithm 1):
 // every device repeatedly re-infers its egress streams from its upstream
 // neighbours' previous-iteration egress streams until the network reaches a
-// fixed point; Theorem 3.1 bounds the iterations by the topology diameter.
-// By default the engine orders that work on the egress-queue dependency
-// graph (topo/queue_graph.hpp): it runs the graph's levels in order, so a
-// queue neither on a cycle nor fed by one is inferred once, over its final
-// arrivals, and only the last, cyclic level iterates — skipping devices no
-// changed stream feeds, at most 1 + diameter rounds. Every fat-tree and line
-// is acyclic; on a torus the cyclic level holds every queue. With
-// irsa_skip_unchanged off the engine runs Algorithm 1's schedule: it visits
-// every device each round until no egress stream changes. Under both
-// schedules a queue runs again only when a queue that feeds it, an edge of
-// the graph, produced a stream that differs by any bit since the queue last
-// ran; otherwise its arrivals and so its output are those of its last run,
-// and they stand. The answer is Algorithm 1's, bit for bit.
+// fixed point. A queue is stale when a queue that feeds it, an edge of the
+// egress-queue dependency graph (topo/queue_graph.hpp), produced a stream
+// that differs by any bit since the queue last ran; only stale queues run,
+// since any other queue has the arrivals of its last run and so its output.
+// The work falls into stages, and a stage runs rounds until none of its
+// queues is stale: no queue would then change a bit if it ran again, so the
+// stage is at Algorithm 1's bitwise fixed point. A run that returns is at
+// that fixed point. By default each level of the graph is a stage, in
+// order, so a queue neither on a cycle nor fed by one is inferred once,
+// over its final arrivals, and only the last, cyclic level iterates. Every
+// fat-tree and line is acyclic; on a torus the cyclic level holds every
+// queue. With irsa_skip_unchanged off the engine runs Algorithm 1's
+// schedule: one stage of every queue, every device visited each round. The
+// two schedules reach the same fixed point, bit for bit.
+//
+// Why a stage ends. Every queue model is causal: a departure before time t
+// depends only on arrivals before t. Features are left folds over the
+// arrivals, SEC corrects each prediction by a table lookup, the SP clamp and
+// the departure projection run in transmission order, and a row's PTM GEMM
+// bits do not depend on the chunk it is computed in. Let t0 be the first
+// send time and L_min > 0 the smallest link latency (serialization plus
+// propagation). An arrival before t0 + (r + 1) * L_min left its feeder
+// before t0 + r * L_min, so by induction, after r rounds of a stage every
+// departure of its queues before t0 + r * L_min is final (the earlier
+// stages' and the hosts' streams are final throughout). With T the stage's
+// latest departure, every departure is final once t0 + r * L_min > T, and
+// one more round moves nothing: a stage ends within
+// 2 + floor((T - t0) / L_min) rounds, so it needs no cap. Theorem 3.1's
+// 1 + diameter bound holds only on an acyclic queue graph: its induction on
+// hop count assumes a packet queues only behind packets whose arrival is
+// already final, which a cycle breaks.
 //
 // Parallelism: the work runs on `partitions` workers — the CPU analogue of
 // the paper's model-parallel multi-GPU inference (Figure 11; DESIGN.md §2).
@@ -64,21 +82,19 @@ namespace dqn::core {
 //   const core::engine_config cfg{.partitions = 4, .apply_sec = false,
 //                                 .sink = &sink};
 struct engine_config {
-  std::size_t partitions = 1;      // "number of GPUs"
-  std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
-  bool apply_sec = true;           // §6.1 ablation hook
-  bool record_hops = false;        // per-device predicted hops (visibility)
-  // Run IRSA in dependency order (see the header comment): a queue outside
-  // the cyclic level is inferred once, and the cyclic level re-infers only
-  // devices a stream that moved beyond the convergence tolerance feeds — the
-  // skip this field is named after. Disable to run Algorithm 1's schedule,
-  // the paper's execution profile: every device visited each round, to the
-  // fixed point, with the queues no moved stream feeds reused rather than
-  // inferred again (bit-identical to re-inferring them).
+  std::size_t partitions = 1;  // "number of GPUs"
+  bool apply_sec = true;       // §6.1 ablation hook
+  bool record_hops = false;    // per-device predicted hops (visibility)
+  // Picks the IRSA schedule and nothing else (see the header comment): on,
+  // each level of the queue graph is a stage, so a queue outside the cyclic
+  // level is inferred once and never visited again; off, Algorithm 1's
+  // schedule, the paper's execution profile, visits every device each round
+  // to the fixed point. Both run only stale queues and return the same bits.
   bool irsa_skip_unchanged = true;
   // Optional observability (obs/sink.hpp): per-iteration IRSA timings and
-  // convergence deltas, per-partition busy time, skip counts, and the full
-  // engine_stats re-expressed as registry metrics. Null = zero-overhead.
+  // the queues each round left stale, per-partition busy time, skip counts,
+  // and the full engine_stats re-expressed as registry metrics. Null =
+  // zero-overhead.
   obs::sink* sink = nullptr;
   // Which sojourn backend every run rides on (core/delay_provider.hpp): the
   // paper's PTM (default), the queueing-theoretic closed forms, or tiered:
@@ -88,17 +104,12 @@ struct engine_config {
 };
 
 struct engine_stats {
-  std::size_t iterations = 0;          // IRSA rounds run (two pool rounds each)
-  // IRSA convergence: the number of devices whose egress still changed in
-  // the last round of the cyclic stage, and whether that was zero (the
-  // fixed point). A run that stops at max_iterations with devices still
-  // changing reports converged == false instead of passing for a fixed
-  // point. An acyclic stage is final after its one round.
-  bool converged = false;
-  std::size_t final_changed_devices = 0;
+  // IRSA rounds run, over every stage, to the fixed point (two pool rounds
+  // each).
+  std::size_t iterations = 0;
   // Each round visits every device of its stage. A visit that runs at
-  // least one queue is an inference; one that runs none is a skip (a device
-  // the IRSA skip leaves out, or one whose queues no moved stream feeds).
+  // least one queue is an inference; one that runs none, because no queue
+  // of the device is stale, is a skip.
   std::size_t device_inferences = 0;
   std::size_t devices_skipped = 0;
   std::size_t workers = 1;             // workers the run executed on (caller included)
@@ -207,11 +218,9 @@ class dqn_network : public des::estimator {
   // schedule.
   topo::queue_graph queue_graph_;
   // The IRSA schedule, fixed per (topology, routing, irsa_skip_unchanged):
-  // the stage of every device egress queue, by queue index, and whether the
-  // last stage is cyclic (only the last can be). Algorithm 1 is one cyclic
-  // stage.
+  // the stage of every device egress queue, by queue index. Algorithm 1 is
+  // one stage.
   std::vector<std::uint32_t> queue_stage_;
-  bool last_stage_cyclic_ = true;
   std::vector<stage_plan> stages_;
   std::size_t cross_shard_links_ = 0;
   std::size_t max_batch_ = 0;  // the largest batch of any stage

@@ -60,8 +60,9 @@ class topology {
   [[nodiscard]] std::vector<node_id> hosts() const;
   [[nodiscard]] std::vector<node_id> devices() const;
 
-  // Hop-count diameter over all node pairs (IRSA's iteration bound,
-  // Theorem 3.1).
+  // Hop-count diameter over all node pairs. 1 + diameter bounds IRSA's
+  // rounds (Theorem 3.1) only on an acyclic egress-queue graph; a cycle,
+  // as on a torus, can take more (core/engine.hpp).
   [[nodiscard]] std::size_t diameter() const;
 
   // BFS hop distance from `from` to every node (-1 if unreachable).

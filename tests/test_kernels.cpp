@@ -29,8 +29,10 @@
 #include <iterator>
 #include <limits>
 #include <new>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/features.hpp"
@@ -366,18 +368,40 @@ TEST(gemm_kernels, backend_tables_expose_compiled_backends) {
   }
 }
 
+// reset_backend() re-runs startup selection, DQN_KERNEL_BACKEND included.
+// The test sets the variable itself and gives the caller's value back, so
+// it holds under a pinned backend too.
 TEST(gemm_kernels, dispatch_force_and_reset) {
+  constexpr const char* variable = "DQN_KERNEL_BACKEND";
   const backend before = nn::kernels::active_backend();
+  const char* caller_value = std::getenv(variable);
+  const std::optional<std::string> caller =
+      caller_value != nullptr ? std::optional<std::string>{caller_value}
+                              : std::nullopt;
   nn::kernels::force_backend(backend::naive);
   EXPECT_EQ(nn::kernels::active_backend(), backend::naive);
   nn::kernels::force_backend(backend::blocked);
   EXPECT_EQ(nn::kernels::active_backend(), backend::blocked);
+  // Unset, reset lands on the strongest supported backend; naive is never
+  // auto-selected.
+  ::unsetenv(variable);
   nn::kernels::reset_backend();
-  // Without DQN_KERNEL_BACKEND, reset lands on the strongest supported
-  // backend; naive is never auto-selected.
   EXPECT_EQ(nn::kernels::active_backend(),
             nn::kernels::best_supported_backend());
   EXPECT_NE(nn::kernels::active_backend(), backend::naive);
+  ::setenv(variable, "blocked", 1);
+  nn::kernels::reset_backend();
+  EXPECT_EQ(nn::kernels::active_backend(), backend::blocked);
+  // An unknown name falls back to auto-selection.
+  ::setenv(variable, "no-such-backend", 1);
+  nn::kernels::reset_backend();
+  EXPECT_EQ(nn::kernels::active_backend(),
+            nn::kernels::best_supported_backend());
+  if (caller)
+    ::setenv(variable, caller->c_str(), 1);
+  else
+    ::unsetenv(variable);
+  nn::kernels::reset_backend();
   nn::kernels::force_backend(before);
 }
 
@@ -696,6 +720,8 @@ nn::seq_batch random_batch(std::size_t batch, std::size_t time,
   return x;
 }
 
+// On every backend the workspace forward equals forward_const bit for bit:
+// the LSTM stack, attention and the head.
 TEST(workspace_forward, seq_regressor_matches_forward_const_exactly) {
   util::rng rng{21};
   nn::seq_regressor_config cfg;
@@ -708,14 +734,16 @@ TEST(workspace_forward, seq_regressor_matches_forward_const_exactly) {
   cfg.head_hidden = 8;
   nn::seq_regressor net{cfg, rng};
   const nn::seq_batch x = random_batch(5, 9, 6, rng);
-  const nn::matrix ref = net.forward_const(x);
-  nn::workspace ws;
-  ws.reset();
-  const nn::matrix& got = net.forward(x, ws);
-  ASSERT_EQ(got.rows(), ref.rows());
-  ASSERT_EQ(got.cols(), ref.cols());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
+  for (const backend be : compiled_backends()) {
+    nn::kernels::force_backend(be);
+    const nn::matrix ref = net.forward_const(x);
+    nn::workspace ws;
+    const nn::matrix& got = net.forward(x, ws);
+    ASSERT_EQ(got.rows(), ref.rows());
+    ASSERT_EQ(got.cols(), ref.cols());
+    EXPECT_TRUE(same_bits(ref.data(), got.data())) << nn::kernels::to_string(be);
+  }
+  nn::kernels::reset_backend();
 }
 
 // On every backend, the workspace forward (one GEMM with a fused epilogue)
@@ -815,12 +843,14 @@ TEST(workspace_forward, bilstm_matches_forward_const_exactly) {
   util::rng rng{23};
   nn::bilstm layer{5, 6, rng};
   const nn::seq_batch x = random_batch(4, 7, 5, rng);
-  const nn::seq_batch ref = layer.forward_const(x);
-  nn::workspace ws;
-  const nn::seq_batch& got = layer.forward(x, ws);
-  ASSERT_EQ(got.data().size(), ref.data().size());
-  for (std::size_t i = 0; i < ref.data().size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
+  for (const backend be : compiled_backends()) {
+    nn::kernels::force_backend(be);
+    const nn::seq_batch ref = layer.forward_const(x);
+    nn::workspace ws;
+    const nn::seq_batch& got = layer.forward(x, ws);
+    EXPECT_TRUE(same_bits(ref.data(), got.data())) << nn::kernels::to_string(be);
+  }
+  nn::kernels::reset_backend();
 }
 
 TEST(workspace_forward, steady_state_seq_regressor_is_allocation_free) {
